@@ -47,7 +47,8 @@ int main() {
                 100.0 * delay_penalty(sc, c));
   }
   std::printf("(paper penalties: SDFC 4.69%%, SDPC 2.28%% — our boundary\n"
-              " hardware is costlier, see EXPERIMENTS.md E4)\n");
+              " hardware is costlier; `lain_bench table1` prints the\n"
+              " paper-vs-measured comparison)\n");
 
   // Structural inventory of the segmented slices.
   for (Scheme s : {Scheme::kSDFC, Scheme::kSDPC}) {

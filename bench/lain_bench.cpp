@@ -1,4 +1,6 @@
-// lain_bench — unified experiment CLI over the scenario registry.
+// lain_bench — the experiment CLI over the scenario registry: every
+// experiment of the reproduction (Table 1, E5-E12, the topology and
+// scaling studies) is one of its subcommands.
 //
 //   lain_bench <subcommand> [--threads N] [--csv | --json] [--out FILE]
 //              [--metrics-window N] [--metrics-out FILE] [--progress]
@@ -10,10 +12,9 @@
 // The subcommands, their axis flags and their usage text all come
 // from core::ScenarioRegistry::builtin(); the per-subcommand driver
 // (flag parsing, context sizing, output emission) is
-// core::run_scenario_cli, shared with the standalone bench shims so
-// flag handling cannot drift between the two.  Unknown subcommands
-// and flags a scenario does not accept fail with the registry-derived
-// usage and a nonzero exit.
+// core::run_scenario_cli.  Unknown subcommands and flags a scenario
+// does not accept fail with the registry-derived usage and a nonzero
+// exit.
 //
 // --threads parallelizes across sweep jobs; --sim-threads shards one
 // simulation across a thread-pool kernel and --partition picks the

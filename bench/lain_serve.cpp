@@ -4,11 +4,11 @@
 //
 // Listens on a UNIX-domain socket and serves scenario jobs submitted
 // as newline-delimited JSON frames (README "Sweep service").  All
-// jobs run through LainContext::global(): one warm characterization
-// cache across every client, and one ThreadBudget that the worker
-// pool, each job's sweep engine and each sharded kernel all lease
-// lanes from — N clients submitting same-scheme jobs characterize
-// once and never oversubscribe the host.
+// jobs run through the daemon's one LainContext: one warm
+// characterization cache across every client, and one ThreadBudget
+// that the worker pool, each job's sweep engine and each sharded
+// kernel all lease lanes from — N clients submitting same-scheme jobs
+// characterize once and never oversubscribe the host.
 //
 // --workers caps the pool (<= 0: the whole budget; the grant is
 // clipped to what the budget has).  --abort-on-saturation installs a
@@ -76,9 +76,9 @@ int run(int argc, char** argv) {
     return 2;
   }
 
+  lain::core::LainContext ctx;
   lain::serve::SweepService service(
-      lain::core::LainContext::global(),
-      lain::core::ScenarioRegistry::builtin(), opt);
+      ctx, lain::core::ScenarioRegistry::builtin(), opt);
   service.start();
   std::fprintf(stderr, "lain_serve: listening on %s (%d worker%s)\n",
                service.socket_path().c_str(), service.worker_count(),

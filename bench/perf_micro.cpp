@@ -306,9 +306,9 @@ std::vector<Bench> make_benches() {
     cfg.radix_y = 8;
     cfg.vcs = 2;  // mesh + faults: 1 adaptive + 1 escape VC
     cfg.injection_rate = 0.02;
-    cfg.fault_links = 1;
-    cfg.fault_seed = 2;
-    cfg.fault_at = 1;
+    cfg.fault.links = 1;
+    cfg.fault.seed = 2;
+    cfg.fault.at = 1;
     cfg.warmup_cycles = 0;
     cfg.measure_cycles = 1;
     noc::Simulation sim(cfg);

@@ -54,19 +54,13 @@ ReportTable injection_sweep(LainContext& ctx, const NocSweepOptions& opt,
 
   const std::vector<NocRunResult> results =
       engine.map_points<NocRunResult>(axes, [&](const SweepPoint& p) {
-        NocRunSpec spec;
+        NocRunSpec spec(opt.run);
         spec.scheme = p.scheme;
         spec.sim = default_mesh_config(p.injection_rate, p.pattern, p.seed);
         spec.sim.hotspot_fraction = p.hotspot_fraction;
         spec.sim.burst_duty = p.burst_duty;
         spec.sim.burst_on_mean_cycles = opt.burst_on_mean_cycles;
-        spec.sim.enable_cycle_skip = opt.cycle_skip;
-        opt.fault.apply(spec.sim);
         spec.enable_gating = opt.gating;
-        spec.sim_threads = opt.sim_threads;
-        spec.partition = opt.partition;
-        spec.pin_threads = opt.pin_threads;
-        spec.telemetry = opt.telemetry;
         return ctx.run_noc(spec);
       });
 
@@ -127,10 +121,7 @@ ReportTable idle_histogram(LainContext& ctx, const IdleHistogramOptions& opt,
         cfg.hotspot_fraction = p.hotspot_fraction;
         cfg.burst_duty = p.burst_duty;
         cfg.burst_on_mean_cycles = opt.burst_on_mean_cycles;
-        cfg.enable_cycle_skip = opt.cycle_skip;
-        opt.fault.apply(cfg);
-        return ctx.idle_histogram(cfg, opt.sim_threads, opt.partition,
-                                  opt.pin_threads, opt.telemetry);
+        return ctx.idle_histogram(cfg, opt.run);
       });
 
   const bool show_hotspot = opt.hotspot_fracs.size() > 1;
@@ -193,17 +184,11 @@ ReportTable mesh_vs_torus(LainContext& ctx, const MeshVsTorusOptions& opt,
         const noc::TopologyKind topology = (job % 2 == 0)
                                                ? noc::TopologyKind::kMesh
                                                : noc::TopologyKind::kTorus;
-        NocRunSpec spec;
+        NocRunSpec spec(opt.run);
         spec.scheme = opt.scheme;
         spec.sim = make_sim_config(p.radix, topology, p.rate, p.pattern,
                                    opt.seed);
-        spec.sim.enable_cycle_skip = opt.cycle_skip;
-        opt.fault.apply(spec.sim);
         spec.enable_gating = opt.gating;
-        spec.sim_threads = opt.sim_threads;
-        spec.partition = opt.partition;
-        spec.pin_threads = opt.pin_threads;
-        spec.telemetry = opt.telemetry;
         return ctx.run_noc(spec);
       });
 
@@ -262,21 +247,20 @@ ReportTable mesh_scaling(const MeshScalingOptions& opt) {
                         opt.pattern, opt.seed);
     cfg.warmup_cycles = opt.warmup_cycles;
     cfg.measure_cycles = opt.measure_cycles;
-    cfg.enable_cycle_skip = opt.cycle_skip;
-    opt.fault.apply(cfg);
+    // No thread budget: the runs are timed one at a time on purpose.
+    const noc::ShardedOptions engine = apply_run_options(opt.run, cfg);
 
-    // The first (partition, threads) pair anchors speedup and the
+    // The first (partition, shards) pair anchors speedup and the
     // bit-identity check for the whole radix — every partition shape
     // must reproduce its stats exactly.
     bool have_base = false;
     double base_ms = 0.0;
     noc::SimStats base;
     for (noc::PartitionStrategy partition : opt.partitions) {
-      for (int threads : opt.sim_threads) {
-        noc::ShardedOptions sopt;
-        sopt.shards = threads;
+      for (int shards : opt.shard_counts) {
+        noc::ShardedOptions sopt = engine;
+        sopt.shards = shards;
         sopt.partition = partition;
-        sopt.pin_threads = opt.pin_threads;
         noc::ShardedSimulation sim(cfg, sopt);
         const auto t0 = std::chrono::steady_clock::now();
         const noc::SimStats st = sim.run();
@@ -307,7 +291,7 @@ ReportTable mesh_scaling(const MeshScalingOptions& opt) {
             .cell(std::to_string(radix) + "x" + std::to_string(radix))
             .cell(static_cast<std::int64_t>(cfg.num_nodes()))
             .cell(noc::partition_name(sim.partition().strategy))
-            .cell(static_cast<std::int64_t>(threads))
+            .cell(static_cast<std::int64_t>(shards))
             .cell(static_cast<std::int64_t>(sim.num_shards()))
             .cell(static_cast<std::int64_t>(sim.partition().boundary_links))
             .cell(static_cast<std::int64_t>(sim.now()))
@@ -618,61 +602,6 @@ ReportTable segmentation_ablation(LainContext& ctx,
   compare(chars[0], chars[1]);
   compare(chars[2], chars[3]);
   return t;
-}
-
-// --- Deprecated context-free shims -----------------------------------------
-// Forward through the process-wide context so legacy callers share
-// the same characterization cache as the session API.
-
-ReportTable injection_sweep(const NocSweepOptions& opt,
-                            const SweepEngine& engine) {
-  return injection_sweep(LainContext::global(), opt, engine);
-}
-
-ReportTable idle_histogram(const IdleHistogramOptions& opt,
-                           const SweepEngine& engine) {
-  return idle_histogram(LainContext::global(), opt, engine);
-}
-
-ReportTable mesh_vs_torus(const MeshVsTorusOptions& opt,
-                          const SweepEngine& engine) {
-  return mesh_vs_torus(LainContext::global(), opt, engine);
-}
-
-ReportTable corner_sweep(const CornerSweepOptions& opt,
-                         const SweepEngine& engine) {
-  return corner_sweep(LainContext::global(), opt, engine);
-}
-
-ReportTable node_scaling(const NodeScalingOptions& opt,
-                         const SweepEngine& engine) {
-  return node_scaling(LainContext::global(), opt, engine);
-}
-
-ReportTable node_scaling_savings(const NodeScalingOptions& opt,
-                                 const SweepEngine& engine) {
-  return node_scaling_savings(LainContext::global(), opt, engine);
-}
-
-ReportTable static_probability(const StaticProbabilityOptions& opt,
-                               const SweepEngine& engine) {
-  return static_probability(LainContext::global(), opt, engine);
-}
-
-ReportTable static_probability_worst_case(const SweepEngine& engine) {
-  return static_probability_worst_case(LainContext::global(), engine);
-}
-
-ReportTable breakeven_table(const SweepEngine& engine) {
-  return breakeven_table(LainContext::global(), engine);
-}
-
-ReportTable breakeven_net_energy(const SweepEngine& engine, int max_idle) {
-  return breakeven_net_energy(LainContext::global(), engine, max_idle);
-}
-
-ReportTable segmentation_ablation(const SweepEngine& engine) {
-  return segmentation_ablation(LainContext::global(), engine);
 }
 
 }  // namespace lain::core

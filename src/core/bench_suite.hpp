@@ -1,17 +1,16 @@
-// bench_suite.hpp — the experiment implementations behind bench/ and
-// the unified lain_bench CLI.
+// bench_suite.hpp — the experiment implementations behind the
+// lain_bench subcommands (core/scenario.hpp).
 //
 // Each experiment expands its axes through SweepAxes, executes the
 // resulting job list on a SweepEngine, and folds the records into a
-// ReportTable.  The bench mains and lain_bench subcommands are thin
-// wrappers: axes in, table out — no per-experiment loop or printf
-// formatting left in the executables.
+// ReportTable.  The subcommands are thin wrappers: axes in, table out
+// — no per-experiment loop or printf formatting left in the CLI.
 //
 // Every experiment takes a LainContext first: characterizations come
 // from the context's shared cache (one per distinct (spec, scheme)
 // pair, however many jobs ask) and simulation kernels lease their
-// workers from its thread budget.  The context-free overloads are
-// deprecated shims through LainContext::global().
+// workers from its thread budget.  The simulating experiments take
+// their engine options as one RunOptions (core/experiments.hpp).
 
 #pragma once
 
@@ -42,24 +41,17 @@ struct NocSweepOptions {
   double burst_on_mean_cycles = 50.0;
   std::vector<std::uint64_t> seeds{1};
   bool gating = true;
-  int sim_threads = 1;  // per-run kernel threads (see NocRunSpec)
-  noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
-  bool pin_threads = false;
-  bool cycle_skip = false;  // event-driven skipping (bit-identical stats)
-  FaultOptions fault;       // deterministic fault schedule per run
-  // Streaming telemetry for every run in the sweep (the sink must be
-  // thread-safe when the engine runs jobs in parallel; the built-in
-  // JSONL sink is).  Records carry per-run ids, so interleaved
-  // streams demultiplex cleanly.
-  TelemetryOptions telemetry;
+  // Engine options for every run in the sweep.  A telemetry sink must
+  // be thread-safe when the engine runs jobs in parallel (the built-in
+  // JSONL sink is); records carry per-run ids, so interleaved streams
+  // demultiplex cleanly.
+  RunOptions run;
 };
 // Columns: pattern scheme rate [hotspot] [duty] [seed] lat thr
 // xbar-mW stby% saved-mW.  Optional axis columns appear only with
 // more than one value on that axis.
 ReportTable injection_sweep(LainContext& ctx, const NocSweepOptions& opt,
                             const SweepEngine& engine);
-ReportTable injection_sweep(const NocSweepOptions& opt,
-                            const SweepEngine& engine);  // deprecated shim
 
 // --- E9: crossbar idle-run-length distribution -----------------------------
 struct IdleHistogramOptions {
@@ -69,19 +61,12 @@ struct IdleHistogramOptions {
   std::vector<double> burst_duties{1.0};
   double burst_on_mean_cycles = 50.0;
   std::vector<std::uint64_t> seeds{1};
-  int sim_threads = 1;
-  noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
-  bool pin_threads = false;
-  bool cycle_skip = false;  // see NocSweepOptions::cycle_skip
-  FaultOptions fault;       // see NocSweepOptions::fault
-  TelemetryOptions telemetry;  // see NocSweepOptions::telemetry
+  RunOptions run;  // see NocSweepOptions::run
 };
 // Columns: pattern rate [hotspot] [duty] [seed] runs mean p50 p95 +
 // gateable fraction >= 1/2/3.
 ReportTable idle_histogram(LainContext& ctx, const IdleHistogramOptions& opt,
                            const SweepEngine& engine);
-ReportTable idle_histogram(const IdleHistogramOptions& opt,
-                           const SweepEngine& engine);  // deprecated shim
 
 // --- Mesh-vs-torus topology comparison -------------------------------------
 struct MeshVsTorusOptions {
@@ -92,40 +77,34 @@ struct MeshVsTorusOptions {
   xbar::Scheme scheme = xbar::Scheme::kSDPC;
   std::uint64_t seed = 1;
   bool gating = true;
-  int sim_threads = 1;
-  noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
-  bool pin_threads = false;
-  bool cycle_skip = false;  // see NocSweepOptions::cycle_skip
-  FaultOptions fault;       // see NocSweepOptions::fault
-  TelemetryOptions telemetry;  // see NocSweepOptions::telemetry
+  RunOptions run;  // see NocSweepOptions::run
 };
 // One row per (pattern, radix, rate): mesh and torus latency,
 // throughput and crossbar power side by side.  The torus has been
 // simulated (dateline VCs) since the seed but no bench exposed it.
 ReportTable mesh_vs_torus(LainContext& ctx, const MeshVsTorusOptions& opt,
                           const SweepEngine& engine);
-ReportTable mesh_vs_torus(const MeshVsTorusOptions& opt,
-                          const SweepEngine& engine);  // deprecated shim
 
 // --- Sharded-kernel node-count scaling -------------------------------------
 struct MeshScalingOptions {
   std::vector<int> radices{8, 16};       // square mesh radix per row
   // Partition strategies to compare; each is timed at every shard
-  // count.  The first (strategy, threads) pair per radix is the
+  // count.  The first (strategy, shard count) pair per radix is the
   // speedup/bit-identity baseline.
   std::vector<noc::PartitionStrategy> partitions{
       noc::PartitionStrategy::kRowBands, noc::PartitionStrategy::kBlocks2D};
-  std::vector<int> sim_threads{1, 2, 4}; // shard counts to time
-  bool pin_threads = false;
-  bool cycle_skip = false;  // see NocSweepOptions::cycle_skip
-  FaultOptions fault;       // see NocSweepOptions::fault
+  std::vector<int> shard_counts{1, 2, 4};
+  // Engine options for every timed run.  The two axes above take the
+  // place of run.sim_threads and run.partition; no telemetry is
+  // attached, so the timings stay clean.
+  RunOptions run;
   double injection_rate = 0.05;
   noc::TrafficPattern pattern = noc::TrafficPattern::kUniform;
   noc::Cycle warmup_cycles = 200;
   noc::Cycle measure_cycles = 1000;
   std::uint64_t seed = 1;
 };
-// Times one simulation per (radix, partition, threads) on the calling
+// Times one simulation per (radix, partition, shards) on the calling
 // thread (sequentially, so wall-clock numbers are not polluted by
 // sibling jobs) and reports the plan's boundary-link count,
 // simulated Mcycles/s and Mnode-cycles/s, speedup vs the first row of
@@ -141,8 +120,6 @@ struct CornerSweepOptions {
 };
 ReportTable corner_sweep(LainContext& ctx, const CornerSweepOptions& opt,
                          const SweepEngine& engine);
-ReportTable corner_sweep(const CornerSweepOptions& opt,
-                         const SweepEngine& engine);  // deprecated shim
 // Device-level SS/TT/FF check (1 um NMOS): Ioff, high-Vt Ioff, Ion,
 // dual-Vt leakage ratio.
 ReportTable corner_device_report();
@@ -156,14 +133,10 @@ struct NodeScalingOptions {
 };
 ReportTable node_scaling(LainContext& ctx, const NodeScalingOptions& opt,
                          const SweepEngine& engine);
-ReportTable node_scaling(const NodeScalingOptions& opt,
-                         const SweepEngine& engine);  // deprecated shim
 // Savings-vs-SC matrix: one row per node, one column per scheme.
 ReportTable node_scaling_savings(LainContext& ctx,
                                  const NodeScalingOptions& opt,
                                  const SweepEngine& engine);
-ReportTable node_scaling_savings(const NodeScalingOptions& opt,
-                                 const SweepEngine& engine);  // deprecated shim
 
 // --- E7: static-probability sweep ------------------------------------------
 struct StaticProbabilityOptions {
@@ -175,26 +148,18 @@ struct StaticProbabilityOptions {
 ReportTable static_probability(LainContext& ctx,
                                const StaticProbabilityOptions& opt,
                                const SweepEngine& engine);
-ReportTable static_probability(const StaticProbabilityOptions& opt,
-                               const SweepEngine& engine);  // deprecated shim
 // Worst-case p per scheme (the Table-1 footnote check).
 ReportTable static_probability_worst_case(LainContext& ctx,
                                           const SweepEngine& engine);
-ReportTable static_probability_worst_case(
-    const SweepEngine& engine);  // deprecated shim
 
 // --- E6: Minimum Idle Time breakeven ---------------------------------------
 ReportTable breakeven_table(LainContext& ctx, const SweepEngine& engine);
-ReportTable breakeven_table(const SweepEngine& engine);  // deprecated shim
 ReportTable breakeven_net_energy(LainContext& ctx, const SweepEngine& engine,
                                  int max_idle = 10);
-ReportTable breakeven_net_energy(const SweepEngine& engine,
-                                 int max_idle = 10);  // deprecated shim
 ReportTable breakeven_policy_check(int idle_run_cycles = 50);
 
 // --- E5: segmentation ablation ---------------------------------------------
 ReportTable segmentation_ablation(LainContext& ctx,
                                   const SweepEngine& engine);
-ReportTable segmentation_ablation(const SweepEngine& engine);  // deprecated
 
 }  // namespace lain::core

@@ -32,21 +32,14 @@ auto spec_tie(const xbar::CrossbarSpec& s) {
       z.segment_switch_width_m);
 }
 
-// Kernel the spec asks for: serial for sim_threads == 1, sharded
-// otherwise (auto-sharded when <= 0, partitioned by `partition`),
-// with the sharded kernel's extra worker lanes leased from the
-// context's thread budget.
-std::unique_ptr<noc::SimKernel> make_kernel(const noc::SimConfig& cfg,
-                                            int sim_threads,
-                                            noc::PartitionStrategy partition,
-                                            bool pin_threads,
+// Kernel the options ask for: serial for sim_threads == 1, sharded
+// otherwise (auto-sharded when <= 0), with the sharded kernel's extra
+// worker lanes leased from the context's thread budget.
+std::unique_ptr<noc::SimKernel> make_kernel(noc::SimConfig cfg,
+                                            const RunOptions& run,
                                             ThreadBudget* budget) {
-  if (sim_threads == 1) return std::make_unique<noc::Simulation>(cfg);
-  noc::ShardedOptions opt;
-  opt.shards = sim_threads;
-  opt.partition = partition;
-  opt.pin_threads = pin_threads;
-  opt.budget = budget;
+  const noc::ShardedOptions opt = apply_run_options(run, cfg, budget);
+  if (run.sim_threads == 1) return std::make_unique<noc::Simulation>(cfg);
   return std::make_unique<noc::ShardedSimulation>(cfg, opt);
 }
 
@@ -117,6 +110,30 @@ void install_window_control(noc::SimKernel& kernel,
       });
 }
 
+// Runs `kernel` under the run's telemetry and lifecycle controls and
+// returns its stats.  A cancel flag already set skips the run, which
+// then reports canceled with empty stats.
+noc::SimStats run_observed(noc::SimKernel& kernel, PoweredNoc* power,
+                           const noc::SimConfig& cfg,
+                           const std::string& scheme, bool gating,
+                           const TelemetryOptions& t,
+                           const CharacterizationCache& cache) {
+  std::optional<telemetry::MetricsStreamer> streamer =
+      attach_telemetry(kernel, power, cfg, scheme, gating, t);
+  install_window_control(kernel, t);
+  noc::SimStats stats;
+  if (t.cancel != nullptr && t.cancel->load(std::memory_order_relaxed)) {
+    kernel.mark_canceled();
+  } else {
+    stats = kernel.run();
+  }
+  if (streamer) {
+    streamer->finish(stats, kernel.saturated(), cache.lookups(),
+                     cache.hits());
+  }
+  return stats;
+}
+
 }  // namespace
 
 bool CharacterizationCache::KeyLess::operator()(
@@ -162,6 +179,19 @@ std::size_t CharacterizationCache::size() const {
   return entries_.size();
 }
 
+noc::ShardedOptions apply_run_options(const RunOptions& run,
+                                      noc::SimConfig& cfg,
+                                      ThreadBudget* budget) {
+  cfg.enable_cycle_skip = run.cycle_skip;
+  cfg.fault = run.fault;
+  noc::ShardedOptions opt;
+  opt.shards = run.sim_threads;
+  opt.partition = run.partition;
+  opt.pin_threads = run.pin_threads;
+  opt.budget = budget;
+  return opt;
+}
+
 LainContext::LainContext(const ContextOptions& opt)
     : budget_(opt.thread_budget) {}
 
@@ -171,30 +201,17 @@ LainContext& LainContext::global() {
 }
 
 NocRunResult LainContext::run_noc(const NocRunSpec& spec) {
-  std::unique_ptr<noc::SimKernel> kernel = make_kernel(
-      spec.sim, spec.sim_threads, spec.partition, spec.pin_threads, &budget_);
+  std::unique_ptr<noc::SimKernel> kernel =
+      make_kernel(spec.sim, spec, &budget_);
   noc::Network& net = kernel->network();
   const NocPowerConfig pcfg =
       default_noc_power(spec.scheme, spec.enable_gating);
   PoweredNoc powered(net, pcfg,
                      characterization(pcfg.xbar_spec, pcfg.scheme));
-  std::optional<telemetry::MetricsStreamer> streamer = attach_telemetry(
+  const noc::SimStats stats = run_observed(
       *kernel, &powered, spec.sim,
       std::string(xbar::scheme_name(spec.scheme)), spec.enable_gating,
-      spec.telemetry);
-  install_window_control(*kernel, spec.telemetry);
-  noc::SimStats stats;
-  if (spec.telemetry.cancel != nullptr &&
-      spec.telemetry.cancel->load(std::memory_order_relaxed)) {
-    // Canceled before the first cycle: skip the run, report canceled.
-    kernel->mark_canceled();
-  } else {
-    stats = kernel->run();
-  }
-  if (streamer) {
-    streamer->finish(stats, kernel->saturated(), cache_.lookups(),
-                     cache_.hits());
-  }
+      spec.telemetry, cache_);
 
   NocRunResult r;
   r.scheme = spec.scheme;
@@ -226,27 +243,10 @@ NocRunResult LainContext::run_noc(const NocRunSpec& spec) {
 }
 
 noc::Histogram LainContext::idle_histogram(const noc::SimConfig& cfg,
-                                           int sim_threads,
-                                           noc::PartitionStrategy partition,
-                                           bool pin_threads,
-                                           const TelemetryOptions& telemetry) {
-  std::unique_ptr<noc::SimKernel> kernel =
-      make_kernel(cfg, sim_threads, partition, pin_threads, &budget_);
-  std::optional<telemetry::MetricsStreamer> streamer = attach_telemetry(
-      *kernel, /*power=*/nullptr, cfg, /*scheme=*/"", /*gating=*/false,
-      telemetry);
-  install_window_control(*kernel, telemetry);
-  noc::SimStats stats;
-  if (telemetry.cancel != nullptr &&
-      telemetry.cancel->load(std::memory_order_relaxed)) {
-    kernel->mark_canceled();
-  } else {
-    stats = kernel->run();
-  }
-  if (streamer) {
-    streamer->finish(stats, kernel->saturated(), cache_.lookups(),
-                     cache_.hits());
-  }
+                                           const RunOptions& run) {
+  std::unique_ptr<noc::SimKernel> kernel = make_kernel(cfg, run, &budget_);
+  run_observed(*kernel, /*power=*/nullptr, cfg, /*scheme=*/"",
+               /*gating=*/false, run.telemetry, cache_);
   noc::Network& net = kernel->network();
   noc::Histogram merged;
   for (noc::NodeId n = 0; n < net.num_nodes(); ++n) {

@@ -10,9 +10,9 @@
 //     worker leases from, so nested parallelism (`--threads 8
 //     --sim-threads 4`) cooperates instead of oversubscribing.
 //
-// The free functions in experiments.hpp (run_powered_noc, ...) remain
-// as thin deprecated shims forwarding through LainContext::global();
-// new code takes a context (or creates a scoped one) explicitly.
+// Callers create a scoped context (lain_bench per invocation, lain_serve
+// per daemon) and pass it down; the only process-wide default is the
+// one behind DesignPoint (see global()).
 
 #pragma once
 
@@ -27,6 +27,10 @@
 #include "core/sweep.hpp"
 #include "core/thread_budget.hpp"
 #include "xbar/characterize.hpp"
+
+namespace lain::noc {
+struct ShardedOptions;
+}  // namespace lain::noc
 
 namespace lain::core {
 
@@ -87,8 +91,9 @@ class LainContext {
   LainContext(const LainContext&) = delete;
   LainContext& operator=(const LainContext&) = delete;
 
-  // The process-wide default context the deprecated free-function
-  // shims forward through.  Created on first use; lives forever.
+  // The process-wide default context behind DesignPoint, whose
+  // callers (make_table1, the breakeven policy check) take no context.
+  // Created on first use; lives forever.
   static LainContext& global();
 
   CharacterizationCache& characterizations() { return cache_; }
@@ -108,20 +113,26 @@ class LainContext {
 
   // One powered NoC run: the characterization comes from the cache
   // and a sharded kernel's extra worker lanes come from the budget.
-  // Results are bit-identical to the uncached free function.
   NocRunResult run_noc(const NocRunSpec& spec);
 
   // Merged idle-run histogram of every router crossbar (E9), on the
-  // budgeted kernel.  Bit-identical for any thread count / partition.
-  // `telemetry` optionally streams the (unpowered) run's metrics.
-  noc::Histogram idle_histogram(
-      const noc::SimConfig& cfg, int sim_threads = 1,
-      noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto,
-      bool pin_threads = false, const TelemetryOptions& telemetry = {});
+  // budgeted kernel `run` asks for.  Bit-identical for any thread
+  // count / partition; `run.telemetry` optionally streams the
+  // (unpowered) run's metrics.
+  noc::Histogram idle_histogram(const noc::SimConfig& cfg,
+                                const RunOptions& run = {});
 
  private:
   CharacterizationCache cache_;
   ThreadBudget budget_;
 };
+
+// Applies a run's engine options, the one place they reach the
+// simulation: cycle skipping and the fault schedule go into `cfg`, and
+// the returned ShardedOptions carry the shard count, partition and
+// pinning, leasing extra worker lanes from `budget` when given.
+noc::ShardedOptions apply_run_options(const RunOptions& run,
+                                      noc::SimConfig& cfg,
+                                      ThreadBudget* budget = nullptr);
 
 }  // namespace lain::core

@@ -1,9 +1,9 @@
 // design_point.hpp — (scheme, technology, spec) -> characterization.
 //
 // Thin facade over the process-wide characterization cache
-// (LainContext::global()), so examples, benches and the NoC
-// integration share one entry point AND one cache: two DesignPoints
-// at the same spec hit the same cached objects.
+// (LainContext::global()) for callers that take no context —
+// make_table1 and the breakeven policy check: two DesignPoints at the
+// same spec hit the same cached objects.
 //
 // The global cache never evicts, so entries live for the process —
 // the right trade for sweeps that revisit a bounded spec family.  A

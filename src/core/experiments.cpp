@@ -1,7 +1,5 @@
 #include "core/experiments.hpp"
 
-#include "core/context.hpp"
-
 namespace lain::core {
 
 NocPowerConfig default_noc_power(xbar::Scheme scheme, bool enable_gating) {
@@ -41,31 +39,6 @@ noc::SimConfig default_mesh_config(double injection_rate,
                                    std::uint64_t seed) {
   return make_sim_config(5, noc::TopologyKind::kMesh, injection_rate, pattern,
                          seed);
-}
-
-NocRunResult run_powered_noc(const NocRunSpec& spec) {
-  return LainContext::global().run_noc(spec);
-}
-
-NocRunResult run_powered_noc(xbar::Scheme scheme, double injection_rate,
-                             noc::TrafficPattern pattern, bool enable_gating,
-                             std::uint64_t seed) {
-  NocRunSpec spec;
-  spec.scheme = scheme;
-  spec.sim = default_mesh_config(injection_rate, pattern, seed);
-  spec.enable_gating = enable_gating;
-  return run_powered_noc(spec);
-}
-
-noc::Histogram idle_run_histogram(const noc::SimConfig& cfg, int sim_threads) {
-  return LainContext::global().idle_histogram(cfg, sim_threads);
-}
-
-noc::Histogram idle_run_histogram(double injection_rate,
-                                  noc::TrafficPattern pattern,
-                                  std::uint64_t seed) {
-  return idle_run_histogram(
-      default_mesh_config(injection_rate, pattern, seed));
 }
 
 }  // namespace lain::core

@@ -1,6 +1,7 @@
-// experiments.hpp — shared harness for the bench/ and examples/
-// executables: canonical configurations and one-call experiment
-// runners for the per-experiment index in DESIGN.md.
+// experiments.hpp — the shared vocabulary of the experiment layer:
+// canonical configurations, the engine options of a simulation run,
+// and the spec/result pair of one powered NoC run
+// (LainContext::run_noc, core/context.hpp).
 
 #pragma once
 
@@ -51,8 +52,8 @@ struct NocRunResult {
   // only the measured cycles that elapsed.
   bool canceled = false;
   bool aborted_saturated = false;
-  // Fault-injection outcome (FaultOptions below); all zero/false when
-  // the run injected no faults.
+  // Fault-injection outcome (RunOptions::fault below); all zero/false
+  // when the run injected no faults.
   std::int64_t packets_lost = 0;
   std::int64_t packets_retransmitted = 0;
   std::int64_t packets_unreachable_dropped = 0;
@@ -92,65 +93,37 @@ struct TelemetryOptions {
   bool abort_on_disconnect = false;
 };
 
-// Fault-injection attachment for a run: the universal --fault-* flags
-// in one bundle, copied verbatim into noc::SimConfig (see
-// noc/config.hpp for the full semantics).  Default (all zero) means
-// no faults, and the run takes the exact pre-fault code paths.
-struct FaultOptions {
-  int links = 0;                // inter-router links to kill
-  int routers = 0;              // whole routers to kill
-  noc::Cycle at = 0;            // 0 = start of the measurement window
-  std::uint64_t seed = 0;       // 0 = derive from the run seed
-  noc::Cycle repair = 0;        // > 0: transient flap, repaired after N
-  bool allow_partition = false;
-  void apply(noc::SimConfig& cfg) const {
-    cfg.fault_links = links;
-    cfg.fault_routers = routers;
-    cfg.fault_at = at;
-    cfg.fault_seed = seed;
-    cfg.fault_repair = repair;
-    cfg.allow_partition = allow_partition;
-  }
-};
-
-// Fully specified powered run: any SimConfig (topology, radix,
-// traffic-diversity knobs) plus the power scheme and the simulation
-// kernel to use.  sim_threads == 1 runs the serial kernel; > 1 runs
-// the sharded parallel kernel with that many shards; <= 0 lets the
-// kernel auto-shard by radix.  `partition` picks the shard shape
-// (rows / blocks2d / auto) and `pin_threads` pins the shard workers
-// to cores.  The stats — and therefore every simulation-derived
-// column — are bit-identical across all of them: threads, partition
-// and pinning change wall clock only.
-struct NocRunSpec {
-  xbar::Scheme scheme = xbar::Scheme::kSC;
-  noc::SimConfig sim;
-  bool enable_gating = true;
+// Engine options of one simulation run: the universal --sim-threads,
+// --partition, --pin-threads, --cycle-skip, --fault-* and telemetry
+// flags, declared once here and applied to the SimConfig and the
+// kernel in one place (apply_run_options, core/context.hpp).
+// sim_threads == 1 runs the serial kernel; > 1 runs the sharded
+// parallel kernel with that many shards; <= 0 lets the kernel
+// auto-shard by radix.  `partition` picks the shard shape (rows /
+// blocks2d / auto) and `pin_threads` pins the shard workers to cores.
+// The stats — and therefore every simulation-derived column — are
+// bit-identical across all of them and with cycle skipping on or off:
+// only `fault` changes what is simulated.
+struct RunOptions {
   int sim_threads = 1;
   noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
   bool pin_threads = false;
+  bool cycle_skip = false;  // event-driven stepping (noc::SimConfig)
+  noc::FaultSpec fault;     // deterministic fault schedule; none by default
   TelemetryOptions telemetry;
 };
 
-// Deprecated shim: forwards through LainContext::global().run_noc(),
-// so the characterization comes from the process-wide cache.  New
-// code should take a LainContext (see core/context.hpp).
-NocRunResult run_powered_noc(const NocRunSpec& spec);
+// Fully specified powered run: any SimConfig (topology, radix,
+// traffic-diversity knobs) plus the power scheme, run under the
+// inherited engine options.  Those options own cycle skipping and the
+// fault schedule: they replace sim.enable_cycle_skip and sim.fault.
+struct NocRunSpec : RunOptions {
+  NocRunSpec() = default;
+  explicit NocRunSpec(const RunOptions& run) : RunOptions(run) {}
 
-// Deprecated shim: one powered simulation (E8) on the default 5x5
-// mesh, through LainContext::global().
-NocRunResult run_powered_noc(xbar::Scheme scheme, double injection_rate,
-                             noc::TrafficPattern pattern,
-                             bool enable_gating = true,
-                             std::uint64_t seed = 1);
-
-// Idle-run-length histogram of every router's crossbar under the given
-// load (E9).  Returns the merged histogram.  Deprecated shims through
-// LainContext::global().idle_histogram().
-noc::Histogram idle_run_histogram(const noc::SimConfig& cfg,
-                                  int sim_threads = 1);
-noc::Histogram idle_run_histogram(double injection_rate,
-                                  noc::TrafficPattern pattern,
-                                  std::uint64_t seed = 1);
+  xbar::Scheme scheme = xbar::Scheme::kSC;
+  noc::SimConfig sim;
+  bool enable_gating = true;
+};
 
 }  // namespace lain::core

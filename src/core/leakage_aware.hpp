@@ -9,7 +9,8 @@
 //   auto spec = lain::xbar::table1_spec();
 //   auto c = lain::xbar::characterize(spec, lain::xbar::Scheme::kDPC);
 //   auto table = lain::core::make_table1();           // the paper's Table 1
-//   auto run = lain::core::run_powered_noc(...);      // NoC-level experiment
+//   lain::core::LainContext ctx;                      // a session
+//   auto run = ctx.run_noc(noc_run_spec);             // NoC-level experiment
 
 #pragma once
 

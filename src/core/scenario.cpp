@@ -182,50 +182,6 @@ int single_int(const Scenario& sc, const ArgParser& args,
   return parsed.front();
 }
 
-// The run-level telemetry attachment a spec asks for (sink installed
-// by the CLI driver or a library caller).
-TelemetryOptions telemetry_options(const ScenarioSpec& s) {
-  TelemetryOptions t;
-  t.metrics_window = s.metrics_window;
-  t.trace_flits = s.trace_flits;
-  t.sink = s.metrics;
-  t.abort_latency_mult = s.abort_latency_mult;
-  t.abort_on_disconnect = s.abort_on_disconnect;
-  t.cancel = s.cancel;
-  return t;
-}
-
-// The fault-injection bundle a spec asks for (universal --fault-*).
-FaultOptions fault_options(const ScenarioSpec& s) {
-  FaultOptions f;
-  f.links = s.fault_links;
-  f.routers = s.fault_routers;
-  f.at = s.fault_at;
-  f.seed = s.fault_seed;
-  f.repair = s.fault_repair;
-  f.allow_partition = s.allow_partition;
-  return f;
-}
-
-NocSweepOptions noc_sweep_options(const ScenarioSpec& s) {
-  NocSweepOptions opt;
-  opt.schemes = s.schemes;
-  opt.patterns = s.patterns;
-  opt.rates = s.rates;
-  opt.hotspot_fracs = s.hotspot_fracs;
-  opt.burst_duties = s.burst_duties;
-  opt.burst_on_mean_cycles = s.burst_on_mean_cycles;
-  opt.seeds = s.seeds;
-  opt.gating = s.gating;
-  opt.sim_threads = s.sim_threads;
-  opt.partition = s.partition;
-  opt.pin_threads = s.pin_threads;
-  opt.cycle_skip = s.cycle_skip;
-  opt.fault = fault_options(s);
-  opt.telemetry = telemetry_options(s);
-  return opt;
-}
-
 ScenarioRegistry make_builtin_registry() {
   ScenarioRegistry reg;
 
@@ -247,8 +203,18 @@ ScenarioRegistry make_builtin_registry() {
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
+      NocSweepOptions opt;
+      opt.schemes = s.schemes;
+      opt.patterns = s.patterns;
+      opt.rates = s.rates;
+      opt.hotspot_fracs = s.hotspot_fracs;
+      opt.burst_duties = s.burst_duties;
+      opt.burst_on_mean_cycles = s.burst_on_mean_cycles;
+      opt.seeds = s.seeds;
+      opt.gating = s.gating;
+      opt.run = s.run;
       ScenarioRun r;
-      r.table = injection_sweep(ctx, noc_sweep_options(s), engine);
+      r.table = injection_sweep(ctx, opt, engine);
       return r;
     };
     reg.add(std::move(sc));
@@ -275,12 +241,7 @@ ScenarioRegistry make_builtin_registry() {
       opt.burst_duties = s.burst_duties;
       opt.burst_on_mean_cycles = s.burst_on_mean_cycles;
       opt.seeds = s.seeds;
-      opt.sim_threads = s.sim_threads;
-      opt.partition = s.partition;
-      opt.pin_threads = s.pin_threads;
-      opt.cycle_skip = s.cycle_skip;
-      opt.fault = fault_options(s);
-      opt.telemetry = telemetry_options(s);
+      opt.run = s.run;
       ScenarioRun r;
       r.table = idle_histogram(ctx, opt, engine);
       return r;
@@ -371,12 +332,7 @@ ScenarioRegistry make_builtin_registry() {
       opt.scheme = s.schemes.front();
       opt.seed = s.seed;
       opt.gating = s.gating;
-      opt.sim_threads = s.sim_threads;
-      opt.partition = s.partition;
-      opt.pin_threads = s.pin_threads;
-      opt.cycle_skip = s.cycle_skip;
-      opt.fault = fault_options(s);
-      opt.telemetry = telemetry_options(s);
+      opt.run = s.run;
       ScenarioRun r;
       r.table = mesh_vs_torus(ctx, opt, engine);
       return r;
@@ -411,10 +367,8 @@ ScenarioRegistry make_builtin_registry() {
       MeshScalingOptions opt;
       opt.radices = s.radices;
       opt.partitions = s.partition_list;
-      opt.sim_threads = s.sim_thread_list;
-      opt.pin_threads = s.pin_threads;
-      opt.cycle_skip = s.cycle_skip;
-      opt.fault = fault_options(s);
+      opt.shard_counts = s.sim_thread_list;
+      opt.run = s.run;
       opt.injection_rate = s.rates.front();
       opt.pattern = s.patterns.front();
       opt.seed = s.seed;
@@ -612,39 +566,41 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
   s.threads = single_int(sc, args, "threads");
   // Universal streaming-telemetry flags (every scenario accepts them;
   // scenarios without a cycle-accurate simulation just ignore them).
+  TelemetryOptions& t = s.run.telemetry;
   {
     const int window = single_int(sc, args, "metrics-window");
     if (window < 0) {
       throw std::invalid_argument("--metrics-window must be >= 0");
     }
-    s.metrics_window = static_cast<noc::Cycle>(window);
+    t.metrics_window = static_cast<noc::Cycle>(window);
     const int trace = single_int(sc, args, "trace-flits");
     if (trace < 0) {
       throw std::invalid_argument("--trace-flits must be >= 0");
     }
-    s.trace_flits = trace;
+    t.trace_flits = trace;
     s.metrics_out = args.get("metrics-out", "");
-    s.abort_latency_mult = parse_flag(
+    t.abort_latency_mult = parse_flag(
         "abort-on-saturation", flag_value(sc, args, "abort-on-saturation"),
         [](const std::string& v) { return std::stod(v); });
-    if (s.abort_latency_mult < 0.0) {
+    if (t.abort_latency_mult < 0.0) {
       throw std::invalid_argument("--abort-on-saturation must be >= 0");
     }
-    if (s.abort_latency_mult > 0.0 && s.metrics_window == 0) {
+    if (t.abort_latency_mult > 0.0 && t.metrics_window == 0) {
       throw std::invalid_argument(
           "--abort-on-saturation needs --metrics-window (the guard acts "
           "at window boundaries)");
     }
   }
   s.progress = args.has("progress");
-  s.cycle_skip = args.has("cycle-skip");
+  s.run.cycle_skip = args.has("cycle-skip");
   // Universal fault-injection flags (same contract as the telemetry
   // flags above: scenarios without a cycle-accurate simulation ignore
   // them; SimConfig::validate rejects bad combinations per-run).
   {
-    s.fault_links = single_int(sc, args, "fault-links");
-    s.fault_routers = single_int(sc, args, "fault-routers");
-    if (s.fault_links < 0 || s.fault_routers < 0) {
+    noc::FaultSpec& f = s.run.fault;
+    f.links = single_int(sc, args, "fault-links");
+    f.routers = single_int(sc, args, "fault-routers");
+    if (f.links < 0 || f.routers < 0) {
       throw std::invalid_argument("--fault-links/--fault-routers must be >= 0");
     }
     const int at = single_int(sc, args, "fault-at");
@@ -652,14 +608,14 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
     if (at < 0 || repair < 0) {
       throw std::invalid_argument("--fault-at/--fault-repair must be >= 0");
     }
-    s.fault_at = static_cast<noc::Cycle>(at);
-    s.fault_repair = static_cast<noc::Cycle>(repair);
-    s.fault_seed = parse_flag(
+    f.at = static_cast<noc::Cycle>(at);
+    f.repair = static_cast<noc::Cycle>(repair);
+    f.seed = parse_flag(
         "fault-seed", flag_value(sc, args, "fault-seed"),
         [](const std::string& v) { return std::stoull(v); });
-    s.allow_partition = args.has("allow-partition");
-    s.abort_on_disconnect = args.has("abort-on-disconnect");
-    if (s.abort_on_disconnect && s.metrics_window == 0) {
+    f.allow_partition = args.has("allow-partition");
+    t.abort_on_disconnect = args.has("abort-on-disconnect");
+    if (t.abort_on_disconnect && t.metrics_window == 0) {
       throw std::invalid_argument(
           "--abort-on-disconnect needs --metrics-window (the guard acts "
           "at window boundaries)");
@@ -671,7 +627,7 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
                                      flag_value(sc, args, "sim-threads"),
                                      parse_int_list);
     } else {
-      s.sim_threads = single_int(sc, args, "sim-threads");
+      s.run.sim_threads = single_int(sc, args, "sim-threads");
     }
   }
   if (accepts("partition")) {
@@ -685,10 +641,10 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
             "--partition takes a single strategy here: " +
             flag_value(sc, args, "partition"));
       }
-      s.partition = parsed.front();
+      s.run.partition = parsed.front();
     }
   }
-  if (accepts("pin-threads")) s.pin_threads = args.has("pin-threads");
+  if (accepts("pin-threads")) s.run.pin_threads = args.has("pin-threads");
   auto range_axis = [&](const char* flag) {
     return parse_flag(flag, flag_value(sc, args, flag), parse_range);
   };
@@ -739,7 +695,7 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
 int recommended_thread_budget(const ScenarioSpec& spec) {
   int budget = hardware_lanes();
   budget = std::max(budget, spec.threads);
-  budget = std::max(budget, spec.sim_threads);
+  budget = std::max(budget, spec.run.sim_threads);
   return budget;
 }
 
@@ -789,12 +745,13 @@ int run_scenario_cli(const ScenarioRegistry& registry,
   // CLI-side metrics sinks.  Built before (and alive across) the
   // scenario run; MultiSink fans one run's records out to both
   // emitters when asked for.  A library caller installing its own
-  // spec.metrics keeps it: the CLI sinks are only added alongside.
+  // sink keeps it: the CLI sinks are only added alongside.
+  telemetry::MetricsSink*& sink = spec.run.telemetry.sink;
   std::unique_ptr<telemetry::JsonlSink> jsonl_sink;
   telemetry::ProgressSink progress_sink;
   telemetry::MultiSink multi_sink;
   try {
-    if (spec.metrics != nullptr) multi_sink.add(spec.metrics);
+    if (sink != nullptr) multi_sink.add(sink);
     if (!spec.metrics_out.empty()) {
       jsonl_sink = std::make_unique<telemetry::JsonlSink>(spec.metrics_out);
       multi_sink.add(jsonl_sink.get());
@@ -805,7 +762,7 @@ int run_scenario_cli(const ScenarioRegistry& registry,
                  e.what());
     return 2;
   }
-  if (multi_sink.size() > 0) spec.metrics = &multi_sink;
+  if (multi_sink.size() > 0) sink = &multi_sink;
 
   ContextOptions copt;
   copt.thread_budget = recommended_thread_budget(spec);
@@ -839,22 +796,6 @@ int run_scenario_cli(const ScenarioRegistry& registry,
     std::fputs(result.extras().c_str(), stdout);
   }
   return 0;
-}
-
-int scenario_main(const std::string& name, int argc,
-                  const char* const* argv) {
-  try {
-    const ScenarioRegistry& registry = ScenarioRegistry::builtin();
-    const Scenario* scenario = registry.find(name);
-    if (!scenario) {
-      std::fprintf(stderr, "unknown scenario: %s\n", name.c_str());
-      return 2;
-    }
-    return run_scenario_cli(registry, *scenario, argc - 1, argv + 1);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
-    return 1;
-  }
 }
 
 }  // namespace lain::core

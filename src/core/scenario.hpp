@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,12 +24,9 @@
 #include <vector>
 
 #include "core/cli.hpp"
+#include "core/experiments.hpp"
 #include "core/reporting.hpp"
 #include "core/sweep.hpp"
-
-namespace lain::telemetry {
-class MetricsSink;
-}  // namespace lain::telemetry
 
 namespace lain::core {
 
@@ -41,27 +37,19 @@ class LainContext;
 // callers.  Fields a scenario does not accept keep their defaults.
 struct ScenarioSpec {
   int threads = 1;       // sweep worker lanes (0 = all cores)
-  int sim_threads = 1;   // shards per simulation (0 = auto, 1 = serial)
-  std::vector<int> sim_thread_list{1, 2, 4};  // mesh_scaling's axis
-  // Shard partition shape (stats are partition-invariant).
-  noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
+  // Engine options of every simulation the scenario runs: the
+  // universal --cycle-skip, --fault-* and telemetry flags, plus
+  // --sim-threads (0 = auto, 1 = serial), --partition and --pin-threads
+  // where the scenario accepts them.  Ignored by scenarios without a
+  // cycle-accurate simulation.  run.telemetry.sink is filled by the CLI
+  // driver from --metrics-out/--progress; library callers may install
+  // any MetricsSink (not owned; must outlive the run), and serve
+  // callers a cancel flag.
+  RunOptions run;
+  // mesh_scaling's axes, in place of run.sim_threads / run.partition.
+  std::vector<int> sim_thread_list{1, 2, 4};
   std::vector<noc::PartitionStrategy> partition_list{
-      noc::PartitionStrategy::kRowBands,
-      noc::PartitionStrategy::kBlocks2D};  // mesh_scaling's axis
-  bool pin_threads = false;  // pin shard workers to cores (Linux)
-  // Event-driven cycle skipping (universal --cycle-skip; stats stay
-  // bit-identical, wall-clock drops on sparse traffic).  Ignored by
-  // scenarios without a cycle-accurate simulation.
-  bool cycle_skip = false;
-  // Fault injection (universal --fault-* flags; see noc::SimConfig for
-  // semantics).  Ignored by scenarios without a cycle-accurate
-  // simulation.
-  int fault_links = 0;
-  int fault_routers = 0;
-  noc::Cycle fault_at = 0;
-  std::uint64_t fault_seed = 0;
-  noc::Cycle fault_repair = 0;
-  bool allow_partition = false;
+      noc::PartitionStrategy::kRowBands, noc::PartitionStrategy::kBlocks2D};
 
   std::vector<xbar::Scheme> schemes;
   std::vector<noc::TrafficPattern> patterns;
@@ -77,21 +65,9 @@ struct ScenarioSpec {
   std::vector<std::uint64_t> seeds{1};  // expanded from seed/replicates
   bool gating = true;
 
-  // Streaming telemetry (universal flags; no-ops for scenarios that
-  // run no cycle-accurate simulation).  `metrics` is filled by the
-  // CLI driver from --metrics-out/--progress; library callers may
-  // install any MetricsSink (not owned; must outlive the run).
-  noc::Cycle metrics_window = 0;      // --metrics-window N cycles
+  // CLI-side metrics emitters, installed by run_scenario_cli.
   std::string metrics_out;            // --metrics-out FILE ('-' = stdout)
   bool progress = false;              // --progress: stderr window lines
-  std::int64_t trace_flits = 0;       // --trace-flits N (per-shard ring)
-  telemetry::MetricsSink* metrics = nullptr;
-
-  // Run-lifecycle controls (see core::TelemetryOptions).  All act at
-  // metrics-window boundaries and are inert with metrics_window == 0.
-  double abort_latency_mult = 0.0;    // --abort-on-saturation MULT
-  bool abort_on_disconnect = false;   // --abort-on-disconnect
-  const std::atomic<bool>* cancel = nullptr;  // library/serve callers only
 };
 
 // What a scenario produced.  Table scenarios fill `table`; text-only
@@ -176,18 +152,9 @@ int recommended_thread_budget(const ScenarioSpec& spec);
 // Parses `scenario`'s flags (argc/argv starting at the first flag),
 // sizes a LainContext, runs the scenario and emits its output — the
 // whole CLI driver behind one lain_bench subcommand.  Returns the
-// process exit code (2 on flag errors, with usage on stderr).  Both
-// lain_bench and the standalone bench shims go through here, so flag
-// handling cannot drift between them.
+// process exit code (2 on flag errors, with usage on stderr).
 int run_scenario_cli(const ScenarioRegistry& registry,
                      const Scenario& scenario, int argc,
                      const char* const* argv);
-
-// Entry point for a standalone bench main that mirrors one registry
-// scenario: `int main(int argc, char** argv) { return
-// scenario_main("breakeven", argc, argv); }`.  Catches everything and
-// maps errors to nonzero exits like lain_bench does.
-int scenario_main(const std::string& name, int argc,
-                  const char* const* argv);
 
 }  // namespace lain::core

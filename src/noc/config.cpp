@@ -65,13 +65,13 @@ void SimConfig::validate() const {
     throw std::invalid_argument(
         "burst duty too low: ON-state rate would exceed 1 flit/cycle");
   }
-  if (fault_links < 0 || fault_routers < 0) {
+  if (fault.links < 0 || fault.routers < 0) {
     throw std::invalid_argument("fault counts must be >= 0");
   }
-  if (fault_at < 0 || fault_repair < 0) {
+  if (fault.at < 0 || fault.repair < 0) {
     throw std::invalid_argument("fault cycles must be >= 0");
   }
-  if (faults_enabled()) {
+  if (fault.enabled()) {
     // Self-healing routing reserves the highest VC as the deadlock-free
     // escape class (spanning-tree routing around dead links).  The mesh
     // needs one VC left for XY traffic; the torus additionally needs

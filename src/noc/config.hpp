@@ -22,6 +22,28 @@ enum class TrafficPattern {
 const char* traffic_name(TrafficPattern p);
 TrafficPattern traffic_from_name(const std::string& name);
 
+// Fault injection (src/noc/fault.hpp): a deterministic, seed-derived
+// schedule of link/router kills applied by the kernel between steps.
+// `links` kills that many inter-router channels (both directions of the
+// physical link) at `at`; `repair` > 0 turns each kill into a transient
+// flap that repairs after that many cycles.  `routers` kills whole
+// routers (always disconnects the node, so it requires
+// allow_partition).  `at` == 0 means "at the start of the measurement
+// window"; `seed` == 0 derives the fault stream from the main seed.  A
+// schedule that would disconnect the fabric is rejected at plan-build
+// time unless allow_partition is set, in which case unreachable pairs
+// are accounted instead.  The default (all zero) injects nothing, and
+// the run takes the exact fault-free code paths.
+struct FaultSpec {
+  int links = 0;
+  int routers = 0;
+  Cycle at = 0;
+  std::uint64_t seed = 0;
+  Cycle repair = 0;
+  bool allow_partition = false;
+  bool enabled() const { return links > 0 || routers > 0; }
+};
+
 struct SimConfig {
   // Topology.
   TopologyKind topology = TopologyKind::kMesh;
@@ -68,24 +90,8 @@ struct SimConfig {
   Cycle measure_cycles = 5000;
   Cycle drain_limit_cycles = 20000;
 
-  // Fault injection (src/noc/fault.hpp): a deterministic, seed-derived
-  // schedule of link/router kills applied by the kernel between steps.
-  // fault_links kills that many inter-router channels (both directions
-  // of the physical link) at fault_at; fault_repair > 0 turns each
-  // kill into a transient flap that repairs after that many cycles.
-  // fault_routers kills whole routers (always disconnects the node, so
-  // it requires allow_partition).  fault_at == 0 means "at the start
-  // of the measurement window"; fault_seed == 0 derives the fault
-  // stream from the main seed.  A schedule that would disconnect the
-  // fabric is rejected at plan-build time unless allow_partition is
-  // set, in which case unreachable pairs are accounted instead.
-  int fault_links = 0;
-  int fault_routers = 0;
-  Cycle fault_at = 0;
-  std::uint64_t fault_seed = 0;
-  Cycle fault_repair = 0;
-  bool allow_partition = false;
-  bool faults_enabled() const { return fault_links > 0 || fault_routers > 0; }
+  // Fault injection (see FaultSpec).
+  FaultSpec fault;
 
   std::uint64_t seed = 1;
 

@@ -26,12 +26,12 @@ constexpr Cycle kRetxBase = 16;
 constexpr int kRetxShiftCap = 5;
 
 std::uint64_t resolved_fault_seed(const SimConfig& cfg) {
-  return cfg.fault_seed != 0 ? cfg.fault_seed
+  return cfg.fault.seed != 0 ? cfg.fault.seed
                              : mix_seed(cfg.seed, kFaultSeedStream);
 }
 
 Cycle resolved_fault_at(const SimConfig& cfg) {
-  return cfg.fault_at > 0 ? cfg.fault_at : cfg.warmup_cycles;
+  return cfg.fault.at > 0 ? cfg.fault.at : cfg.warmup_cycles;
 }
 
 bool event_order(const FaultEvent& a, const FaultEvent& b) {
@@ -54,7 +54,7 @@ const char* fault_kind_name(FaultKind k) {
 
 FaultPlan FaultPlan::build(const SimConfig& cfg, const Network& net) {
   FaultPlan plan;
-  if (!cfg.faults_enabled()) return plan;
+  if (!cfg.fault.enabled()) return plan;
   const Cycle at = resolved_fault_at(cfg);
   Rng rng(mix_seed(resolved_fault_seed(cfg), kFaultPlanStream));
 
@@ -64,20 +64,20 @@ FaultPlan FaultPlan::build(const SimConfig& cfg, const Network& net) {
   for (int i = 0; i < net.num_links(); ++i) {
     if (net.reverse_link(i) > i) canon.push_back(i);
   }
-  if (cfg.fault_links > static_cast<int>(canon.size())) {
+  if (cfg.fault.links > static_cast<int>(canon.size())) {
     throw std::invalid_argument(
-        "fault-links " + std::to_string(cfg.fault_links) + " exceeds the " +
+        "fault-links " + std::to_string(cfg.fault.links) + " exceeds the " +
         std::to_string(canon.size()) + " physical links of this fabric");
   }
-  if (cfg.fault_routers > cfg.num_nodes()) {
+  if (cfg.fault.routers > cfg.num_nodes()) {
     throw std::invalid_argument(
-        "fault-routers " + std::to_string(cfg.fault_routers) +
+        "fault-routers " + std::to_string(cfg.fault.routers) +
         " exceeds the " + std::to_string(cfg.num_nodes()) + " routers");
   }
 
   // Partial Fisher–Yates over the canonical links, then the routers —
   // the pick depends only on (fault seed, fabric shape).
-  for (int k = 0; k < cfg.fault_links; ++k) {
+  for (int k = 0; k < cfg.fault.links; ++k) {
     const std::size_t j =
         static_cast<std::size_t>(k) +
         static_cast<std::size_t>(rng.next_below(canon.size() -
@@ -91,9 +91,9 @@ FaultPlan FaultPlan::build(const SimConfig& cfg, const Network& net) {
     down.node_a = net.link_source(li);
     down.node_b = net.link_owner(li);
     plan.events_.push_back(down);
-    if (cfg.fault_repair > 0) {
+    if (cfg.fault.repair > 0) {
       FaultEvent up = down;
-      up.at = at + cfg.fault_repair;
+      up.at = at + cfg.fault.repair;
       up.kind = FaultKind::kLinkUp;
       plan.events_.push_back(up);
     }
@@ -102,7 +102,7 @@ FaultPlan FaultPlan::build(const SimConfig& cfg, const Network& net) {
   for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
     nodes[static_cast<std::size_t>(n)] = n;
   }
-  for (int k = 0; k < cfg.fault_routers; ++k) {
+  for (int k = 0; k < cfg.fault.routers; ++k) {
     const std::size_t j =
         static_cast<std::size_t>(k) +
         static_cast<std::size_t>(rng.next_below(nodes.size() -
@@ -135,7 +135,7 @@ FaultPlan FaultPlan::build(const SimConfig& cfg, const Network& net) {
   FaultRoutingTable worst(cfg);
   worst.rebuild(net, link_alive, node_alive);
   plan.worst_unreachable_pairs_ = worst.unreachable_pairs();
-  if (plan.worst_unreachable_pairs_ > 0 && !cfg.allow_partition) {
+  if (plan.worst_unreachable_pairs_ > 0 && !cfg.fault.allow_partition) {
     std::ostringstream msg;
     msg << "fault plan (fault seed " << resolved_fault_seed(cfg)
         << ") disconnects the fabric: " << plan.worst_unreachable_pairs_

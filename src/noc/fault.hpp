@@ -9,8 +9,8 @@
 //                      time.  A plan whose worst state (every scheduled
 //                      fault applied at once) disconnects the fabric is
 //                      rejected with a diagnostic unless
-//                      cfg.allow_partition accepts it, in which case
-//                      the unreachable pairs are accounted instead.
+//                      cfg.fault.allow_partition accepts it, in which
+//                      case the unreachable pairs are accounted instead.
 //
 //   FaultRoutingTable  The self-healing routing state, recomputed at
 //                      each reconfiguration: xy_ok(here, dst) says the
@@ -56,7 +56,7 @@ class Network;
 
 enum class FaultKind : std::uint8_t {
   kLinkDown,    // permanent kill of both directions of a physical link
-  kLinkUp,      // transient repair (scheduled when fault_repair > 0)
+  kLinkUp,      // transient repair (scheduled when fault.repair > 0)
   kRouterDown,  // router + NIC kill; every incident link dies with it
 };
 

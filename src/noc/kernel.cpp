@@ -66,7 +66,7 @@ SimKernel::SimKernel(const SimConfig& cfg)
   measure_start_ = cfg.warmup_cycles;
   measure_end_ = cfg.warmup_cycles + cfg.measure_cycles;
   packet_seq_.assign(static_cast<size_t>(cfg.num_nodes()), 0);
-  if (cfg_.faults_enabled()) {
+  if (cfg_.fault.enabled()) {
     // FaultPlan::build validates the schedule against the wired fabric
     // and throws on a disconnecting plan without allow_partition — the
     // diagnostic surfaces through the scenario layer before any cycle

@@ -231,7 +231,7 @@ class SimKernel {
   bool aborted_saturated() const { return aborted_saturated_; }
   bool aborted_disconnected() const { return aborted_disconnected_; }
 
-  // --- Fault injection (cfg.faults_enabled()) ------------------------
+  // --- Fault injection (cfg.fault.enabled()) ------------------------
   // Null when faults are disabled — the fabric then runs the exact
   // pre-fault code paths (routers hold a null fault table).
   const FaultController* fault_controller() const { return fault_.get(); }
@@ -254,7 +254,7 @@ class SimKernel {
   // the shard phases through the LAIN_TELEMETRY_* hooks; read it
   // between steps or after run().  Host-side observability only —
   // never feeds back into the simulation.
-  void set_telemetry(telemetry::Collector* collector);
+  virtual void set_telemetry(telemetry::Collector* collector);
 
   // Enables the bounded per-flit trace: each shard keeps the last
   // `per_shard_capacity` injection/route/ejection events in an
@@ -411,7 +411,7 @@ class SimKernel {
   bool canceled_ = false;
   bool aborted_saturated_ = false;
   bool aborted_disconnected_ = false;
-  // Fault injection (null when cfg.faults_enabled() is false).
+  // Fault injection (null when cfg.fault.enabled() is false).
   std::unique_ptr<FaultController> fault_;
   FaultCallback fault_cb_;
   Cycle measure_start_ = 0;

@@ -26,16 +26,12 @@ ShardedSimulation::ShardedSimulation(const SimConfig& cfg,
   errors_.assign(shards_.size(), nullptr);
 }
 
-ShardedSimulation::ShardedSimulation(const SimConfig& cfg, int num_shards,
-                                     core::ThreadBudget* budget)
-    : ShardedSimulation(cfg, [&] {
-        ShardedOptions opt;
-        opt.shards = num_shards;
-        opt.budget = budget;
-        return opt;
-      }()) {}
-
 ShardedSimulation::~ShardedSimulation() { stop_workers(); }
+
+void ShardedSimulation::set_telemetry(telemetry::Collector* collector) {
+  stop_workers();
+  SimKernel::set_telemetry(collector);
+}
 
 void ShardedSimulation::start_workers() {
   if (workers_running_ || shards_.size() <= 1) return;

@@ -60,12 +60,15 @@ struct ShardedOptions {
 class ShardedSimulation final : public SimKernel {
  public:
   ShardedSimulation(const SimConfig& cfg, const ShardedOptions& opt);
-  // Row-bands convenience, bit-compatible with the original engine.
-  explicit ShardedSimulation(const SimConfig& cfg, int num_shards = 0,
-                             core::ThreadBudget* budget = nullptr);
   ~ShardedSimulation() override;
 
   void step() override;
+
+  // Joins the parked workers before swapping collectors: each worker
+  // times its barrier wait into the attached collector, so a detach
+  // under it would race and let it write into freed counters.  The
+  // next step() restarts them.
+  void set_telemetry(telemetry::Collector* collector) override;
 
   // Shard-count policy.  requested > 0 is honoured (clamped to the
   // node count).  requested <= 0 is automatic: 1 for fabrics under 64

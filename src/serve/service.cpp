@@ -358,10 +358,10 @@ void SweepService::run_job(const JobPtr& job) {
   try {
     core::ScenarioSpec spec =
         core::build_scenario_spec(registry_, job->spec, {});
-    spec.metrics = &sink;
+    spec.run.telemetry.sink = &sink;
+    spec.run.telemetry.cancel = &job->cancel;
     spec.metrics_out.clear();
     spec.progress = false;
-    spec.cancel = &job->cancel;
     const core::Scenario* scenario = registry_.find(job->spec.scenario);
     // The run itself is the batch CLI's core, on the shared context:
     // the engine leases its lanes from the same budget the pool and

@@ -71,7 +71,7 @@ void scale_for_node(DeviceParams& p, const TechNode& node) {
 // The classic fit for step inputs is ~0.85 Vdd/Ion; slow ramps through
 // pass-transistor stages roughly double it.  1.5 is the value that,
 // together with the delay-model slope factor, reproduces the SC
-// baseline delays of Table 1 (see EXPERIMENTS.md).
+// baseline delays of Table 1 (compare with `lain_bench table1`).
 constexpr double kReffFactor = 1.5;
 
 }  // namespace

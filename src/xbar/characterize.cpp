@@ -24,7 +24,7 @@ using tech::VtClass;
 
 // Global delay-model slope factor: folds in input-ramp degradation and
 // the difference between Elmore and measured 50 % points.  Fitted once
-// against the SC column of Table 1 (see EXPERIMENTS.md).
+// against the SC column of Table 1 (compare with `lain_bench table1`).
 constexpr double kDelayFit = 1.56;
 
 // Short-circuit current and local clocking overhead on top of the

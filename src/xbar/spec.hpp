@@ -9,7 +9,8 @@
 // Device widths below are the library's calibration knobs: they were
 // chosen once so the *SC baseline column* of Table 1 is matched (delay
 // and total-power magnitudes); the other schemes' numbers then follow
-// from their circuit structure.  See EXPERIMENTS.md for the fit.
+// from their circuit structure.  `lain_bench table1` prints the
+// paper-vs-measured comparison the fit was made against.
 
 #pragma once
 

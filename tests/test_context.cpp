@@ -146,12 +146,5 @@ TEST(LainContext, RunNocBitIdenticalAcrossContextsAndShardCounts) {
   EXPECT_EQ(ra.realized_saving_w, rb.realized_saving_w);
 }
 
-TEST(LainContext, DeprecatedShimsShareTheGlobalCache) {
-  CharacterizationCache& cache = LainContext::global().characterizations();
-  const std::uint64_t before = cache.lookups();
-  run_powered_noc(tiny_run_spec(xbar::Scheme::kDFC, 3));
-  EXPECT_GT(cache.lookups(), before);
-}
-
 }  // namespace
 }  // namespace lain::core

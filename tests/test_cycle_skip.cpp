@@ -202,14 +202,15 @@ TEST(CycleSkip, PowerAndGatingColumnsUnaffected) {
   // The full powered pipeline: leakage accrual, sleep-controller
   // decisions and realized savings all ride on the per-cycle power
   // hook sequence, which batched idle accounting must replay exactly.
+  core::LainContext ctx;
   for (xbar::Scheme scheme : {xbar::Scheme::kSDPC, xbar::Scheme::kSDFC}) {
     core::NocRunSpec spec;
     spec.scheme = scheme;
     spec.sim = core::default_mesh_config(0.05, TrafficPattern::kUniform, 5);
     spec.enable_gating = true;
-    const core::NocRunResult slow = core::run_powered_noc(spec);
-    spec.sim.enable_cycle_skip = true;
-    const core::NocRunResult skip = core::run_powered_noc(spec);
+    const core::NocRunResult slow = ctx.run_noc(spec);
+    spec.cycle_skip = true;
+    const core::NocRunResult skip = ctx.run_noc(spec);
     EXPECT_EQ(slow.avg_packet_latency_cycles, skip.avg_packet_latency_cycles);
     EXPECT_EQ(slow.throughput_flits_node_cycle,
               skip.throughput_flits_node_cycle);
@@ -225,10 +226,13 @@ TEST(CycleSkip, IdleRunHistogramUnaffected) {
   // The idle-period histogram is exactly the statistic a skipped
   // cycle must still extend: every deferred idle cycle lands in the
   // router's current idle run when flushed.
-  SimConfig cfg = core::default_mesh_config(0.05, TrafficPattern::kUniform, 9);
-  const Histogram slow = core::idle_run_histogram(cfg, 1);
-  cfg.enable_cycle_skip = true;
-  const Histogram skip = core::idle_run_histogram(cfg, 1);
+  const SimConfig cfg =
+      core::default_mesh_config(0.05, TrafficPattern::kUniform, 9);
+  core::LainContext ctx;
+  const Histogram slow = ctx.idle_histogram(cfg);
+  core::RunOptions skipping;
+  skipping.cycle_skip = true;
+  const Histogram skip = ctx.idle_histogram(cfg, skipping);
   EXPECT_GT(slow.count(), 0);
   EXPECT_EQ(slow.count(), skip.count());
   EXPECT_TRUE(slow.bins() == skip.bins());

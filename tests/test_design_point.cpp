@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/context.hpp"
 #include "core/experiments.hpp"
 
 namespace lain::core {
@@ -37,9 +38,19 @@ TEST(Experiments, DefaultConfigsAreValid) {
   EXPECT_EQ(cfg.buffer.width_bits, cfg.xbar_spec.flit_bits);
 }
 
+// One powered run of the canonical 5x5 mesh (E8), gating on.
+NocRunResult run_mesh(LainContext& ctx, xbar::Scheme scheme, double rate,
+                      noc::TrafficPattern pattern, std::uint64_t seed = 1) {
+  NocRunSpec spec;
+  spec.scheme = scheme;
+  spec.sim = default_mesh_config(rate, pattern, seed);
+  return ctx.run_noc(spec);
+}
+
 TEST(Experiments, RunResultFieldsPopulated) {
-  const NocRunResult r = run_powered_noc(xbar::Scheme::kDFC, 0.08,
-                                         noc::TrafficPattern::kNeighbor);
+  LainContext ctx;
+  const NocRunResult r = run_mesh(ctx, xbar::Scheme::kDFC, 0.08,
+                                  noc::TrafficPattern::kNeighbor);
   EXPECT_EQ(r.scheme, xbar::Scheme::kDFC);
   EXPECT_DOUBLE_EQ(r.injection_rate, 0.08);
   EXPECT_EQ(r.pattern, noc::TrafficPattern::kNeighbor);
@@ -48,12 +59,11 @@ TEST(Experiments, RunResultFieldsPopulated) {
 }
 
 TEST(Experiments, SeedsReproduce) {
-  const NocRunResult a = run_powered_noc(xbar::Scheme::kSC, 0.1,
-                                         noc::TrafficPattern::kUniform,
-                                         true, 7);
-  const NocRunResult b = run_powered_noc(xbar::Scheme::kSC, 0.1,
-                                         noc::TrafficPattern::kUniform,
-                                         true, 7);
+  LainContext ctx;
+  const NocRunResult a = run_mesh(ctx, xbar::Scheme::kSC, 0.1,
+                                  noc::TrafficPattern::kUniform, 7);
+  const NocRunResult b = run_mesh(ctx, xbar::Scheme::kSC, 0.1,
+                                  noc::TrafficPattern::kUniform, 7);
   EXPECT_DOUBLE_EQ(a.avg_packet_latency_cycles, b.avg_packet_latency_cycles);
   EXPECT_DOUBLE_EQ(a.network_power_w, b.network_power_w);
 }

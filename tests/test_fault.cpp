@@ -74,11 +74,11 @@ void expect_conserved(const SimStats& st) {
 // 0.02 flits/node/cycle — graceful degradation, not packet loss.
 TEST(Fault, SingleLinkKillMeshDeliversEverything) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.02);
-  cfg.fault_links = 1;
-  cfg.fault_at = 400;  // mid-measurement: the fabric is carrying load
+  cfg.fault.links = 1;
+  cfg.fault.at = 400;  // mid-measurement: the fabric is carrying load
   // Seed pinned so the victim link is carrying a worm at the kill
   // cycle (losses come only from flits physically on the dead link).
-  cfg.fault_seed = 2;
+  cfg.fault.seed = 2;
   Simulation sim(cfg);
   const SimStats st = sim.run();
   EXPECT_FALSE(sim.saturated());
@@ -98,8 +98,8 @@ TEST(Fault, SingleLinkKillMeshDeliversEverything) {
 TEST(Fault, BitIdenticalAcrossEnginesAndTopologiesDegraded) {
   for (TopologyKind topo : {TopologyKind::kMesh, TopologyKind::kTorus}) {
     SimConfig slow_cfg = faulty(topo, 0.02);
-    slow_cfg.fault_links = 2;
-    slow_cfg.fault_at = 400;
+    slow_cfg.fault.links = 2;
+    slow_cfg.fault.at = 400;
     slow_cfg.enable_idle_fastpath = false;
     Simulation slow(slow_cfg);
     const SimStats reference = slow.run();
@@ -129,11 +129,11 @@ TEST(Fault, BitIdenticalAcrossEnginesAndTopologiesDegraded) {
 // always disconnects its node.
 TEST(Fault, RouterKillRequiresAllowPartition) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.02);
-  cfg.fault_routers = 1;
-  cfg.fault_at = 400;
+  cfg.fault.routers = 1;
+  cfg.fault.at = 400;
   EXPECT_THROW(Simulation{cfg}, std::runtime_error);
 
-  cfg.allow_partition = true;
+  cfg.fault.allow_partition = true;
   Simulation sim(cfg);
   const SimStats st = sim.run();
   EXPECT_FALSE(sim.saturated());
@@ -147,18 +147,18 @@ TEST(Fault, RouterKillRequiresAllowPartition) {
 
 TEST(Fault, ImpossiblePlansRejected) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.02);
-  cfg.fault_links = 10000;  // more than the fabric has
+  cfg.fault.links = 10000;  // more than the fabric has
   EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
 
   // The escape VC reservation needs headroom: mesh >= 2 VCs, torus
   // >= 3 (dateline classes + escape).
   SimConfig mesh1 = faulty(TopologyKind::kMesh, 0.02);
   mesh1.vcs = 1;
-  mesh1.fault_links = 1;
+  mesh1.fault.links = 1;
   EXPECT_THROW(mesh1.validate(), std::invalid_argument);
   SimConfig torus2 = faulty(TopologyKind::kTorus, 0.02);
   torus2.vcs = 2;
-  torus2.fault_links = 1;
+  torus2.fault.links = 1;
   EXPECT_THROW(torus2.validate(), std::invalid_argument);
 }
 
@@ -166,9 +166,9 @@ TEST(Fault, ImpossiblePlansRejected) {
 // full connectivity — traffic keeps flowing throughout.
 TEST(Fault, TransientFlapRepairsAndRecovers) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.02);
-  cfg.fault_links = 1;
-  cfg.fault_at = 300;
-  cfg.fault_repair = 200;  // back up at 500, mid-measurement
+  cfg.fault.links = 1;
+  cfg.fault.at = 300;
+  cfg.fault.repair = 200;  // back up at 500, mid-measurement
   Simulation sim(cfg);
 
   std::vector<FaultReport> reports;
@@ -192,8 +192,8 @@ TEST(Fault, TransientFlapRepairsAndRecovers) {
 // clamp may not pin the clock forever).
 TEST(Fault, CycleSkipStillSkipsAfterFaults) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.002);
-  cfg.fault_links = 1;
-  cfg.fault_at = 300;
+  cfg.fault.links = 1;
+  cfg.fault.at = 300;
   cfg.enable_cycle_skip = true;
   Simulation sim(cfg);
   const SimStats st = sim.run();
@@ -208,8 +208,8 @@ TEST(Fault, NoDeadlockAtSaturation) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.60);
   cfg.measure_cycles = 300;
   cfg.drain_limit_cycles = 3000;
-  cfg.fault_links = 1;
-  cfg.fault_at = 200;
+  cfg.fault.links = 1;
+  cfg.fault.at = 200;
   Simulation sim(cfg);
   const SimStats st = sim.run();
   // The run may trip the drain limit (it is saturated), but ejections
@@ -236,15 +236,15 @@ TEST(Fault, DisabledIsInert) {
 // -> same events; different seed -> (almost surely) different victim.
 TEST(Fault, PlanIsSeedDeterministic) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.02);
-  cfg.fault_links = 1;
-  cfg.fault_seed = 7;
+  cfg.fault.links = 1;
+  cfg.fault.seed = 7;
   const Network net(cfg);
   const FaultPlan a = FaultPlan::build(cfg, net);
   const FaultPlan b = FaultPlan::build(cfg, net);
   ASSERT_EQ(a.events().size(), 1u);
   ASSERT_EQ(b.events().size(), 1u);
   EXPECT_EQ(a.events()[0].link, b.events()[0].link);
-  EXPECT_EQ(a.events()[0].at, cfg.fault_at > 0 ? cfg.fault_at
+  EXPECT_EQ(a.events()[0].at, cfg.fault.at > 0 ? cfg.fault.at
                                                : cfg.warmup_cycles);
 }
 

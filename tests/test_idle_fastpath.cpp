@@ -108,9 +108,10 @@ TEST(IdleFastPath, PowerAndGatingColumnsUnaffected) {
   spec.scheme = xbar::Scheme::kSDPC;
   spec.sim = core::default_mesh_config(0.05, TrafficPattern::kUniform, 5);
   spec.enable_gating = true;
-  const core::NocRunResult fast = core::run_powered_noc(spec);
+  core::LainContext ctx;
+  const core::NocRunResult fast = ctx.run_noc(spec);
   spec.sim.enable_idle_fastpath = false;
-  const core::NocRunResult slow = core::run_powered_noc(spec);
+  const core::NocRunResult slow = ctx.run_noc(spec);
   EXPECT_EQ(fast.avg_packet_latency_cycles, slow.avg_packet_latency_cycles);
   EXPECT_EQ(fast.throughput_flits_node_cycle, slow.throughput_flits_node_cycle);
   EXPECT_EQ(fast.network_power_w, slow.network_power_w);
@@ -125,9 +126,10 @@ TEST(IdleFastPath, IdleRunHistogramUnaffected) {
   // short-circuits around: every collapsed cycle must still extend
   // the router's current idle run.
   SimConfig cfg = core::default_mesh_config(0.05, TrafficPattern::kUniform, 9);
-  const Histogram fast = core::idle_run_histogram(cfg, 1);
+  core::LainContext ctx;
+  const Histogram fast = ctx.idle_histogram(cfg);
   cfg.enable_idle_fastpath = false;
-  const Histogram slow = core::idle_run_histogram(cfg, 1);
+  const Histogram slow = ctx.idle_histogram(cfg);
   EXPECT_GT(fast.count(), 0);
   EXPECT_EQ(fast.count(), slow.count());
   EXPECT_TRUE(fast.bins() == slow.bins());

@@ -86,7 +86,7 @@ TEST(ScenarioSpec, BuildAppliesLayeredDefaults) {
   EXPECT_EQ(spec.seeds, std::vector<std::uint64_t>{1});
   EXPECT_TRUE(spec.gating);
   EXPECT_EQ(spec.threads, 1);
-  EXPECT_EQ(spec.sim_threads, 1);
+  EXPECT_EQ(spec.run.sim_threads, 1);
 }
 
 TEST(ScenarioSpec, BuildParsesAxisFlags) {
@@ -100,7 +100,7 @@ TEST(ScenarioSpec, BuildParsesAxisFlags) {
   const std::vector<double> rates{0.1, 0.2};
   EXPECT_EQ(spec.rates, rates);
   EXPECT_EQ(spec.schemes, std::vector<xbar::Scheme>{xbar::Scheme::kSC});
-  EXPECT_EQ(spec.sim_threads, 2);
+  EXPECT_EQ(spec.run.sim_threads, 2);
   EXPECT_FALSE(spec.gating);
   ASSERT_EQ(spec.seeds.size(), 3u);
   for (std::size_t k = 0; k < spec.seeds.size(); ++k) {
@@ -131,13 +131,13 @@ TEST(ScenarioSpec, PartitionFlagParsesAndDefaultsToAuto) {
   const ScenarioRegistry& reg = ScenarioRegistry::builtin();
   const Scenario& sweep = *reg.find("injection_sweep");
   // Global default.
-  EXPECT_EQ(build_scenario_spec(sweep, parse(sweep, {})).partition,
+  EXPECT_EQ(build_scenario_spec(sweep, parse(sweep, {})).run.partition,
             noc::PartitionStrategy::kAuto);
   // Explicit single value.
   const ScenarioSpec spec = build_scenario_spec(
       sweep, parse(sweep, {"--partition", "blocks2d", "--pin-threads"}));
-  EXPECT_EQ(spec.partition, noc::PartitionStrategy::kBlocks2D);
-  EXPECT_TRUE(spec.pin_threads);
+  EXPECT_EQ(spec.run.partition, noc::PartitionStrategy::kBlocks2D);
+  EXPECT_TRUE(spec.run.pin_threads);
   // Lists are rejected where --partition is a single strategy...
   EXPECT_THROW(build_scenario_spec(
                    sweep, parse(sweep, {"--partition", "rows,blocks2d"})),
@@ -178,9 +178,9 @@ TEST(ScenarioSpec, RecommendedBudgetCoversEachRequestedLevel) {
   spec.threads = 8;
   EXPECT_GE(recommended_thread_budget(spec), 8);
   spec.threads = 1;
-  spec.sim_threads = 4;
+  spec.run.sim_threads = 4;
   EXPECT_GE(recommended_thread_budget(spec), 4);
-  spec.sim_threads = 0;  // auto: the kernel sizes itself
+  spec.run.sim_threads = 0;  // auto: the kernel sizes itself
   EXPECT_GE(recommended_thread_budget(spec), 1);
 }
 

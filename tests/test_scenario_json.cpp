@@ -159,8 +159,10 @@ TEST(ScenarioJson, SpecMatchesFlagPath) {
   EXPECT_EQ(from_json.rates, from_flags.rates);
   EXPECT_EQ(from_json.schemes, from_flags.schemes);
   EXPECT_EQ(from_json.patterns, from_flags.patterns);  // scenario default
-  EXPECT_EQ(from_json.metrics_window, from_flags.metrics_window);
-  EXPECT_EQ(from_json.abort_latency_mult, from_flags.abort_latency_mult);
+  EXPECT_EQ(from_json.run.telemetry.metrics_window,
+            from_flags.run.telemetry.metrics_window);
+  EXPECT_EQ(from_json.run.telemetry.abort_latency_mult,
+            from_flags.run.telemetry.abort_latency_mult);
   EXPECT_EQ(from_json.gating, from_flags.gating);
   EXPECT_EQ(from_json.seeds, from_flags.seeds);
 }

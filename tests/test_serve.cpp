@@ -169,7 +169,7 @@ TEST(SweepService, StreamedWindowsBitIdenticalToBatch) {
       core::scenario_job_from_json(reg(), job_line);
   core::ScenarioSpec spec = core::build_scenario_spec(reg(), job, {});
   telemetry::MemorySink sink;
-  spec.metrics = &sink;
+  spec.run.telemetry.sink = &sink;
   const core::Scenario* sc = reg().find("injection_sweep");
   ASSERT_NE(sc, nullptr);
   const core::SweepEngine engine = ctx.make_engine(spec.threads);

@@ -84,7 +84,8 @@ TEST(ShardedSim, BitIdenticalOnTorusWithTornadoBothPartitions) {
   cfg.topology = TopologyKind::kTorus;
   const SimStats reference = Simulation(cfg).run();
   {
-    ShardedSimulation sim(cfg, 3);  // uneven 64/3 split exercises ranges
+    // Uneven 64/3 split exercises ranges.
+    ShardedSimulation sim(cfg, opts(3, PartitionStrategy::kRowBands));
     expect_bit_identical(reference, sim.run());
   }
   for (int shards : {2, 4, 8}) {
@@ -210,12 +211,13 @@ TEST(ShardedSim, PoweredRunMatchesSerialBitForBitBothPartitions) {
   spec.scheme = xbar::Scheme::kSDPC;
   spec.sim = core::default_mesh_config(0.1, TrafficPattern::kUniform, 3);
   spec.sim_threads = 1;
-  const core::NocRunResult serial = core::run_powered_noc(spec);
+  core::LainContext ctx;
+  const core::NocRunResult serial = ctx.run_noc(spec);
   for (PartitionStrategy partition :
        {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
     spec.sim_threads = 4;
     spec.partition = partition;
-    const core::NocRunResult sharded = core::run_powered_noc(spec);
+    const core::NocRunResult sharded = ctx.run_noc(spec);
     EXPECT_EQ(serial.avg_packet_latency_cycles,
               sharded.avg_packet_latency_cycles);
     EXPECT_EQ(serial.throughput_flits_node_cycle,
@@ -229,11 +231,14 @@ TEST(ShardedSim, PoweredRunMatchesSerialBitForBitBothPartitions) {
 TEST(ShardedSim, IdleHistogramMatchesSerialBothPartitions) {
   const SimConfig cfg = core::default_mesh_config(
       0.05, TrafficPattern::kUniform, 11);
-  const Histogram a = core::idle_run_histogram(cfg, 1);
+  core::LainContext ctx;
+  const Histogram a = ctx.idle_histogram(cfg);
   for (PartitionStrategy partition :
        {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
-    const Histogram b =
-        core::LainContext::global().idle_histogram(cfg, 5, partition);
+    core::RunOptions sharded;
+    sharded.sim_threads = 5;
+    sharded.partition = partition;
+    const Histogram b = ctx.idle_histogram(cfg, sharded);
     EXPECT_EQ(a.count(), b.count());
     EXPECT_TRUE(a.bins() == b.bins());
   }

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "core/bench_suite.hpp"
+#include "core/context.hpp"
 #include "core/sweep.hpp"
 #include "noc/rng.hpp"
 #include "noc/sim.hpp"
@@ -170,16 +171,17 @@ TEST(SweepDeterminism, InjectionSweepTableIdenticalAcrossThreadCounts) {
   core::NocSweepOptions opt;
   opt.schemes = {xbar::Scheme::kSDPC};
   opt.rates = {0.05, 0.1};
+  core::LainContext ctx;
   const std::string t1 =
-      core::injection_sweep(opt, core::SweepEngine(1)).to_text();
+      core::injection_sweep(ctx, opt, core::SweepEngine(1)).to_text();
   const std::string t4 =
-      core::injection_sweep(opt, core::SweepEngine(4)).to_text();
+      core::injection_sweep(ctx, opt, core::SweepEngine(4)).to_text();
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t4);
   const std::string c1 =
-      core::injection_sweep(opt, core::SweepEngine(1)).to_csv();
+      core::injection_sweep(ctx, opt, core::SweepEngine(1)).to_csv();
   const std::string c4 =
-      core::injection_sweep(opt, core::SweepEngine(4)).to_csv();
+      core::injection_sweep(ctx, opt, core::SweepEngine(4)).to_csv();
   EXPECT_EQ(c1, c4);
 }
 

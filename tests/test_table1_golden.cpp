@@ -1,8 +1,9 @@
 // Golden test: the regenerated Table 1 must reproduce the paper's
 // *shape* — who wins, by roughly what factor, where penalties appear.
-// Absolute tolerances reflect the calibration documented in
-// EXPERIMENTS.md: the SC baseline column is matched tightly; per-scheme
-// deltas emerge from circuit structure and are checked against bands.
+// Absolute tolerances reflect the calibration (src/xbar/spec.hpp): the
+// SC baseline column is matched tightly; per-scheme deltas emerge from
+// circuit structure and are checked against bands.  `lain_bench
+// table1` prints the full paper-vs-measured comparison.
 
 #include <gtest/gtest.h>
 

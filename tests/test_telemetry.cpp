@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/context.hpp"
 #include "core/experiments.hpp"
 #include "core/scenario.hpp"
 #include "core/telemetry.hpp"
@@ -208,11 +209,12 @@ TEST(WindowedMetrics, PowerColumnsBitIdenticalSerialVsSharded) {
   spec.sim = core::default_mesh_config(0.1, noc::TrafficPattern::kUniform, 3);
   spec.telemetry.metrics_window = 250;
   spec.telemetry.sink = &serial_sink;
-  core::run_powered_noc(spec);
+  core::LainContext ctx;
+  ctx.run_noc(spec);
   spec.sim_threads = 4;
   spec.partition = PartitionStrategy::kBlocks2D;
   spec.telemetry.sink = &sharded_sink;
-  core::run_powered_noc(spec);
+  ctx.run_noc(spec);
 
   ASSERT_EQ(serial_sink.manifests.size(), 1u);
   ASSERT_EQ(sharded_sink.manifests.size(), 1u);
@@ -327,8 +329,10 @@ TEST(TelemetryCounters, CollectorAccumulatesPerShardPhaseCounters) {
   ShardedOptions o;
   o.shards = 2;
   o.partition = PartitionStrategy::kRowBands;
-  ShardedSimulation sim(cfg, o);
+  // Declared first so it outlives the kernel: parked workers time
+  // their barrier wait into it until the kernel joins them.
   telemetry::Collector collector;
+  ShardedSimulation sim(cfg, o);
   sim.set_telemetry(&collector);
   EXPECT_EQ(collector.num_shards(), 2);
   sim.run();
@@ -448,15 +452,15 @@ TEST(ScenarioTelemetryFlags, ParseIntoSpecAndRejectNegatives) {
   const core::ScenarioSpec spec = core::build_scenario_spec(
       sc, parse({"--metrics-window", "500", "--metrics-out", "m.jsonl",
                  "--trace-flits", "64", "--progress"}));
-  EXPECT_EQ(spec.metrics_window, 500);
+  EXPECT_EQ(spec.run.telemetry.metrics_window, 500);
   EXPECT_EQ(spec.metrics_out, "m.jsonl");
-  EXPECT_EQ(spec.trace_flits, 64);
+  EXPECT_EQ(spec.run.telemetry.trace_flits, 64);
   EXPECT_TRUE(spec.progress);
-  EXPECT_EQ(spec.metrics, nullptr);
+  EXPECT_EQ(spec.run.telemetry.sink, nullptr);
 
   const core::ScenarioSpec defaults = core::build_scenario_spec(sc, parse({}));
-  EXPECT_EQ(defaults.metrics_window, 0);
-  EXPECT_EQ(defaults.trace_flits, 0);
+  EXPECT_EQ(defaults.run.telemetry.metrics_window, 0);
+  EXPECT_EQ(defaults.run.telemetry.trace_flits, 0);
   EXPECT_FALSE(defaults.progress);
 
   EXPECT_THROW(

@@ -115,16 +115,24 @@ noc::SimConfig small_mesh_config(int radix) {
   return cfg;
 }
 
+// Row-band shards leasing their extra lanes from `budget` (if any).
+noc::ShardedOptions row_shards(int shards, ThreadBudget* budget = nullptr) {
+  noc::ShardedOptions opt;
+  opt.shards = shards;
+  opt.budget = budget;
+  return opt;
+}
+
 TEST(ThreadBudget, ShardedSimulationDegradesToRemainingLanes) {
   const noc::SimConfig cfg = small_mesh_config(4);
   ThreadBudget b(4);
   {
     ThreadBudget::Lease hog = b.acquire(4);
     ASSERT_EQ(hog.count(), 4);
-    noc::ShardedSimulation starved(cfg, 4, &b);
+    noc::ShardedSimulation starved(cfg, row_shards(4, &b));
     EXPECT_EQ(starved.num_shards(), 1);  // serial fallback, no workers
   }
-  noc::ShardedSimulation sim(cfg, 4, &b);
+  noc::ShardedSimulation sim(cfg, row_shards(4, &b));
   EXPECT_EQ(sim.num_shards(), 4);
   EXPECT_EQ(b.in_use(), 3);  // driver lane is the caller's, not leased
 }
@@ -136,7 +144,7 @@ TEST(ThreadBudget, NestedSweepAndShardsStayWithinBudget) {
   const noc::SimConfig cfg = small_mesh_config(4);
 
   // Reference result, serial and budget-free.
-  noc::ShardedSimulation ref_sim(cfg, 1);
+  noc::ShardedSimulation ref_sim(cfg, row_shards(1));
   const noc::SimStats ref = ref_sim.run();
 
   for (int budget_lanes : {4, 8}) {
@@ -150,7 +158,7 @@ TEST(ThreadBudget, NestedSweepAndShardsStayWithinBudget) {
     std::atomic<bool> overcommitted{false};
     const std::vector<std::int64_t> ejected =
         engine.map<std::int64_t>(8, [&](std::size_t) {
-          noc::ShardedSimulation sim(cfg, 4, &b);
+          noc::ShardedSimulation sim(cfg, row_shards(4, &b));
           EXPECT_GE(sim.num_shards(), 1);
           EXPECT_LE(sim.num_shards(), 4);
           const int in_use = b.in_use();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -59,7 +61,10 @@ TEST(ThreadPool, PostRunsDetachedTask) {
   std::atomic<bool> ran{false};
   std::mutex mu;
   std::condition_variable cv;
+  // Set and notify under the lock: an unlocked notify can land between
+  // the waiter's predicate check and its block, and be lost.
   pool.post([&] {
+    std::lock_guard<std::mutex> lock(mu);
     ran = true;
     cv.notify_one();
   });
@@ -99,6 +104,7 @@ TEST(SpinBarrier, KeepsThreadsInLockstep) {
         }
         barrier.arrive_and_wait();
       }
+      std::lock_guard<std::mutex> lock(mu);
       if (++done == kThreads) cv.notify_one();
     });
   }
@@ -126,6 +132,7 @@ TEST(SpinBarrier, PublishesWritesAcrossTheCrossing) {
       barrier.arrive_and_wait();  // publish
       barrier.arrive_and_wait();  // wait for the check
     }
+    std::lock_guard<std::mutex> lock(mu);
     done = true;
     cv.notify_one();
   });

@@ -75,56 +75,6 @@ for preset in $PRESETS; do
       exit 1
     fi
     echo "check_all: scenario-file smoke OK ($jobs_file)"
-
-    # Cycle-skip bit-identity smoke: the same sharded sweep with and
-    # without --cycle-skip must emit byte-identical CSV (the in-depth
-    # matrix lives in tests/test_cycle_skip.cpp; this pins the CLI
-    # path end to end).
-    skip_base="build/$preset/check_all_skip_off.csv"
-    skip_on="build/$preset/check_all_skip_on.csv"
-    if ! "build/$preset/lain_bench" injection_sweep --rates 0.05 \
-        --patterns uniform --schemes sdpc --sim-threads 2 \
-        --csv >"$skip_base"; then
-      echo "check_all: cycle-skip smoke: baseline run failed" >&2
-      exit 1
-    fi
-    if ! "build/$preset/lain_bench" injection_sweep --rates 0.05 \
-        --patterns uniform --schemes sdpc --sim-threads 2 \
-        --cycle-skip --csv >"$skip_on"; then
-      echo "check_all: cycle-skip smoke: --cycle-skip run failed" >&2
-      exit 1
-    fi
-    if ! cmp -s "$skip_base" "$skip_on"; then
-      echo "check_all: cycle-skip smoke: stats diverge with --cycle-skip" >&2
-      exit 1
-    fi
-    echo "check_all: cycle-skip bit-identity smoke OK"
-
-    # Fault-injection smoke: (a) a run with the fault machinery left
-    # off must emit byte-identical CSV to the plain baseline above —
-    # faults are free when unused; (b) a single-link kill must still
-    # complete clean, rerouting around the dead link (the full matrix
-    # lives in tests/test_fault.cpp; this pins the CLI flags end to
-    # end).
-    fault_off="build/$preset/check_all_fault_off.csv"
-    fault_on="build/$preset/check_all_fault_on.csv"
-    if ! "build/$preset/lain_bench" injection_sweep --rates 0.05 \
-        --patterns uniform --schemes sdpc --sim-threads 2 \
-        --fault-links 0 --csv >"$fault_off"; then
-      echo "check_all: fault smoke: faults-off run failed" >&2
-      exit 1
-    fi
-    if ! cmp -s "$skip_base" "$fault_off"; then
-      echo "check_all: fault smoke: --fault-links 0 changed the stats" >&2
-      exit 1
-    fi
-    if ! "build/$preset/lain_bench" injection_sweep --rates 0.05 \
-        --patterns uniform --schemes sdpc --sim-threads 2 \
-        --fault-links 1 --fault-seed 2 --csv >"$fault_on"; then
-      echo "check_all: fault smoke: single-link-kill run failed" >&2
-      exit 1
-    fi
-    echo "check_all: fault smoke OK"
   fi
 done
 
