@@ -14,6 +14,7 @@
 // Responses (daemon -> client):
 //
 //   {"type":"accepted","job":ID,"scenario":NAME,"queue_depth":N}
+//       precedes every other frame of the job
 //   {"type":"started","job":ID,"run":RUN}
 //       emitted before each simulation's manifest, mapping the job to
 //       the telemetry run id the next frames demultiplex by

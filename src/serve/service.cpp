@@ -294,9 +294,13 @@ void SweepService::handle_submit(const std::vector<core::JsonField>& fields,
                                                   std::memory_order_relaxed));
   job->out = out;
   jobs_accepted_.fetch_add(1, std::memory_order_relaxed);
-  queue_.push(job);
+  // The accepted frame goes out before the job is queued: once queued,
+  // a worker may run it at once, and a job that fails fast would
+  // otherwise send its done frame ahead of the id the client needs to
+  // read it.  The reported depth counts this job.
   out->write_line(accepted_frame(job->id, job->spec.scenario,
-                                 queue_.depth()));
+                                 queue_.depth() + 1));
+  queue_.push(job);
 }
 
 void SweepService::handle_cancel(const std::string& id,

@@ -1,6 +1,7 @@
 #include "noc/arbiter.hpp"
 
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +83,13 @@ struct ArbCase {
   const char* kind;
   int inputs;
 };
+
+// Names each case by its fields ("rr_5").  Without it GoogleTest
+// prints the raw bytes, including the address of `kind`, so the CTest
+// names changed with every build.
+void PrintTo(const ArbCase& c, std::ostream* os) {
+  *os << c.kind << '_' << c.inputs;
+}
 
 class StarvationFreedom : public ::testing::TestWithParam<ArbCase> {};
 

@@ -381,22 +381,22 @@ TEST(SweepService, ThrowingJobPoisonsOnlyItselfNotTheDaemon) {
       "\"fault-routers\":\"1\"}");
   client.send_line(kSmallJob);  // concurrent healthy job
 
+  // One read loop: the bad job can fail before the healthy one is even
+  // accepted, so its error and done frames may arrive between the two
+  // accepted frames.
   std::string id_bad, id_good;
-  std::string line;
-  while (id_good.empty() && client.read_line(&line)) {
-    if (frame_type(line) == "accepted") {
-      (id_bad.empty() ? id_bad : id_good) = frame_field(line, "job");
-    }
-  }
-  ASSERT_FALSE(id_bad.empty());
-  ASSERT_FALSE(id_good.empty());
-
   bool bad_error_frame = false;
   std::string bad_state, good_state, bad_error;
+  std::string line;
   while ((bad_state.empty() || good_state.empty()) &&
          client.read_line(&line)) {
     const std::string type = frame_type(line);
     const std::string job = frame_field(line, "job");
+    if (type == "accepted") {
+      (id_bad.empty() ? id_bad : id_good) = job;
+      continue;
+    }
+    if (job.empty()) continue;
     if (type == "error" && job == id_bad) bad_error_frame = true;
     if (type != "done") continue;
     if (job == id_bad) {
@@ -406,6 +406,8 @@ TEST(SweepService, ThrowingJobPoisonsOnlyItselfNotTheDaemon) {
       good_state = frame_field(line, "state");
     }
   }
+  ASSERT_FALSE(id_bad.empty());
+  ASSERT_FALSE(id_good.empty());
   // The throwing job died alone — job-scoped error frame, failed
   // terminal state carrying the diagnostic — while the healthy job
   // completed on the surviving pool.
