@@ -164,10 +164,10 @@ std::vector<Bench> make_benches() {
         {"matrix_arbiter/" + std::to_string(ports),
          [ports](std::int64_t n) {
            noc::MatrixArbiter arb(ports);
-           // The flat hot-path entry point, as the router drives it.
-           std::vector<std::uint8_t> req(static_cast<std::size_t>(ports), 1);
+           // The mask hot-path entry point, as the allocator drives it.
+           const noc::Mask req = noc::low_mask(ports);
            for (std::int64_t i = 0; i < n; ++i) {
-             const int g = arb.arbitrate(req.data());
+             const int g = arb.arbitrate(req);
              keep(g);
            }
          }});

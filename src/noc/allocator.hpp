@@ -5,12 +5,14 @@
 // resources = output ports).  Stage 1 picks one request per input
 // (round-robin), stage 2 arbitrates per output (matrix arbiter).
 //
-// The hot-path entry point operates on caller-owned flat buffers: a
-// row-major inputs x outputs request matrix (one byte per cell) and a
-// grant array of one int per input.  The router keeps both as
-// cycle-reused members, so a steady-state allocation performs zero
-// heap allocations; the allocator's own two-stage scratch is likewise
-// preallocated in the constructor.
+// The hot-path entry point takes one request Mask per input (bit o =
+// wants output o) and a grant array of one int per input, both owned
+// by the caller.  Stage 1 runs only for inputs with a request and
+// collects, in the same pass, a mask of proposing inputs per output;
+// stage 2 arbitrates only the outputs with a proposer.  The router
+// keeps both buffers as cycle-reused members and the per-output
+// scratch is preallocated here, so a steady-state allocation performs
+// zero heap allocations.
 
 #pragma once
 
@@ -23,18 +25,20 @@ namespace lain::noc {
 
 class SeparableAllocator {
  public:
+  // 1..kMaxRequesters inputs and outputs.
   SeparableAllocator(int inputs, int outputs);
 
-  // requests[i * outputs() + o] != 0 means input i wants output o.
-  // Fills grant[i] with the granted output for input i, or -1.  Each
-  // output is granted to at most one input and each input receives at
-  // most one output.  Both buffers are caller-owned (`requests` holds
-  // inputs()*outputs() bytes, `grant` inputs() ints) and may be
-  // reused across cycles; nothing is allocated on this path.
-  void allocate(const std::uint8_t* requests, int* grant);
+  // requests[i] bit o set means input i wants output o (bits at or
+  // above outputs() clear).  Fills grant[i] with the granted output
+  // for input i, or -1.  Each output is granted to at most one input
+  // and each input receives at most one output.  Both buffers are
+  // caller-owned (`requests` holds inputs() masks, `grant` inputs()
+  // ints) and may be reused across cycles; nothing is allocated on
+  // this path.
+  void allocate(const Mask* requests, int* grant);
 
-  // Checked convenience wrapper (tests, tools): validates the flat
-  // matrix shape and returns a fresh grant vector.
+  // Checked adapter (tests, tools): a row-major inputs x outputs byte
+  // matrix, nonzero = request; returns a fresh grant vector.
   std::vector<int> allocate(const std::vector<std::uint8_t>& requests);
 
   int inputs() const { return inputs_; }
@@ -45,9 +49,8 @@ class SeparableAllocator {
   int outputs_;
   std::vector<RoundRobinArbiter> input_stage_;
   std::vector<MatrixArbiter> output_stage_;
-  // Stage scratch, reused across allocate() calls.
-  std::vector<int> proposal_;          // per input: proposed output or -1
-  std::vector<std::uint8_t> out_req_;  // per input: proposes the current output
+  // Per output: the inputs proposing it.  All zero between calls.
+  std::vector<Mask> proposers_;
 };
 
 }  // namespace lain::noc

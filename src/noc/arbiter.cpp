@@ -1,75 +1,43 @@
 #include "noc/arbiter.hpp"
 
-#include "core/contracts.hpp"
+#include <numeric>
 
 namespace lain::noc {
+namespace {
+
+void check_inputs(int inputs) {
+  if (inputs < 1 || inputs > kMaxRequesters) {
+    throw std::invalid_argument(
+        "arbiter needs 1..64 inputs (one 64-bit request mask)");
+  }
+}
+
+}  // namespace
+
+int Arbiter::arbitrate(const std::vector<std::uint8_t>& requests) {
+  if (static_cast<int>(requests.size()) != num_inputs()) {
+    throw std::invalid_argument("request vector size mismatch");
+  }
+  Mask m = 0;
+  for (int i = 0; i < num_inputs(); ++i) {
+    if (requests[static_cast<size_t>(i)]) m |= mask_bit(i);
+  }
+  return arbitrate(m);
+}
 
 RoundRobinArbiter::RoundRobinArbiter(int inputs, int start)
     : inputs_(inputs), next_(start) {
-  if (inputs < 1) throw std::invalid_argument("arbiter needs >= 1 input");
+  check_inputs(inputs);
   if (start < 0 || start >= inputs) {
     throw std::invalid_argument("arbiter start index out of range");
   }
 }
 
-LAIN_HOT_PATH LAIN_NO_ALLOC int RoundRobinArbiter::arbitrate(
-    const std::uint8_t* requests) {
-  for (int i = 0; i < inputs_; ++i) {
-    int idx = next_ + i;
-    if (idx >= inputs_) idx -= inputs_;
-    if (requests[static_cast<size_t>(idx)]) {
-      next_ = idx + 1 == inputs_ ? 0 : idx + 1;
-      return idx;
-    }
-  }
-  return -1;
-}
-
-MatrixArbiter::MatrixArbiter(int inputs)
-    : inputs_(inputs),
-      m_(static_cast<size_t>(inputs) * static_cast<size_t>(inputs), false) {
-  if (inputs < 1) throw std::invalid_argument("arbiter needs >= 1 input");
+MatrixArbiter::MatrixArbiter(int inputs) {
+  check_inputs(inputs);
   // Initial priority: lower index beats higher.
-  for (int a = 0; a < inputs; ++a) {
-    for (int b = a + 1; b < inputs; ++b) {
-      m_[static_cast<size_t>(a * inputs + b)] = true;
-    }
-  }
-}
-
-bool MatrixArbiter::prio(int a, int b) const {
-  return m_[static_cast<size_t>(a * inputs_ + b)];
-}
-
-LAIN_HOT_PATH LAIN_NO_ALLOC void MatrixArbiter::update(int winner) {
-  // Winner becomes lowest priority: clear its row, set its column.
-  for (int b = 0; b < inputs_; ++b) {
-    if (b == winner) continue;
-    m_[static_cast<size_t>(winner * inputs_ + b)] = false;
-    m_[static_cast<size_t>(b * inputs_ + winner)] = true;
-  }
-}
-
-LAIN_HOT_PATH LAIN_NO_ALLOC int MatrixArbiter::arbitrate(
-    const std::uint8_t* requests) {
-  int winner = -1;
-  for (int a = 0; a < inputs_; ++a) {
-    if (!requests[static_cast<size_t>(a)]) continue;
-    bool beats_all = true;
-    for (int b = 0; b < inputs_; ++b) {
-      if (b == a || !requests[static_cast<size_t>(b)]) continue;
-      if (!prio(a, b)) {
-        beats_all = false;
-        break;
-      }
-    }
-    if (beats_all) {
-      winner = a;
-      break;
-    }
-  }
-  if (winner >= 0) update(winner);
-  return winner;
+  rank_.resize(static_cast<size_t>(inputs));
+  std::iota(rank_.begin(), rank_.end(), std::uint8_t{0});
 }
 
 }  // namespace lain::noc

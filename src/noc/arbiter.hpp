@@ -1,40 +1,56 @@
-// arbiter.hpp — round-robin and matrix arbiters.
+// arbiter.hpp — round-robin and matrix arbiters over request masks.
 //
 // Both are strong arbiters (a persistent requester is eventually
-// granted — property-tested in tests/test_arbiter.cpp).  The matrix
-// arbiter implements least-recently-served priority with R(R-1)/2
-// state bits, as in the router the paper's crossbar would sit in.
+// granted — property-tested in tests/test_arbiter.cpp).  A request set
+// is one 64-bit Mask, bit i set meaning input i requests, so an
+// arbiter serves at most kMaxRequesters inputs and one arbitration is
+// a few word operations rather than a scan over a request array.
 //
-// The hot-path entry point takes a caller-owned flat request buffer
-// (one byte per input, nonzero = requesting) so the router can reuse
-// one scratch buffer every cycle instead of materializing a
-// std::vector<bool> per arbitration.  The checked std::vector
-// overload is a convenience for tests and tools.
+// The round-robin arbiter grants the first requester at or after its
+// pointer.  The matrix arbiter implements least-recently-served
+// priority, as in the router the paper's crossbar would sit in.  Its
+// priority matrix is always a total order (each winner drops below
+// every other input), so it is kept as each input's rank in that
+// order, one byte per input, and grants exactly what the R(R-1)/2-bit
+// matrix would: the requester of lowest rank wins.
+//
+// Both mask entry points are defined here so the allocator's and the
+// router's calls inline.  The checked std::vector overload is a thin
+// adapter for tests and tools.
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "core/contracts.hpp"
+
 namespace lain::noc {
+
+// A set of up to 64 requesters (or resources): bit i = index i.
+using Mask = std::uint64_t;
+inline constexpr int kMaxRequesters = 64;
+
+inline constexpr Mask mask_bit(int i) { return Mask{1} << i; }
+// The low n bits, 0 <= n <= 64.
+inline constexpr Mask low_mask(int n) {
+  return n >= kMaxRequesters ? ~Mask{0} : mask_bit(n) - 1;
+}
+// Index of the lowest set bit; `m` must be nonzero.
+inline int lowest_bit(Mask m) { return __builtin_ctzll(m); }
 
 class Arbiter {
  public:
   virtual ~Arbiter() = default;
-  // Returns the granted index, or -1 if no requests.  `requests`
-  // points at num_inputs() bytes owned by the caller; the arbiter
-  // never retains the pointer.
-  virtual int arbitrate(const std::uint8_t* requests) = 0;
+  // Returns the granted input, or -1 if no input requests.  Bits at or
+  // above num_inputs() must be clear.
+  virtual int arbitrate(Mask requests) = 0;
   virtual int num_inputs() const = 0;
 
-  // Checked convenience wrapper over the flat hot-path entry point.
-  int arbitrate(const std::vector<std::uint8_t>& requests) {
-    if (static_cast<int>(requests.size()) != num_inputs()) {
-      throw std::invalid_argument("request vector size mismatch");
-    }
-    return arbitrate(requests.data());
-  }
+  // Checked adapter: one byte per input, nonzero = requesting.
+  int arbitrate(const std::vector<std::uint8_t>& requests);
 };
 
 class RoundRobinArbiter final : public Arbiter {
@@ -43,7 +59,7 @@ class RoundRobinArbiter final : public Arbiter {
   // allocators stagger it per input to avoid lockstep proposals.
   explicit RoundRobinArbiter(int inputs, int start = 0);
   using Arbiter::arbitrate;
-  int arbitrate(const std::uint8_t* requests) override;
+  int arbitrate(Mask requests) override;
   int num_inputs() const override { return inputs_; }
 
  private:
@@ -55,14 +71,42 @@ class MatrixArbiter final : public Arbiter {
  public:
   explicit MatrixArbiter(int inputs);
   using Arbiter::arbitrate;
-  int arbitrate(const std::uint8_t* requests) override;
-  int num_inputs() const override { return inputs_; }
+  int arbitrate(Mask requests) override;
+  int num_inputs() const override { return static_cast<int>(rank_.size()); }
 
  private:
-  bool prio(int a, int b) const;   // true if a beats b
-  void update(int winner);
-  int inputs_;
-  std::vector<bool> m_;  // row-major upper-triangular priority matrix
+  // rank_[i]: input i's place in the priority order, 0 = highest.
+  std::vector<std::uint8_t> rank_;
 };
+
+LAIN_HOT_PATH LAIN_NO_ALLOC inline int RoundRobinArbiter::arbitrate(
+    Mask requests) {
+  assert((requests & ~low_mask(inputs_)) == 0 && "request beyond inputs");
+  if (requests == 0) return -1;
+  // The first requester at or after the pointer, else the lowest.
+  const Mask ahead = requests & (~Mask{0} << next_);
+  const int idx = lowest_bit(ahead != 0 ? ahead : requests);
+  next_ = idx + 1 == inputs_ ? 0 : idx + 1;
+  return idx;
+}
+
+LAIN_HOT_PATH LAIN_NO_ALLOC inline int MatrixArbiter::arbitrate(
+    Mask requests) {
+  const int n = num_inputs();
+  assert((requests & ~low_mask(n)) == 0 && "request beyond inputs");
+  if (requests == 0) return -1;
+  std::uint8_t* const rank = rank_.data();
+  int winner = lowest_bit(requests);
+  for (Mask m = requests & (requests - 1); m != 0; m &= m - 1) {
+    const int i = lowest_bit(m);
+    if (rank[i] < rank[winner]) winner = i;
+  }
+  // Least recently served: every input below the winner moves up one
+  // place and the winner drops to the last.
+  const std::uint8_t r = rank[winner];
+  for (int i = 0; i < n; ++i) rank[i] -= rank[i] > r ? 1 : 0;
+  rank[winner] = static_cast<std::uint8_t>(n - 1);
+  return winner;
+}
 
 }  // namespace lain::noc

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "core/contracts.hpp"
-
 namespace lain::noc {
 
 VcBuffer::VcBuffer(int capacity_flits)
@@ -13,29 +11,6 @@ VcBuffer::VcBuffer(int capacity_flits)
   if (capacity_flits < 1) {
     throw std::invalid_argument("VC buffer capacity must be >= 1");
   }
-}
-
-// Overflow/underflow here means a credit-accounting bug upstream, not
-// a runtime condition: asserts, so Release pays nothing (PR 5).
-LAIN_HOT_PATH LAIN_NO_ALLOC void VcBuffer::push(const Flit& f) {
-  assert(!full() && "VC buffer overflow (credit bug)");
-  int tail = head_ + count_;
-  if (tail >= capacity_) tail -= capacity_;
-  slots_[static_cast<size_t>(tail)] = f;
-  ++count_;
-}
-
-LAIN_HOT_PATH LAIN_NO_ALLOC const Flit& VcBuffer::front() const {
-  assert(!empty() && "front() on empty VC buffer");
-  return slots_[static_cast<size_t>(head_)];
-}
-
-LAIN_HOT_PATH LAIN_NO_ALLOC Flit VcBuffer::pop() {
-  assert(!empty() && "pop() on empty VC buffer");
-  Flit f = slots_[static_cast<size_t>(head_)];
-  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-  --count_;
-  return f;
 }
 
 const Flit& VcBuffer::peek(int i) const {

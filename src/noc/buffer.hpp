@@ -8,10 +8,12 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "noc/flit.hpp"
 
 namespace lain::noc {
@@ -68,18 +70,50 @@ class VcBuffer {
   int count_ = 0;
 };
 
-// All VC buffers of one input port.
+// All VC buffers of one input port.  vc() is unchecked in Release (the
+// router's hot path indexes it every cycle); an out-of-range index is
+// a caller bug, asserted in Debug/sanitizer builds.
 class InputPort {
  public:
   InputPort(int vcs, int capacity_flits);
 
-  VcBuffer& vc(int v) { return vcs_.at(static_cast<size_t>(v)); }
-  const VcBuffer& vc(int v) const { return vcs_.at(static_cast<size_t>(v)); }
+  VcBuffer& vc(int v) {
+    assert(v >= 0 && v < num_vcs() && "VC index out of range");
+    return vcs_[static_cast<size_t>(v)];
+  }
+  const VcBuffer& vc(int v) const {
+    assert(v >= 0 && v < num_vcs() && "VC index out of range");
+    return vcs_[static_cast<size_t>(v)];
+  }
   int num_vcs() const { return static_cast<int>(vcs_.size()); }
   int total_occupancy() const;
 
  private:
   std::vector<VcBuffer> vcs_;
 };
+
+// Defined here so the router's receive and traversal loops inline
+// them.  Overflow/underflow means a credit-accounting bug upstream, not
+// a runtime condition: asserts, so Release pays nothing.
+LAIN_HOT_PATH LAIN_NO_ALLOC inline void VcBuffer::push(const Flit& f) {
+  assert(!full() && "VC buffer overflow (credit bug)");
+  int tail = head_ + count_;
+  if (tail >= capacity_) tail -= capacity_;
+  slots_[static_cast<size_t>(tail)] = f;
+  ++count_;
+}
+
+LAIN_HOT_PATH LAIN_NO_ALLOC inline const Flit& VcBuffer::front() const {
+  assert(!empty() && "front() on empty VC buffer");
+  return slots_[static_cast<size_t>(head_)];
+}
+
+LAIN_HOT_PATH LAIN_NO_ALLOC inline Flit VcBuffer::pop() {
+  assert(!empty() && "pop() on empty VC buffer");
+  Flit f = slots_[static_cast<size_t>(head_)];
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  --count_;
+  return f;
+}
 
 }  // namespace lain::noc

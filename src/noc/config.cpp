@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "noc/arbiter.hpp"
+#include "noc/types.hpp"
+
 namespace lain::noc {
 
 const char* traffic_name(TrafficPattern p) {
@@ -33,6 +36,12 @@ void SimConfig::validate() const {
     throw std::invalid_argument("mesh radix must be >= 2 in each dimension");
   }
   if (vcs < 1) throw std::invalid_argument("need >= 1 virtual channel");
+  if (kNumPorts * vcs > kMaxRequesters) {
+    // The router allocates over one 64-bit mask of its input VCs.
+    throw std::invalid_argument(
+        "at most 12 virtual channels: the router's 5 ports x VCs must fit "
+        "its 64-bit VC masks");
+  }
   if (topology == TopologyKind::kTorus && vcs < 2) {
     throw std::invalid_argument("torus dateline routing needs >= 2 VCs");
   }

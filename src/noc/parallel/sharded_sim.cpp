@@ -127,51 +127,46 @@ LAIN_HOT_PATH Cycle ShardedSimulation::global_skip_target() const {
 }
 
 LAIN_HOT_PATH void ShardedSimulation::worker_loop(std::size_t shard_index) {
+  const int shard = static_cast<int>(shard_index);
+  bool stepped = false;
   for (;;) {
     {
-      LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
-                           barrier_ns);
+      // A step's done-barrier wait is timed together with the next
+      // start-barrier wait.  The driver may read the collector as soon
+      // as it passes the done barrier, so this write must wait for the
+      // next step, where the barriers the driver crosses later publish
+      // it (or, on stop, the join does).
+      LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
+      if (stepped) done_barrier_->arrive_and_wait();
       start_barrier_->arrive_and_wait();
     }
     if (stop_requested_) return;
+    stepped = true;
     if (event_mode_) {
       run_horizon(shard_index);
       {
-        LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
-                             barrier_ns);
+        LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
         horizon_barrier_->arrive_and_wait();
       }
       const Cycle target = global_skip_target();
       if (target <= now_) {
         run_phase(shard_index, /*components=*/true);
         {
-          LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
-                               barrier_ns);
+          LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
           exchange_barrier_->arrive_and_wait();
         }
         run_phase(shard_index, /*components=*/false);
       } else {
         run_skip(shard_index, target - now_);
       }
-      {
-        LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
-                             barrier_ns);
-        done_barrier_->arrive_and_wait();
-      }
       continue;
     }
     run_phase(shard_index, /*components=*/true);
     {
-      LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
-                           barrier_ns);
+      LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
       exchange_barrier_->arrive_and_wait();
     }
     run_phase(shard_index, /*components=*/false);
-    {
-      LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
-                           barrier_ns);
-      done_barrier_->arrive_and_wait();
-    }
   }
 }
 

@@ -1,6 +1,5 @@
 #include "noc/router.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "noc/fault.hpp"
@@ -28,15 +27,11 @@ Router::Router(NodeId id, const SimConfig& cfg)
           static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs), -1),
       vc_alloc_(kNumPorts * cfg.vcs, kNumPorts * cfg.vcs),
       sw_alloc_(kNumPorts, kNumPorts),
-      va_req_(static_cast<size_t>(kNumPorts * cfg.vcs) *
-                  static_cast<size_t>(kNumPorts * cfg.vcs),
+      va_req_(static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs),
               0),
       va_grant_(static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs),
-                -1),
-      sa_req_(static_cast<size_t>(kNumPorts) * static_cast<size_t>(kNumPorts),
-              0),
-      sa_grant_(kNumPorts, -1),
-      sa_cand_(static_cast<size_t>(cfg.vcs), 0) {
+                -1) {
+  sa_grant_.fill(-1);
   chosen_vc_.fill(-1);
   inputs_.reserve(kNumPorts);
   sa_vc_pick_.reserve(kNumPorts);
@@ -59,7 +54,7 @@ void Router::connect_output(Dir d, FlitChannel* flits_out,
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC bool Router::quiescent() const {
-  if (buffered_flits_ != 0 || owned_out_vcs_ != 0) return false;
+  if (buffered_flits_ != 0 || owned_ != 0) return false;
   for (int p = 0; p < kNumPorts; ++p) {
     const FlitChannel* fc = in_flits_[static_cast<size_t>(p)];
     if (fc != nullptr && fc->consumer_pending()) return false;
@@ -98,7 +93,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::tick_idle_n(std::int64_t n) {
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC Cycle Router::next_event_cycle(Cycle now) const {
-  if (buffered_flits_ != 0 || owned_out_vcs_ != 0) return now;
+  if (buffered_flits_ != 0 || owned_ != 0) return now;
   Cycle next = kNoEvent;
   for (int p = 0; p < kNumPorts; ++p) {
     const FlitChannel* fc = in_flits_[static_cast<size_t>(p)];
@@ -132,7 +127,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::receive() {
       // arriving behind a draining tail waits its turn (the VC flips
       // to kRouting when the tail leaves).
       if (f->is_head() && vcb.state == VcState::kIdle) {
-        vcb.state = VcState::kRouting;
+        set_state(vcb, p, f->vc, VcState::kRouting);
         vcb.packet = f->packet;
       }
     }
@@ -177,14 +172,31 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::compute_route(VcBuffer& vcb,
   } else {
     vcb.out_port = port(route_xy(id_, head.dst, ctx_));
   }
-  vcb.state = VcState::kWaitingVc;
+  set_state(vcb, in_port, in_vc, VcState::kWaitingVc);
+}
+
+LAIN_HOT_PATH LAIN_NO_ALLOC void Router::set_state(VcBuffer& vcb, int port,
+                                                   int vc, VcState s) {
+  const Mask b = mask_bit(static_cast<int>(pv(port, vc)));
+  routing_ &= ~b;
+  waiting_ &= ~b;
+  active_ &= ~b;
+  switch (s) {
+    case VcState::kIdle: break;
+    case VcState::kRouting: routing_ |= b; break;
+    case VcState::kWaitingVc: waiting_ |= b; break;
+    case VcState::kActive: active_ |= b; break;
+  }
+  vcb.state = s;
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void Router::route_compute() {
+  if (routing_ == 0) return;
   for (int p = 0; p < kNumPorts; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
+    for (Mask m = port_vcs(routing_, p); m != 0; m &= m - 1) {
+      const int v = lowest_bit(m);
       VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
-      if (vcb.state != VcState::kRouting || vcb.empty()) continue;
+      if (vcb.empty()) continue;
       compute_route(vcb, p, v);
     }
   }
@@ -224,73 +236,65 @@ bool Router::vc_admissible(int in_port, int in_vc, int out_port,
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void Router::vc_allocate() {
-  // Pre-scan: most cycles no VC is waiting for an output VC, and the
-  // request matrix need not be touched at all.
-  bool any_waiting = false;
-  for (int p = 0; p < kNumPorts && !any_waiting; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
-      if (inputs_[static_cast<size_t>(p)].vc(v).state == VcState::kWaitingVc) {
-        any_waiting = true;
-        break;
-      }
-    }
-  }
-  if (!any_waiting) return;
-
-  const int n = kNumPorts * cfg_.vcs;
-  std::fill(va_req_.begin(), va_req_.end(), 0);
+  // Most cycles no VC is waiting for an output VC.
+  if (waiting_ == 0) return;
+  const int vcs = cfg_.vcs;
   bool any = false;
   for (int p = 0; p < kNumPorts; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
-      VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
-      if (vcb.state != VcState::kWaitingVc) continue;
-      for (int ov = 0; ov < cfg_.vcs; ++ov) {
-        if (out_vc_owner_[pv(vcb.out_port, ov)] != -1) continue;
-        if (!vc_admissible(p, v, vcb.out_port, ov)) continue;
-        va_req_[static_cast<size_t>(p * cfg_.vcs + v) *
-                    static_cast<size_t>(n) +
-                static_cast<size_t>(vcb.out_port * cfg_.vcs + ov)] = 1;
-        any = true;
+    for (Mask m = port_vcs(waiting_, p); m != 0; m &= m - 1) {
+      const int v = lowest_bit(m);
+      const VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+      Mask req = 0;
+      for (Mask free = ~port_vcs(owned_, vcb.out_port) & low_mask(vcs);
+           free != 0; free &= free - 1) {
+        const int ov = lowest_bit(free);
+        if (vc_admissible(p, v, vcb.out_port, ov)) {
+          req |= mask_bit(vcb.out_port * vcs + ov);
+        }
       }
+      va_req_[pv(p, v)] = req;
+      any |= req != 0;
     }
   }
   if (!any) return;
   vc_alloc_.allocate(va_req_.data(), va_grant_.data());
+  const Mask waiting = waiting_;
   for (int p = 0; p < kNumPorts; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
+    for (Mask m = port_vcs(waiting, p); m != 0; m &= m - 1) {
+      const int v = lowest_bit(m);
+      va_req_[pv(p, v)] = 0;
       const int g = va_grant_[pv(p, v)];
       if (g < 0) continue;
       VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
-      vcb.out_vc = g % cfg_.vcs;
-      vcb.state = VcState::kActive;
-      out_vc_owner_[pv(vcb.out_port, vcb.out_vc)] = p * cfg_.vcs + v;
-      ++owned_out_vcs_;
+      vcb.out_vc = g % vcs;
+      set_state(vcb, p, v, VcState::kActive);
+      out_vc_owner_[static_cast<size_t>(g)] = static_cast<int>(pv(p, v));
+      owned_ |= mask_bit(g);
       ++events_.arbitrations;
     }
   }
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
-  // Pick one candidate VC per input port, then allocate ports.
-  chosen_vc_.fill(-1);
-  std::fill(sa_req_.begin(), sa_req_.end(), 0);
+  // Pick one candidate VC per input port among its active VCs with a
+  // flit and a downstream credit, then allocate ports.
   bool demand = false;
   for (int p = 0; p < kNumPorts; ++p) {
-    bool any = false;
-    for (int v = 0; v < cfg_.vcs; ++v) {
-      const VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
-      const bool eligible = vcb.state == VcState::kActive && !vcb.empty() &&
-                            credits_[pv(vcb.out_port, vcb.out_vc)] > 0;
-      sa_cand_[static_cast<size_t>(v)] = eligible ? 1 : 0;
-      any |= eligible;
+    const InputPort& in = inputs_[static_cast<size_t>(p)];
+    Mask cand = 0;
+    for (Mask m = port_vcs(active_, p); m != 0; m &= m - 1) {
+      const int v = lowest_bit(m);
+      const VcBuffer& vcb = in.vc(v);
+      if (!vcb.empty() && credits_[pv(vcb.out_port, vcb.out_vc)] > 0) {
+        cand |= mask_bit(v);
+      }
     }
-    if (!any) continue;
+    sa_req_[static_cast<size_t>(p)] = 0;
+    if (cand == 0) continue;
     demand = true;
-    const int v =
-        sa_vc_pick_[static_cast<size_t>(p)].arbitrate(sa_cand_.data());
+    const int v = sa_vc_pick_[static_cast<size_t>(p)].arbitrate(cand);
     chosen_vc_[static_cast<size_t>(p)] = v;
-    const VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
-    sa_req_[static_cast<size_t>(p * kNumPorts + vcb.out_port)] = 1;
+    sa_req_[static_cast<size_t>(p)] = mask_bit(in.vc(v).out_port);
   }
 
   events_.demand = demand;
@@ -310,8 +314,8 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
   for (int p = 0; p < kNumPorts; ++p) {
     const int out_port = sa_grant_[static_cast<size_t>(p)];
     if (out_port < 0) continue;
-    VcBuffer& vcb =
-        inputs_[static_cast<size_t>(p)].vc(chosen_vc_[static_cast<size_t>(p)]);
+    const int v = chosen_vc_[static_cast<size_t>(p)];
+    VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
     Flit f = vcb.pop();
     --buffered_flits_;
     const bool tail = f.is_tail();
@@ -325,21 +329,20 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
     --credits_[pv(out_port, vcb.out_vc)];
     // Return a credit for the slot just freed upstream.
     if (out_credits_[static_cast<size_t>(p)] != nullptr) {
-      out_credits_[static_cast<size_t>(p)]->send(
-          Credit{chosen_vc_[static_cast<size_t>(p)]});
+      out_credits_[static_cast<size_t>(p)]->send(Credit{v});
     }
     ++events_.arbitrations;
     ++traversed;
     if (out_port != port(Dir::kLocal)) ++events_.link_flits;
     if (tail) {
       out_vc_owner_[pv(vcb.out_port, vcb.out_vc)] = -1;
-      --owned_out_vcs_;
+      owned_ &= ~mask_bit(static_cast<int>(pv(vcb.out_port, vcb.out_vc)));
       vcb.out_port = -1;
       vcb.out_vc = -1;
       vcb.route_class = 0;
       // Worms are contiguous per VC, so the next resident (if any) is
       // the following packet's head.
-      vcb.state = vcb.empty() ? VcState::kIdle : VcState::kRouting;
+      set_state(vcb, p, v, vcb.empty() ? VcState::kIdle : VcState::kRouting);
       vcb.packet = vcb.empty() ? -1 : vcb.front().packet;
     }
   }
@@ -383,12 +386,12 @@ int Router::fault_purge(const std::function<bool(PacketId)>& lost) {
       // head — worms are contiguous per VC).
       if (vcb.state == VcState::kActive) {
         out_vc_owner_[pv(vcb.out_port, vcb.out_vc)] = -1;
-        --owned_out_vcs_;
+        owned_ &= ~mask_bit(static_cast<int>(pv(vcb.out_port, vcb.out_vc)));
       }
       vcb.out_port = -1;
       vcb.out_vc = -1;
       vcb.route_class = 0;
-      vcb.state = vcb.empty() ? VcState::kIdle : VcState::kRouting;
+      set_state(vcb, p, v, vcb.empty() ? VcState::kIdle : VcState::kRouting);
       vcb.packet = vcb.empty() ? -1 : vcb.front().packet;
     }
   }
@@ -397,10 +400,9 @@ int Router::fault_purge(const std::function<bool(PacketId)>& lost) {
 
 void Router::fault_reroute_pending() {
   for (int p = 0; p < kNumPorts; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
-      VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
-      if (vcb.state != VcState::kWaitingVc) continue;
-      compute_route(vcb, p, v);
+    for (Mask m = port_vcs(waiting_, p); m != 0; m &= m - 1) {
+      const int v = lowest_bit(m);
+      compute_route(inputs_[static_cast<size_t>(p)].vc(v), p, v);
     }
   }
 }

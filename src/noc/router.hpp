@@ -17,14 +17,18 @@
 // microarchitecture would.
 //
 // Hot-path contract: the per-cycle pipeline performs no heap
-// allocation.  All request/grant/candidate storage is preallocated in
-// the constructor and reused every cycle (flat arrays indexed
-// port*vcs+vc), and the allocators/arbiters operate on those
-// caller-owned buffers.  Routers with nothing to do take the idle
-// fast path instead: quiescent() is an O(ports) consumer-side probe,
-// and tick_idle() collapses the cycle to the bookkeeping every
-// downstream consumer still needs (events, crossbar activity, power
-// hook) — bit-identical to what the full pipeline would have done.
+// allocation.  Input VCs are numbered port*vcs+vc, and the router
+// keeps one 64-bit Mask of the VCs in each non-idle state (routing,
+// waiting for an output VC, active) plus one of the owned output VCs,
+// updated at every state transition.  RC, VA and SA visit only the
+// VCs their mask names, and VA/SA requests are built as masks (one per
+// requester) in preallocated members the allocators read in place; a
+// Mask bounds a router to 5 ports x 12 VCs (SimConfig::validate).
+// Routers with nothing to do take the idle fast path instead:
+// quiescent() is an O(ports) consumer-side probe, and tick_idle()
+// collapses the cycle to the bookkeeping every downstream consumer
+// still needs (events, crossbar activity, power hook) — bit-identical
+// to what the full pipeline would have done.
 // The event-driven kernel goes further still: tick_idle_n(n) accounts
 // a whole deferred run of n idle cycles at once, and
 // next_event_cycle(now) reports when the router next has work.
@@ -210,9 +214,15 @@ class Router {
   void vc_allocate();
   void switch_traverse();
   bool vc_admissible(int in_port, int in_vc, int out_port, int out_vc) const;
+  // Moves input VC (port, vc) to `s`, keeping the state masks in step.
+  void set_state(VcBuffer& vcb, int port, int vc, VcState s);
   size_t pv(int port, int vc) const {
     return static_cast<size_t>(port) * static_cast<size_t>(cfg_.vcs) +
            static_cast<size_t>(vc);
+  }
+  // The VCs of `port` within a port*vcs+vc mask, as a per-VC mask.
+  Mask port_vcs(Mask m, int port) const {
+    return (m >> (port * cfg_.vcs)) & low_mask(cfg_.vcs);
   }
 
   NodeId id_;
@@ -230,7 +240,13 @@ class Router {
   // out_vc_owner_[port*vcs+vc]: owning (input port * vcs + vc), or -1.
   std::vector<int> out_vc_owner_;
   int buffered_flits_ = 0;  // flits across all input VC buffers
-  int owned_out_vcs_ = 0;   // output VCs currently owned by an input VC
+
+  // Input VCs (bit port*vcs+vc) by state; kIdle VCs are in none.
+  Mask routing_ = 0;  // kRouting: head awaits route compute
+  Mask waiting_ = 0;  // kWaitingVc: routed, awaits an output VC
+  Mask active_ = 0;   // kActive: owns an output VC
+  // Output VCs (bit port*vcs+vc) owned by an input VC.
+  Mask owned_ = 0;
 
   SeparableAllocator vc_alloc_;
   SeparableAllocator sw_alloc_;
@@ -238,12 +254,12 @@ class Router {
 
   // Cycle-reused pipeline scratch (sized once in the constructor; the
   // steady-state tick never touches the heap).
-  std::vector<std::uint8_t> va_req_;   // (ports*vcs)^2 request matrix
-  std::vector<int> va_grant_;          // ports*vcs grants
-  std::vector<std::uint8_t> sa_req_;   // ports^2 request matrix
-  std::vector<int> sa_grant_;          // per-port grants
-  std::vector<std::uint8_t> sa_cand_;  // per-port candidate VC flags
-  std::array<int, kNumPorts> chosen_vc_{};  // SA stage-1 winner per port
+  std::vector<Mask> va_req_;  // per input VC: wanted output VCs; zero
+                              // outside vc_allocate()
+  std::vector<int> va_grant_;                // per input VC: output VC
+  std::array<Mask, kNumPorts> sa_req_{};     // per port: wanted output
+  std::array<int, kNumPorts> sa_grant_{};    // per port: granted output
+  std::array<int, kNumPorts> chosen_vc_{};   // SA stage-1 winner per port
 
   PowerHook* power_hook_ = nullptr;
   const FaultRoutingTable* fault_table_ = nullptr;

@@ -121,13 +121,12 @@ void SocketServer::start(const std::string& path, LineHandler on_line,
     listen_fd_ = -1;
     throw std::runtime_error("cannot listen on " + path + ": " + why);
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The descriptor goes to the thread by value: stop() may reset
+  // listen_fd_ before the thread first runs.
+  accept_thread_ = std::thread([this, lfd = listen_fd_] { accept_loop(lfd); });
 }
 
-void SocketServer::accept_loop() {
-  // Local copy: stop() writes listen_fd_ after shutting it down, and
-  // this thread must not race that store.
-  const int lfd = listen_fd_;
+void SocketServer::accept_loop(int lfd) {
   while (true) {
     const int fd = ::accept(lfd, nullptr, nullptr);
     if (fd < 0) {
@@ -169,14 +168,15 @@ void SocketServer::stop() {
     stopping_ = true;
     conns.swap(connections_);
   }
+  // shutdown() pops the accept loop out of accept() (close alone does
+  // not on all kernels); the descriptor is closed only once the loop
+  // has exited, so it cannot be reused under a pending accept().
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() pops the accept loop out of accept(); close alone
-    // does not on all kernels.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (std::unique_ptr<Connection>& c : conns) {
     c->writer->mark_dead();
     ::shutdown(c->fd, SHUT_RDWR);

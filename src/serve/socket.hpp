@@ -80,7 +80,7 @@ class SocketServer {
     std::thread reader;
   };
 
-  void accept_loop();
+  void accept_loop(int lfd);
   void reader_loop(Connection* conn);
 
   std::string path_;

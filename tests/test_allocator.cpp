@@ -5,7 +5,7 @@
 namespace lain::noc {
 namespace {
 
-// Row-major flat request matrix, as the router's hot path builds it.
+// Row-major byte request matrix, the checked adapter's input.
 using ReqMatrix = std::vector<std::uint8_t>;
 
 TEST(Allocator, OneGrantPerInputAndOutput) {
@@ -69,12 +69,12 @@ TEST(Allocator, FullMatrixThroughput) {
 }
 
 TEST(Allocator, CallerOwnedBuffersAreReusedNotRetained) {
-  // The flat hot-path entry point writes grants into the caller's
+  // The mask hot-path entry point writes grants into the caller's
   // buffer and leaves ungranted inputs at -1, cycle after cycle on
   // the same storage — exactly how Router uses it.
   SeparableAllocator alloc(2, 2);
-  ReqMatrix req{0, 1, 0, 0};        // input 0 -> output 1 only
-  std::vector<int> grant(2, 99);    // stale values must be overwritten
+  const std::vector<Mask> req{mask_bit(1), 0};  // input 0 -> output 1 only
+  std::vector<int> grant(2, 99);  // stale values must be overwritten
   for (int i = 0; i < 3; ++i) {
     alloc.allocate(req.data(), grant.data());
     EXPECT_EQ(grant[0], 1);

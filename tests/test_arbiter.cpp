@@ -52,8 +52,8 @@ TEST(Matrix, SingleRequesterAlwaysWins) {
 }
 
 TEST(Arbiters, SizeMismatchThrows) {
-  // The checked std::vector overload validates; the raw-pointer entry
-  // point is the unchecked hot path.
+  // The checked std::vector adapter validates; the mask entry point is
+  // the unchecked hot path.
   RoundRobinArbiter rr(3);
   MatrixArbiter mx(3);
   EXPECT_THROW(rr.arbitrate(Req{1}), std::invalid_argument);
@@ -62,16 +62,17 @@ TEST(Arbiters, SizeMismatchThrows) {
   EXPECT_THROW(MatrixArbiter(0), std::invalid_argument);
 }
 
-TEST(Arbiters, FlatBufferEntryPointMatchesVectorOverload) {
-  // The hot path takes a caller-owned flat buffer; it must behave
-  // exactly like the checked overload, reusing the same buffer across
-  // calls without the arbiter retaining it.
+TEST(Arbiters, MaskEntryPointMatchesVectorOverload) {
+  // The hot path takes a request mask (bit i = input i); it must
+  // behave exactly like the checked byte-vector adapter.
   RoundRobinArbiter a(3);
   RoundRobinArbiter b(3);
   Req buf{1, 0, 1};
+  Mask mask = 0b101;
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(a.arbitrate(buf.data()), b.arbitrate(buf));
+    EXPECT_EQ(a.arbitrate(mask), b.arbitrate(buf));
     buf[static_cast<size_t>(i % 3)] ^= 1;  // vary the pattern
+    mask ^= mask_bit(i % 3);
   }
 }
 
@@ -101,11 +102,11 @@ TEST_P(StarvationFreedom, PersistentRequestersAllServed) {
   } else {
     arb = std::make_unique<MatrixArbiter>(c.inputs);
   }
-  const Req all(static_cast<size_t>(c.inputs), 1);
+  const Mask all = low_mask(c.inputs);
   std::vector<int> grants(static_cast<size_t>(c.inputs), 0);
   const int rounds = 20 * c.inputs;
   for (int i = 0; i < rounds; ++i) {
-    const int g = arb->arbitrate(all.data());
+    const int g = arb->arbitrate(all);
     ASSERT_GE(g, 0);
     ++grants[static_cast<size_t>(g)];
   }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "noc/config.hpp"
 #include "xbar/builder.hpp"
 
@@ -38,6 +40,21 @@ TEST(SimConfigValidation, RejectsBadFields) {
   expect_bad([](noc::SimConfig& c) { c.hotspot_fraction = 2.0; });
   expect_bad([](noc::SimConfig& c) { c.measure_cycles = 0; });
   expect_bad([](noc::SimConfig& c) { c.warmup_cycles = -1; });
+}
+
+TEST(SimConfigValidation, VcCountBoundedByTheRouterMaskWidth) {
+  // 5 ports x 12 VCs fill the router's 64-bit VC masks; 13 do not.
+  noc::SimConfig cfg;
+  cfg.vcs = 12;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.vcs = 13;
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "vcs = 13 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("64-bit"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CrossbarSpecValidation, AcceptsTable1Point) {
