@@ -132,10 +132,10 @@ LAIN_HOT_PATH void ShardedSimulation::worker_loop(std::size_t shard_index) {
   for (;;) {
     {
       // A step's done-barrier wait is timed together with the next
-      // start-barrier wait.  The driver may read the collector as soon
-      // as it passes the done barrier, so this write must wait for the
-      // next step, where the barriers the driver crosses later publish
-      // it (or, on stop, the join does).
+      // start-barrier wait.  The calling thread (shard 0) may read the
+      // collector as soon as it passes the done barrier, so this write
+      // waits for the next step, where the barriers shard 0 crosses
+      // later publish it (or, on stop, the join does).
       LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
       if (stepped) done_barrier_->arrive_and_wait();
       start_barrier_->arrive_and_wait();
