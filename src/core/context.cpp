@@ -182,7 +182,6 @@ std::size_t CharacterizationCache::size() const {
 noc::ShardedOptions apply_run_options(const RunOptions& run,
                                       noc::SimConfig& cfg,
                                       ThreadBudget* budget) {
-  cfg.enable_cycle_skip = run.cycle_skip;
   cfg.fault = run.fault;
   noc::ShardedOptions opt;
   opt.shards = run.sim_threads;

@@ -128,7 +128,7 @@ class LainContext {
 };
 
 // Applies a run's engine options, the one place they reach the
-// simulation: cycle skipping and the fault schedule go into `cfg`, and
+// simulation: the fault schedule goes into `cfg`, and
 // the returned ShardedOptions carry the shard count, partition and
 // pinning, leasing extra worker lanes from `budget` when given.
 noc::ShardedOptions apply_run_options(const RunOptions& run,

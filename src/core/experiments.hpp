@@ -94,29 +94,29 @@ struct TelemetryOptions {
 };
 
 // Engine options of one simulation run: the universal --sim-threads,
-// --partition, --pin-threads, --cycle-skip, --fault-* and telemetry
-// flags, declared once here and applied to the SimConfig and the
-// kernel in one place (apply_run_options, core/context.hpp).
+// --partition, --pin-threads, --fault-* and telemetry flags, declared
+// once here and applied to the SimConfig and the kernel in one place
+// (apply_run_options, core/context.hpp).
 // sim_threads == 1 runs the serial kernel; > 1 runs the sharded
 // parallel kernel with that many shards; <= 0 lets the kernel
 // auto-shard by radix.  `partition` picks the shard shape (rows /
 // blocks2d / auto) and `pin_threads` pins the shard workers to cores.
 // The stats — and therefore every simulation-derived column — are
-// bit-identical across all of them and with cycle skipping on or off:
-// only `fault` changes what is simulated.
+// bit-identical across all of them: only `fault` changes what is
+// simulated.  The kernel picks per-cycle or event stepping itself
+// (noc::SimKernel::kEventSteppingMaxRate).
 struct RunOptions {
   int sim_threads = 1;
   noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
   bool pin_threads = false;
-  bool cycle_skip = false;  // event-driven stepping (noc::SimConfig)
-  noc::FaultSpec fault;     // deterministic fault schedule; none by default
+  noc::FaultSpec fault;  // deterministic fault schedule; none by default
   TelemetryOptions telemetry;
 };
 
 // Fully specified powered run: any SimConfig (topology, radix,
 // traffic-diversity knobs) plus the power scheme, run under the
-// inherited engine options.  Those options own cycle skipping and the
-// fault schedule: they replace sim.enable_cycle_skip and sim.fault.
+// inherited engine options.  Those options own the fault schedule:
+// it replaces sim.fault.
 struct NocRunSpec : RunOptions {
   NocRunSpec() = default;
   explicit NocRunSpec(const RunOptions& run) : RunOptions(run) {}

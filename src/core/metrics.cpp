@@ -222,6 +222,8 @@ std::string to_json(const RunSummary& s) {
   line.str("type", "summary")
       .str("run", s.run)
       .num("cycles", static_cast<std::int64_t>(s.cycles))
+      .str("stepping", s.event_stepping ? "event" : "per_cycle")
+      .num("skipped_cycles", s.skipped_cycles)
       .boolean("saturated", s.saturated)
       .boolean("canceled", s.canceled)
       .boolean("aborted_saturated", s.aborted_saturated)
@@ -494,6 +496,8 @@ void MetricsStreamer::finish(const noc::SimStats& stats, bool saturated,
   RunSummary s;
   s.run = manifest_.run;
   s.cycles = kernel_.now();
+  s.event_stepping = kernel_.event_stepping();
+  s.skipped_cycles = kernel_.skipped_cycles();
   s.saturated = saturated;
   s.canceled = kernel_.canceled();
   s.aborted_saturated = kernel_.aborted_saturated();

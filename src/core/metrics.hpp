@@ -123,6 +123,11 @@ struct WindowRecord {
 struct RunSummary {
   std::string run;
   noc::Cycle cycles = 0;  // kernel cycles actually stepped
+  // The stepping the kernel chose (SimKernel::event_stepping), emitted
+  // as "event" or "per_cycle", and the cycles it jumped.  Observability
+  // only, like the profiling counters.
+  bool event_stepping = false;
+  std::int64_t skipped_cycles = 0;
   bool saturated = false;
   // Run-lifecycle controls (SimKernel::set_window_control): the run
   // was stopped at a window boundary by a cancel request / by the

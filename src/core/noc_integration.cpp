@@ -40,7 +40,7 @@ void RouterPowerHook::on_idle_cycles(std::int64_t n) {
   // Replays n empty cycles through the power model in a loop: the
   // per-cycle floating-point accumulation order (leakage terms, sleep
   // controller state machine) is exactly the per-cycle path's, so the
-  // energy columns of a cycle-skipping run stay bit-identical.
+  // energy columns of an event-stepped run stay bit-identical.
   const power::RouterCycleEvents empty{};
   for (std::int64_t i = 0; i < n; ++i) power_.tick(empty);
 }

@@ -22,8 +22,8 @@ const std::vector<std::string> kUniversalValueFlags = {
     "fault-links", "fault-routers", "fault-at",
     "fault-seed",  "fault-repair"};
 const std::vector<std::string> kUniversalSwitchFlags = {
-    "csv",  "json",     "cycle-skip", "allow-partition",
-    "abort-on-disconnect", "progress", "help"};
+    "csv", "json", "allow-partition", "abort-on-disconnect", "progress",
+    "help"};
 
 struct FlagHelp {
   const char* flag;
@@ -56,9 +56,6 @@ const FlagHelp kFlagHelp[] = {
      "abort a run whose windowed mean latency exceeds MULT x\n"
      "                      the zero-load reference (needs\n"
      "                      --metrics-window; 0 = off)"},
-    {"cycle-skip",
-     "event-driven cycle skipping: jump quiescent stretches in\n"
-     "                      one step (stats stay bit-identical)"},
     {"fault-links",
      "kill N inter-router links at --fault-at (deterministic,\n"
      "                      seed-derived victims; see README \"Fault "
@@ -592,7 +589,6 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
     }
   }
   s.progress = args.has("progress");
-  s.run.cycle_skip = args.has("cycle-skip");
   // Universal fault-injection flags (same contract as the telemetry
   // flags above: scenarios without a cycle-accurate simulation ignore
   // them; SimConfig::validate rejects bad combinations per-run).

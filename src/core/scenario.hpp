@@ -38,7 +38,7 @@ class LainContext;
 struct ScenarioSpec {
   int threads = 1;       // sweep worker lanes (0 = all cores)
   // Engine options of every simulation the scenario runs: the
-  // universal --cycle-skip, --fault-* and telemetry flags, plus
+  // universal --fault-* and telemetry flags, plus
   // --sim-threads (0 = auto, 1 = serial), --partition and --pin-threads
   // where the scenario accepts them.  Ignored by scenarios without a
   // cycle-accurate simulation.  run.telemetry.sink is filled by the CLI

@@ -55,20 +55,16 @@ struct SimConfig {
   int vc_depth_flits = 4;
   int link_latency = 1;
 
-  // Kernel fast path: collapse the cycle of a quiescent router (no
-  // buffered flits, no owned output VCs, empty inbound pipes) to O(1)
-  // bookkeeping.  Results are bit-identical either way — the knob
-  // exists so tests and benchmarks can pin/measure exactly that.
+  // Idle-proportional stepping.  On (the default), the kernel picks
+  // its own stepping: event-driven for sparse traffic (see
+  // SimKernel::kEventSteppingMaxRate), otherwise per-cycle with the
+  // cycle of a quiescent router (no buffered flits, no owned output
+  // VCs, empty inbound pipes) collapsed to O(1) bookkeeping.  Off pins
+  // the per-cycle reference pipeline: every router runs its full tick
+  // every cycle.  Results are bit-identical either way: tests compare
+  // the kernel's choice against the reference, and benchmarks measure
+  // the gap.
   bool enable_idle_fastpath = true;
-
-  // Event-driven cycle skipping: step only the routers/NICs with work,
-  // and when a shard's region is fully quiescent advance the clock by
-  // the computed horizon (next traffic-gen arrival, next in-flight
-  // flit/credit delivery, next phase/window boundary) instead of
-  // looping per-cycle.  Results are bit-identical to per-cycle
-  // stepping — SimStats, power columns, idle histograms, and windowed
-  // telemetry all match (pinned by tests/test_cycle_skip.cpp).
-  bool enable_cycle_skip = false;
 
   // Workload.
   TrafficPattern pattern = TrafficPattern::kUniform;

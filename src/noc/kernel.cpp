@@ -97,7 +97,7 @@ void SimKernel::set_observer(ObserverFactory factory) {
     // traffic state (pre-drawn arrivals) is not replayable by the
     // per-cycle path.  Attach observers before the first step.
     throw std::logic_error(
-        "set_observer: kernel already stepped in cycle-skip mode; attach "
+        "set_observer: kernel already stepped event-driven; attach "
         "observers before the first step (they force per-cycle stepping)");
   }
   observer_factory_ = std::move(factory);
@@ -110,7 +110,8 @@ bool SimKernel::use_event_mode() {
   // from the per-cycle polling the slow path performs.
   if (!event_mode_latched_) {
     event_mode_latched_ = true;
-    event_mode_ = cfg_.enable_cycle_skip && !observer_factory_;
+    event_mode_ = cfg_.injection_rate <= kEventSteppingMaxRate &&
+                  cfg_.enable_idle_fastpath && !observer_factory_;
   }
   return event_mode_;
 }
@@ -480,23 +481,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::skip_shard_channels(
   }
 }
 
-LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_event_single() {
-  maintain_arrival_limit();
-  const Cycle h = shard_horizon(0);
-  if (h <= now_) {
-    step_shard_event_components(0);
-    step_shard_event_channels(0);
-    ++now_;
-    return;
-  }
-  const Cycle cap = skip_cap_ >= 0 ? skip_cap_ : now_ + 1;
-  Cycle target = h < cap ? h : cap;
-  if (target <= now_) target = now_ + 1;
-  skip_shard_channels(0, target - now_);
-  skipped_cycles_ += target - now_;
-  now_ = target;
-}
-
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::flush_deferred_idle(Cycle upto) {
   if (!event_mode_) return;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -693,7 +677,7 @@ std::int64_t SimKernel::flit_trace_dropped() const {
 }
 
 SimKernel::MetricsWindow SimKernel::flush_window(Cycle end) {
-  // Cycle-skip mode defers idle accounting; settle it through the
+  // Event stepping defers idle accounting; settle it through the
   // window boundary so anything reading activity taps or power hooks
   // between windows sees the fully-accounted fabric.
   flush_deferred_idle(end);

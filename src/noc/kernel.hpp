@@ -4,10 +4,9 @@
 // duplicate: the fabric (Network + TrafficGenerator), the partition
 // plan and per-shard measurement state, the warmup / measurement /
 // drain phase machine, per-node packet numbering and the per-shard
-// observer slices.  Engines implement step() — the serial Simulation
-// steps its single shard inline, ShardedSimulation steps per-thread
-// tile shards under a two-phase barrier — and both express a cycle
-// through the same two helpers:
+// observer slices.  ShardedSimulation implements step() (the serial
+// Simulation is its one-shard case) and expresses a cycle through the
+// same two helpers for every shard:
 //
 //   step_shard_components()  traffic + NIC/router ticks + completion
 //                            collection + observer slice for one
@@ -15,6 +14,9 @@
 //   step_shard_channels()    the exchange phase: advance the shard's
 //                            channels, making this cycle's sends
 //                            visible next cycle.
+//
+// or through their event-stepping twins, which the kernel picks for
+// sparse traffic (see kEventSteppingMaxRate).
 //
 // Because component ticks only read channel items sent in earlier
 // cycles (latency >= 1) and only write staging slots, every shard's
@@ -101,7 +103,7 @@ struct Shard {
   FlitTraceRing trace;
   std::unique_ptr<ObserverSlice> observer;
 
-  // --- Event-driven (cycle-skip) state ------------------------------
+  // --- Event-stepping state -------------------------------------------
   // All vectors are sized once in SimKernel::prepare_event_state() and
   // then used with explicit counts — the steady-state event machinery
   // never touches the heap (PR 6 no-alloc contract).  Everything here
@@ -158,20 +160,58 @@ class SimKernel {
   // marks the run saturated).
   SimStats run();
 
-  // Single-cycle stepping for tests and integrations.
+  // Single-cycle stepping for tests and integrations: advances the
+  // clock by one cycle, executed or (under event stepping) skipped.
+  // Under event stepping idle routers are not ticked; their idle
+  // accounting (activity taps, power hooks, idle_fast_ticks) settles
+  // at window boundaries and at the end of run(), so between bare
+  // steps it may lag the clock.
   virtual void step() = 0;
   Cycle now() const { return now_; }
+
+  // The kernel picks its own stepping at the first step: event-driven
+  // when cfg.injection_rate is at most this, no observer is attached
+  // and cfg.enable_idle_fastpath is on; per-cycle otherwise.  Both
+  // are bit-identical in every output, so the choice is pure speed.
+  // Event / per-cycle wall time of a whole unpowered uniform mesh run
+  // (1000 warmup + 4000 measured cycles, construction included, auto
+  // partition), fastest of 5 interleaved repetitions (of 11 for 4
+  // shards below 0.02) on a 4-vCPU Xeon host; below 1 event wins:
+  //
+  //   fabric  shards  0.002  0.005  0.01   0.02
+  //   4x4     1       0.16   0.25   0.47   0.67
+  //   5x5     1       0.17   0.29   0.43   0.66
+  //   8x8     1       0.19   0.34   0.52   0.77
+  //   8x8     2       0.22   0.48   0.83   1.06
+  //   8x8     4       0.44   0.70   1.12   1.66
+  //   16x16   1       0.29   0.54   0.80   1.06
+  //   16x16   2       0.69   0.64   0.70   1.13
+  //   16x16   4       0.71   0.91   0.81   1.41
+  //   32x32   1       0.23   0.42   0.74   0.97
+  //   32x32   2       0.51   0.73   0.92   1.24
+  //   32x32   4       0.68   0.90   0.98   1.34
+  //
+  // 0.005 is the highest rate at which event stepping matched or beat
+  // per-cycle stepping in every case; at 0.01 it loses on 8x8 with 4
+  // shards.  Sharded runs on that host are scheduler-bound and vary up
+  // to 2x between repetitions.  Powered runs (SDPC with gating) favour
+  // event stepping slightly more.
+  static constexpr double kEventSteppingMaxRate = 0.005;
+
+  // Whether the kernel steps event-driven (false before the first
+  // step, which latches the choice).
+  bool event_stepping() const { return event_mode_; }
 
   bool saturated() const { return saturated_; }
 
   // Total router ticks taken on the idle fast path so far, summed
   // over shards.  Deterministic for a given config+seed (the
   // quiescence predicate reads only pre-cycle state), and zero when
-  // cfg.enable_idle_fastpath is off.  In cycle-skip mode this counts
+  // cfg.enable_idle_fastpath is off.  Under event stepping this counts
   // every deferred-idle router cycle as it is flushed.
   std::int64_t idle_fast_ticks() const;
 
-  // Cycles the event-driven kernel advanced without executing (whole
+  // Cycles the event-stepping kernel advanced without executing (whole
   // fabric provably quiescent until the horizon).  Observability
   // only — like idle_fast_ticks, deliberately NOT part of SimStats.
   std::int64_t skipped_cycles() const { return skipped_cycles_; }
@@ -313,7 +353,7 @@ class SimKernel {
   // the merged window so the run loop can consult the control hook.
   MetricsWindow flush_window(Cycle end);
 
-  // --- Event-driven (cycle-skip) machinery --------------------------
+  // --- Event-stepping machinery --------------------------------------
   //
   // The event kernel keeps, per shard, the set of components with
   // work (active lists, woken by exchange-phase admissions), the set
@@ -327,9 +367,9 @@ class SimKernel {
   // which keeps every power column and idle histogram bit-identical
   // to per-cycle stepping.
 
-  // Whether this step should take the event-driven path.  Latched on
-  // first use; observers force the per-cycle path (their on_cycle
-  // contract is every-cycle).
+  // Whether this step should take the event-driven path (the rule at
+  // kEventSteppingMaxRate).  Latched on first use; observers force the
+  // per-cycle path (their on_cycle contract is every-cycle).
   bool use_event_mode();
   // Sizes the per-shard event state; called from init_partition.
   void prepare_event_state();
@@ -347,9 +387,6 @@ class SimKernel {
   void step_shard_event_channels(std::size_t shard_index);
   // Skip path: advance this shard's wet links by `d` cycles.
   void skip_shard_channels(std::size_t shard_index, Cycle d);
-  // Full event-driven step for a single-shard engine: horizon, then
-  // either one executed cycle or a skip to min(horizon, cap).
-  void step_event_single();
   // Bare-step arrival-limit maintenance: keeps the scan bound a chunk
   // ahead of now_ so next_arrival never scans unboundedly (a node
   // whose pattern always self-addresses would otherwise never yield).

@@ -66,57 +66,30 @@ void ShardedSimulation::stop_workers() {
   stop_requested_ = false;
 }
 
-LAIN_HOT_PATH void ShardedSimulation::run_phase(std::size_t shard_index,
-                                                bool components) {
-  if (errors_[shard_index]) return;  // poisoned shard: keep in lockstep only
+namespace {
+
+// Runs one phase of a shard unless an earlier phase of it threw; a
+// throw poisons the shard (see ShardedSimulation::errors_).
+template <typename Phase>
+void run_guarded(std::exception_ptr& error, Phase&& phase) {
+  if (error) return;
   try {
-    if (components) {
-      if (event_mode_) {
-        step_shard_event_components(shard_index);
-      } else {
-        step_shard_components(shard_index);
-      }
-    } else {
-      if (event_mode_) {
-        step_shard_event_channels(shard_index);
-      } else {
-        step_shard_channels(shard_index);
-      }
-    }
+    phase();
   } catch (...) {
-    errors_[shard_index] = std::current_exception();
+    error = std::current_exception();
   }
 }
 
-LAIN_HOT_PATH void ShardedSimulation::run_horizon(std::size_t shard_index) {
-  if (errors_[shard_index]) {
-    // Poisoned shard: propose nothing so it can't stall the others,
-    // but stay in lockstep through every barrier.
-    shards_[shard_index].horizon = kNoEventCycle;
-    return;
-  }
-  try {
-    shards_[shard_index].horizon = shard_horizon(shard_index);
-  } catch (...) {
-    errors_[shard_index] = std::current_exception();
-    shards_[shard_index].horizon = kNoEventCycle;
-  }
-}
+}  // namespace
 
-LAIN_HOT_PATH void ShardedSimulation::run_skip(std::size_t shard_index,
-                                               Cycle d) {
-  if (errors_[shard_index]) return;
-  try {
-    skip_shard_channels(shard_index, d);
-  } catch (...) {
-    errors_[shard_index] = std::current_exception();
-  }
+LAIN_HOT_PATH void ShardedSimulation::cross(core::SpinBarrier* barrier,
+                                            std::size_t shard_index) {
+  if (shards_.size() == 1) return;
+  LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index), barrier_ns);
+  barrier->arrive_and_wait();
 }
 
 LAIN_HOT_PATH Cycle ShardedSimulation::global_skip_target() const {
-  // Every participant computes this from barrier-synchronized inputs
-  // (per-shard horizons, now_, skip_cap_), so all take the same
-  // branch.  target == now_ means execute this cycle.
   Cycle h = kNoEventCycle;
   for (const Shard& sh : shards_) {
     if (sh.horizon < h) h = sh.horizon;
@@ -124,6 +97,41 @@ LAIN_HOT_PATH Cycle ShardedSimulation::global_skip_target() const {
   if (h <= now_) return now_;
   const Cycle cap = skip_cap_ >= 0 ? skip_cap_ : now_ + 1;
   return h < cap ? h : cap;
+}
+
+LAIN_HOT_PATH Cycle
+ShardedSimulation::step_participant(std::size_t shard_index) {
+  std::exception_ptr& error = errors_[shard_index];
+  Cycle target = now_;
+  if (event_mode_) {
+    // A poisoned shard proposes nothing, so it cannot stall the others.
+    Cycle& horizon = shards_[shard_index].horizon;
+    horizon = kNoEventCycle;
+    run_guarded(error, [&] { horizon = shard_horizon(shard_index); });
+    cross(horizon_barrier_.get(), shard_index);
+    target = global_skip_target();
+  }
+  if (target > now_) {
+    const Cycle skipped = target - now_;
+    run_guarded(error, [&] { skip_shard_channels(shard_index, skipped); });
+    return skipped;
+  }
+  run_guarded(error, [&] {
+    if (event_mode_) {
+      step_shard_event_components(shard_index);
+    } else {
+      step_shard_components(shard_index);
+    }
+  });
+  cross(exchange_barrier_.get(), shard_index);
+  run_guarded(error, [&] {
+    if (event_mode_) {
+      step_shard_event_channels(shard_index);
+    } else {
+      step_shard_channels(shard_index);
+    }
+  });
+  return 0;
 }
 
 LAIN_HOT_PATH void ShardedSimulation::worker_loop(std::size_t shard_index) {
@@ -142,31 +150,7 @@ LAIN_HOT_PATH void ShardedSimulation::worker_loop(std::size_t shard_index) {
     }
     if (stop_requested_) return;
     stepped = true;
-    if (event_mode_) {
-      run_horizon(shard_index);
-      {
-        LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
-        horizon_barrier_->arrive_and_wait();
-      }
-      const Cycle target = global_skip_target();
-      if (target <= now_) {
-        run_phase(shard_index, /*components=*/true);
-        {
-          LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
-          exchange_barrier_->arrive_and_wait();
-        }
-        run_phase(shard_index, /*components=*/false);
-      } else {
-        run_skip(shard_index, target - now_);
-      }
-      continue;
-    }
-    run_phase(shard_index, /*components=*/true);
-    {
-      LAIN_TELEMETRY_SCOPE(telemetry_, shard, barrier_ns);
-      exchange_barrier_->arrive_and_wait();
-    }
-    run_phase(shard_index, /*components=*/false);
+    step_participant(shard_index);
   }
 }
 
@@ -177,67 +161,13 @@ void ShardedSimulation::rethrow_any_error() {
 }
 
 LAIN_HOT_PATH void ShardedSimulation::step() {
-  const bool event = use_event_mode();
-  if (shards_.size() == 1) {
-    if (event) {
-      step_event_single();
-      return;
-    }
-    step_shard_components(0);
-    step_shard_channels(0);
-    ++now_;
-    return;
-  }
-
-  if (event) maintain_arrival_limit();
+  if (use_event_mode()) maintain_arrival_limit();
   start_workers();
-  {
-    LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-    start_barrier_->arrive_and_wait();
-  }
-  if (event) {
-    run_horizon(0);
-    {
-      LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-      horizon_barrier_->arrive_and_wait();
-    }
-    const Cycle target = global_skip_target();
-    if (target <= now_) {
-      run_phase(0, /*components=*/true);
-      {
-        LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-        exchange_barrier_->arrive_and_wait();
-      }
-      run_phase(0, /*components=*/false);
-      {
-        LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-        done_barrier_->arrive_and_wait();
-      }
-      ++now_;
-    } else {
-      run_skip(0, target - now_);
-      {
-        LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-        done_barrier_->arrive_and_wait();
-      }
-      skipped_cycles_ += target - now_;
-      now_ = target;
-    }
-    rethrow_any_error();
-    return;
-  }
-  run_phase(0, /*components=*/true);
-  {
-    LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-    exchange_barrier_->arrive_and_wait();
-  }
-  run_phase(0, /*components=*/false);
-  {
-    LAIN_TELEMETRY_SCOPE(telemetry_, 0, barrier_ns);
-    done_barrier_->arrive_and_wait();
-  }
-
-  ++now_;
+  cross(start_barrier_.get(), 0);
+  const Cycle skipped = step_participant(0);
+  cross(done_barrier_.get(), 0);
+  now_ += skipped > 0 ? skipped : 1;
+  skipped_cycles_ += skipped;
   rethrow_any_error();
 }
 

@@ -1,4 +1,4 @@
-// sharded_sim.hpp — the parallel simulation engine.
+// sharded_sim.hpp — the simulation engine.
 //
 // ShardedSimulation partitions the mesh/torus into per-thread tile
 // shards — row bands or 2D blocks, see noc/parallel/partition.hpp —
@@ -17,19 +17,28 @@
 //                         boundary flits for the next cycle.
 //   barrier
 //
+// Under event stepping (sparse traffic; the kernel picks it, see
+// SimKernel::kEventSteppingMaxRate) a horizon round comes first:
+// every shard proposes the earliest cycle it knows work at, and after
+// a horizon barrier every participant computes the same global target
+// and either executes the cycle as above or advances its own wet links
+// across the skip.
+//
 // The calling thread drives shard 0 and the phase machine; shards
 // 1..S-1 run on a persistent ThreadPool that is reused across every
 // step()/run() of the simulation (workers park on a spin barrier
 // between cycles, so a multi-million-cycle run pays the thread spawn
-// cost once).  Traffic uses the per-node RNG streams and SimStats
-// merges exactly, so the result is bit-identical to the serial
-// Simulation — and to itself at any shard count and partition shape.
+// cost once).  The driver and every worker run the same per-shard step
+// sequence; with one shard it runs inline and crosses no barrier,
+// which is the serial Simulation (noc/sim.hpp).  Traffic uses the
+// per-node RNG streams and SimStats merges exactly, so the result is
+// bit-identical at any shard count and partition shape.
 //
-// Idle-proportional cost: both engines share the kernel's component
-// phase, which steps quiescent routers on the O(1) idle fast path.
-// The quiescence probe reads only each router's own state and the
-// consumer side of its inbound channels, so it introduces no
-// cross-shard reads and cannot perturb the determinism contract.
+// Idle-proportional cost: the per-cycle component phase steps
+// quiescent routers on the O(1) idle fast path.  The quiescence probe
+// reads only each router's own state and the consumer side of its
+// inbound channels, so it introduces no cross-shard reads and cannot
+// perturb the determinism contract.
 
 #pragma once
 
@@ -57,7 +66,7 @@ struct ShardedOptions {
   core::ThreadBudget* budget = nullptr;
 };
 
-class ShardedSimulation final : public SimKernel {
+class ShardedSimulation : public SimKernel {
  public:
   ShardedSimulation(const SimConfig& cfg, const ShardedOptions& opt);
   ~ShardedSimulation() override;
@@ -81,19 +90,20 @@ class ShardedSimulation final : public SimKernel {
   void start_workers();
   void stop_workers();
   void worker_loop(std::size_t shard_index);
-  void run_phase(std::size_t shard_index, bool components);
-  void rethrow_any_error();
-
-  // Cycle-skip protocol (four barriers instead of three).  Between
-  // the start and horizon barriers every shard publishes its proposed
-  // quiescence horizon; after the horizon barrier every participant
-  // recomputes the identical global minimum (all inputs are
-  // barrier-synchronized) and takes the same branch — execute one
-  // cycle through the usual component/exchange phases, or advance its
-  // own wet links across the skip and meet at the done barrier.
-  void run_horizon(std::size_t shard_index);
-  void run_skip(std::size_t shard_index, Cycle d);
+  // One participant's part of one step: under event stepping this
+  // shard's horizon proposal, then either its component and exchange
+  // phases or its share of a skip.  The driver and every worker run it
+  // between the start and done barriers and meet at the horizon and
+  // exchange barriers inside; with one shard it crosses no barrier.
+  // Returns the cycles skipped (0 when the step executed a cycle).
+  Cycle step_participant(std::size_t shard_index);
+  // Waits at `barrier`, timed as barrier wait; no-op with one shard.
+  void cross(core::SpinBarrier* barrier, std::size_t shard_index);
+  // The cycle the shards' horizons and the skip cap let the clock jump
+  // to; now_ means execute this cycle.  Every participant computes it
+  // from barrier-synchronized inputs, so all take the same branch.
   Cycle global_skip_target() const;
+  void rethrow_any_error();
 
   bool pin_threads_ = false;
   core::ThreadBudget::Lease lease_;  // extra worker lanes (may be empty)
@@ -108,7 +118,9 @@ class ShardedSimulation final : public SimKernel {
   // Control word for the coming cycle; written by the driver before
   // the start barrier, read by workers after it.
   bool stop_requested_ = false;
-  std::vector<std::exception_ptr> errors_;  // per shard
+  // Per shard: a phase that threw poisons its shard, which then only
+  // keeps the others in lockstep until the driver rethrows.
+  std::vector<std::exception_ptr> errors_;
 };
 
 }  // namespace lain::noc

@@ -119,7 +119,7 @@ class Router {
   // quiescent(); checked in Debug builds.
   void tick_idle();
 
-  // Batched idle accounting for the cycle-skipping kernel: account n
+  // Batched idle accounting for the event-stepping kernel: account n
   // consecutive idle cycles exactly as n tick_idle() calls would —
   // the crossbar activity absorbs the whole run in O(1) and the power
   // hook gets one on_idle_cycles(n) (which replays its per-cycle

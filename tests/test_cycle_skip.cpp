@@ -1,13 +1,18 @@
-// test_cycle_skip.cpp — the event-driven cycle-skip contract: stepping
-// only components with work and jumping the clock across fabric-wide
-// quiescence must not change ANY observable result — SimStats, power
-// and gating columns, idle-run histograms, the windowed metrics
-// series — on either engine, either topology, any shard count or
-// partition shape.  Comparisons use exact equality on doubles on
-// purpose (the same FP operations must run in the same order).
+// test_cycle_skip.cpp — the stepping identity matrix.  The kernel picks
+// its own stepping: event-driven (step only components with work, jump
+// the clock across fabric-wide quiescence) at or below
+// SimKernel::kEventSteppingMaxRate, per-cycle with the O(1) idle fast
+// path above it.  Neither choice may change ANY observable result
+// against the per-cycle reference pipeline (enable_idle_fastpath =
+// false) — SimStats, power and gating columns, idle-run histograms,
+// the windowed metrics series, the flit trace — on either topology,
+// serially or at any shard count and partition shape.  Comparisons use
+// exact equality on doubles on purpose (the same FP operations must
+// run in the same order).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "core/context.hpp"
@@ -17,6 +22,9 @@
 
 namespace lain::noc {
 namespace {
+
+constexpr double kSparse = SimKernel::kEventSteppingMaxRate;
+constexpr double kDense = 0.05;
 
 SimConfig low_rate(TopologyKind topo, double rate) {
   SimConfig cfg;
@@ -31,6 +39,11 @@ SimConfig low_rate(TopologyKind topo, double rate) {
   cfg.measure_cycles = 600;
   cfg.drain_limit_cycles = 6000;
   cfg.seed = 11;
+  return cfg;
+}
+
+SimConfig reference_of(SimConfig cfg) {
+  cfg.enable_idle_fastpath = false;
   return cfg;
 }
 
@@ -52,42 +65,108 @@ void expect_bit_identical(const SimStats& a, const SimStats& b) {
   EXPECT_TRUE(a.latency_hist.bins() == b.latency_hist.bins());
 }
 
-// The acceptance pin: cycle skip vs per-cycle stepping, serial vs
-// sharded (1/2/4/8 x rows/blocks2d), mesh and torus — all identical.
+// One traffic shape of the matrix and the stepping the kernel must
+// pick for it.  The bursty shape keeps the sparse average (so the
+// kernel still steps event-driven) but injects at ten times it while a
+// node is ON, so bursts contend for routers and links.
+struct Load {
+  const char* name;
+  double rate;
+  double burst_duty;
+  bool event;
+};
+constexpr Load kLoads[] = {
+    {"sparse", kSparse, 1.0, true},
+    {"sparse bursty", kSparse, 0.1, true},
+    {"dense", kDense, 1.0, false},
+};
+
+// The acceptance pin: the kernel's choice vs the per-cycle reference
+// on both sides of the constant, serial vs sharded (1/2/4/8 x
+// rows/blocks2d), mesh and torus — all identical.
 TEST(CycleSkip, BitIdenticalToPerCycleAllEnginesAndTopologies) {
   for (TopologyKind topo : {TopologyKind::kMesh, TopologyKind::kTorus}) {
-    SimConfig slow_cfg = low_rate(topo, 0.02);
-    slow_cfg.enable_idle_fastpath = false;
-    Simulation slow(slow_cfg);
-    const SimStats reference = slow.run();
-    EXPECT_EQ(slow.skipped_cycles(), 0);
-    EXPECT_FALSE(slow.saturated());
+    for (const Load& load : kLoads) {
+      SCOPED_TRACE(load.name);
+      SimConfig cfg = low_rate(topo, load.rate);
+      cfg.burst_duty = load.burst_duty;
+      Simulation slow(reference_of(cfg));
+      const SimStats reference = slow.run();
+      EXPECT_FALSE(slow.event_stepping());
+      EXPECT_EQ(slow.skipped_cycles(), 0);
+      EXPECT_EQ(slow.idle_fast_ticks(), 0);
+      EXPECT_FALSE(slow.saturated());
 
-    SimConfig skip_cfg = low_rate(topo, 0.02);
-    skip_cfg.enable_cycle_skip = true;
-    Simulation skipping(skip_cfg);
-    expect_bit_identical(reference, skipping.run());
-    EXPECT_FALSE(skipping.saturated());
+      Simulation serial(cfg);
+      expect_bit_identical(reference, serial.run());
+      EXPECT_EQ(serial.event_stepping(), load.event);
+      EXPECT_FALSE(serial.saturated());
+      // The fabric is idle most of the time on every load here: the
+      // idle path (per-cycle fast ticks or deferred event-idle spans)
+      // must carry most router-cycles.
+      EXPECT_GT(serial.idle_fast_ticks(),
+                static_cast<std::int64_t>(serial.now()) * 64 / 4);
 
-    for (PartitionStrategy partition :
-         {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
-      for (int shards : {1, 2, 4, 8}) {
-        ShardedOptions o;
-        o.shards = shards;
-        o.partition = partition;
-        ShardedSimulation sim(skip_cfg, o);
-        expect_bit_identical(reference, sim.run());
+      for (PartitionStrategy partition :
+           {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
+        for (int shards : {1, 2, 4, 8}) {
+          ShardedOptions o;
+          o.shards = shards;
+          o.partition = partition;
+          ShardedSimulation sim(cfg, o);
+          expect_bit_identical(reference, sim.run());
+          EXPECT_EQ(sim.event_stepping(), load.event)
+              << shards << " shards, " << partition_name(partition);
+          EXPECT_GT(sim.idle_fast_ticks(), 0)
+              << shards << " shards, " << partition_name(partition);
+        }
       }
     }
   }
+}
+
+// Runs cfg per-cycle with the idle fast path on: an observer forces
+// per-cycle stepping whatever the rate.
+void run_per_cycle(Simulation& sim) {
+  sim.set_observer([](int, const ShardPlan&) {
+    return make_observer_slice([](Cycle, Network&, const ShardPlan&) {});
+  });
+  sim.run();
+  EXPECT_FALSE(sim.event_stepping());
+}
+
+TEST(CycleSkip, KernelStepsEventDrivenOnlyAtOrBelowTheConstant) {
+  // The rule itself: event stepping (and so skipped cycles) at or
+  // below the constant on serial and sharded runs; none just above
+  // it, none with an observer attached, none on the reference path.
+  const double above = std::nextafter(kSparse, 1.0);
+  auto skipped = [](const SimConfig& cfg, int shards) {
+    ShardedOptions o;
+    o.shards = shards;
+    o.partition = PartitionStrategy::kBlocks2D;
+    ShardedSimulation sim(cfg, o);
+    sim.run();
+    EXPECT_EQ(sim.event_stepping(), sim.skipped_cycles() > 0);
+    return sim.skipped_cycles();
+  };
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    EXPECT_GT(skipped(low_rate(TopologyKind::kMesh, kSparse), shards), 0);
+    EXPECT_EQ(skipped(low_rate(TopologyKind::kMesh, above), shards), 0);
+    EXPECT_EQ(
+        skipped(reference_of(low_rate(TopologyKind::kMesh, kSparse)), shards),
+        0);
+  }
+  Simulation observed(low_rate(TopologyKind::kMesh, kSparse));
+  run_per_cycle(observed);
+  EXPECT_EQ(observed.skipped_cycles(), 0);
 }
 
 TEST(CycleSkip, ActuallySkipsOnSparseTraffic) {
   // At 0.002 flits/node/cycle the fabric is empty most of the time;
   // the run must cover a meaningful share of it by jumping the clock,
   // on the serial engine and at every shard count.
-  SimConfig cfg = low_rate(TopologyKind::kMesh, 0.002);
-  cfg.enable_cycle_skip = true;
+  const SimConfig cfg = low_rate(TopologyKind::kMesh, 0.002);
   Simulation serial(cfg);
   serial.run();
   EXPECT_GT(serial.skipped_cycles(), serial.now() / 10);
@@ -105,13 +184,12 @@ TEST(CycleSkip, DeferredIdleAccountingMatchesPerCycle) {
   // idle_fast_ticks counts every deferred-idle router cycle as it is
   // flushed; after a full run its total must equal the idle fast
   // path's per-cycle count (both equal total idle router cycles).
-  const SimConfig fast_cfg = low_rate(TopologyKind::kMesh, 0.03);
-  Simulation fast(fast_cfg);
-  fast.run();
-  SimConfig skip_cfg = fast_cfg;
-  skip_cfg.enable_cycle_skip = true;
-  Simulation skipping(skip_cfg);
+  const SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
+  Simulation fast(cfg);
+  run_per_cycle(fast);
+  Simulation skipping(cfg);
   skipping.run();
+  EXPECT_TRUE(skipping.event_stepping());
   EXPECT_EQ(fast.now(), skipping.now());
   EXPECT_GT(skipping.idle_fast_ticks(), 0);
   EXPECT_EQ(fast.idle_fast_ticks(), skipping.idle_fast_ticks());
@@ -126,21 +204,18 @@ TEST(CycleSkip, PatternsWithSilentNodesIdentical) {
   for (TrafficPattern pattern :
        {TrafficPattern::kTranspose, TrafficPattern::kHotspot,
         TrafficPattern::kNeighbor}) {
-    SimConfig slow_cfg = low_rate(TopologyKind::kMesh, 0.04);
-    slow_cfg.pattern = pattern;
-    slow_cfg.enable_idle_fastpath = false;
-    Simulation slow(slow_cfg);
+    SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
+    cfg.pattern = pattern;
+    Simulation slow(reference_of(cfg));
     const SimStats reference = slow.run();
 
-    SimConfig skip_cfg = slow_cfg;
-    skip_cfg.enable_idle_fastpath = true;
-    skip_cfg.enable_cycle_skip = true;
-    Simulation skipping(skip_cfg);
+    Simulation skipping(cfg);
     expect_bit_identical(reference, skipping.run());
+    EXPECT_TRUE(skipping.event_stepping());
     ShardedOptions o;
     o.shards = 4;
     o.partition = PartitionStrategy::kBlocks2D;
-    ShardedSimulation sharded(skip_cfg, o);
+    ShardedSimulation sharded(cfg, o);
     expect_bit_identical(reference, sharded.run());
   }
 }
@@ -170,19 +245,16 @@ TEST(CycleSkip, WindowedMetricsSeriesIdentical) {
     return out;
   };
 
-  SimConfig slow_cfg = low_rate(TopologyKind::kMesh, 0.02);
-  slow_cfg.enable_idle_fastpath = false;
-  Simulation slow(slow_cfg);
+  const SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
+  Simulation slow(reference_of(cfg));
   const std::vector<WindowRec> reference = run_windows(slow);
   ASSERT_GT(reference.size(), 5u);
 
-  SimConfig skip_cfg = low_rate(TopologyKind::kMesh, 0.02);
-  skip_cfg.enable_cycle_skip = true;
-  Simulation skipping(skip_cfg);
+  Simulation skipping(cfg);
   ShardedOptions o;
   o.shards = 4;
   o.partition = PartitionStrategy::kBlocks2D;
-  ShardedSimulation sharded(skip_cfg, o);
+  ShardedSimulation sharded(cfg, o);
   for (const std::vector<WindowRec>& got :
        {run_windows(skipping), run_windows(sharded)}) {
     ASSERT_EQ(reference.size(), got.size());
@@ -196,64 +268,74 @@ TEST(CycleSkip, WindowedMetricsSeriesIdentical) {
       EXPECT_EQ(reference[i].measured, got[i].measured);
     }
   }
+  EXPECT_GT(skipping.skipped_cycles(), 0);
+  EXPECT_GT(sharded.skipped_cycles(), 0);
 }
 
 TEST(CycleSkip, PowerAndGatingColumnsUnaffected) {
   // The full powered pipeline: leakage accrual, sleep-controller
   // decisions and realized savings all ride on the per-cycle power
-  // hook sequence, which batched idle accounting must replay exactly.
+  // hook sequence, which the idle fast path and batched event-idle
+  // accounting must replay exactly.
   core::LainContext ctx;
   for (xbar::Scheme scheme : {xbar::Scheme::kSDPC, xbar::Scheme::kSDFC}) {
-    core::NocRunSpec spec;
-    spec.scheme = scheme;
-    spec.sim = core::default_mesh_config(0.05, TrafficPattern::kUniform, 5);
-    spec.enable_gating = true;
-    const core::NocRunResult slow = ctx.run_noc(spec);
-    spec.cycle_skip = true;
-    const core::NocRunResult skip = ctx.run_noc(spec);
-    EXPECT_EQ(slow.avg_packet_latency_cycles, skip.avg_packet_latency_cycles);
-    EXPECT_EQ(slow.throughput_flits_node_cycle,
-              skip.throughput_flits_node_cycle);
-    EXPECT_EQ(slow.network_power_w, skip.network_power_w);
-    EXPECT_EQ(slow.crossbar_power_w, skip.crossbar_power_w);
-    EXPECT_EQ(slow.standby_fraction, skip.standby_fraction);
-    EXPECT_EQ(slow.realized_saving_w, skip.realized_saving_w);
-    EXPECT_EQ(slow.saturated, skip.saturated);
+    for (double rate : {kSparse, kDense}) {
+      core::NocRunSpec spec;
+      spec.scheme = scheme;
+      spec.sim = core::default_mesh_config(rate, TrafficPattern::kUniform, 5);
+      spec.enable_gating = true;
+      const core::NocRunResult chosen = ctx.run_noc(spec);
+      spec.sim.enable_idle_fastpath = false;
+      const core::NocRunResult slow = ctx.run_noc(spec);
+      EXPECT_EQ(slow.avg_packet_latency_cycles,
+                chosen.avg_packet_latency_cycles);
+      EXPECT_EQ(slow.throughput_flits_node_cycle,
+                chosen.throughput_flits_node_cycle);
+      EXPECT_EQ(slow.network_power_w, chosen.network_power_w);
+      EXPECT_EQ(slow.crossbar_power_w, chosen.crossbar_power_w);
+      EXPECT_EQ(slow.standby_fraction, chosen.standby_fraction);
+      EXPECT_EQ(slow.realized_saving_w, chosen.realized_saving_w);
+      EXPECT_EQ(slow.saturated, chosen.saturated);
+    }
   }
 }
 
 TEST(CycleSkip, IdleRunHistogramUnaffected) {
-  // The idle-period histogram is exactly the statistic a skipped
-  // cycle must still extend: every deferred idle cycle lands in the
-  // router's current idle run when flushed.
-  const SimConfig cfg =
-      core::default_mesh_config(0.05, TrafficPattern::kUniform, 9);
+  // The idle-period histogram is exactly the statistic a collapsed or
+  // skipped cycle must still extend: every idle cycle lands in the
+  // router's current idle run, per cycle or when flushed.
   core::LainContext ctx;
-  const Histogram slow = ctx.idle_histogram(cfg);
-  core::RunOptions skipping;
-  skipping.cycle_skip = true;
-  const Histogram skip = ctx.idle_histogram(cfg, skipping);
-  EXPECT_GT(slow.count(), 0);
-  EXPECT_EQ(slow.count(), skip.count());
-  EXPECT_TRUE(slow.bins() == skip.bins());
+  core::RunOptions sharded;
+  sharded.sim_threads = 4;
+  for (double rate : {kSparse, kDense}) {
+    const SimConfig cfg =
+        core::default_mesh_config(rate, TrafficPattern::kUniform, 9);
+    const Histogram slow = ctx.idle_histogram(reference_of(cfg));
+    EXPECT_GT(slow.count(), 0);
+    for (const Histogram& got :
+         {ctx.idle_histogram(cfg), ctx.idle_histogram(cfg, sharded)}) {
+      EXPECT_EQ(slow.count(), got.count()) << rate;
+      EXPECT_TRUE(slow.bins() == got.bins()) << rate;
+    }
+  }
 }
 
 TEST(CycleSkip, BareSteppingAdvancesOneCyclePerStep) {
   // Without run()'s skip cap a bare step advances exactly one cycle
   // (executed or skipped), so step-count semantics stay comparable
-  // with the per-cycle engines — and the fabric state agrees at every
+  // with per-cycle stepping — and the fabric state agrees at every
   // cycle boundary.
-  SimConfig slow_cfg = low_rate(TopologyKind::kMesh, 0.05);
-  slow_cfg.warmup_cycles = 0;
-  slow_cfg.measure_cycles = 1;
-  SimConfig skip_cfg = slow_cfg;
-  skip_cfg.enable_cycle_skip = true;
-  Simulation slow(slow_cfg);
-  Simulation skipping(skip_cfg);
+  SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 1;
+  Simulation slow(reference_of(cfg));
+  Simulation skipping(cfg);
   for (int i = 0; i < 500; ++i) {
     slow.step();
     skipping.step();
   }
+  EXPECT_TRUE(skipping.event_stepping());
+  EXPECT_GT(skipping.skipped_cycles(), 0);
   EXPECT_EQ(slow.now(), 500);
   EXPECT_EQ(skipping.now(), 500);
   std::int64_t slow_inj = 0, skip_inj = 0, slow_ej = 0, skip_ej = 0;
@@ -271,30 +353,36 @@ TEST(CycleSkip, BareSteppingAdvancesOneCyclePerStep) {
 }
 
 TEST(CycleSkip, SaturationAndDrainBehaviorUnchanged) {
-  // Past saturation nothing is skippable, but the run-loop exit
-  // conditions (drain limit, tracked-pending) must trip identically.
-  SimConfig slow_cfg = low_rate(TopologyKind::kMesh, 0.60);
-  slow_cfg.measure_cycles = 300;
-  slow_cfg.drain_limit_cycles = 200;
-  slow_cfg.enable_idle_fastpath = false;
-  Simulation slow(slow_cfg);
-  const SimStats reference = slow.run();
-  SimConfig skip_cfg = slow_cfg;
-  skip_cfg.enable_idle_fastpath = true;
-  skip_cfg.enable_cycle_skip = true;
-  Simulation skipping(skip_cfg);
-  expect_bit_identical(reference, skipping.run());
-  EXPECT_TRUE(slow.saturated());
-  EXPECT_TRUE(skipping.saturated());
-  EXPECT_EQ(slow.now(), skipping.now());
+  // The run-loop exit conditions (drain limit, tracked-pending) must
+  // trip identically on both sides of the constant: past saturation,
+  // where nothing is skippable, and on sparse traffic whose drain
+  // limit ends the run with packets still in flight.
+  SimConfig saturating = low_rate(TopologyKind::kMesh, 0.60);
+  saturating.measure_cycles = 300;
+  saturating.drain_limit_cycles = 200;
+  // 16x16 at the sparse rate keeps ~10 packets in flight on average,
+  // so a one-cycle drain limit always leaves some undelivered.
+  SimConfig cut_short = low_rate(TopologyKind::kMesh, kSparse);
+  cut_short.radix_x = 16;
+  cut_short.radix_y = 16;
+  cut_short.drain_limit_cycles = 1;
+  for (const SimConfig& cfg : {saturating, cut_short}) {
+    Simulation slow(reference_of(cfg));
+    const SimStats reference = slow.run();
+    Simulation chosen(cfg);
+    expect_bit_identical(reference, chosen.run());
+    EXPECT_EQ(chosen.event_stepping(), cfg.injection_rate <= kSparse);
+    EXPECT_TRUE(slow.saturated());
+    EXPECT_TRUE(chosen.saturated());
+    EXPECT_EQ(slow.now(), chosen.now());
+  }
 }
 
 TEST(CycleSkip, ObserversForcePerCycleStepping) {
   // Observers have an every-cycle contract: with one attached the
   // kernel must quietly run per-cycle (identical results, no skips);
   // attaching one after event stepping began is a logic error.
-  SimConfig cfg = low_rate(TopologyKind::kMesh, 0.02);
-  cfg.enable_cycle_skip = true;
+  const SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
   Simulation sim(cfg);
   std::int64_t observed_cycles = 0;
   sim.set_observer([&observed_cycles](int, const ShardPlan&) {
@@ -316,20 +404,18 @@ TEST(CycleSkip, ObserversForcePerCycleStepping) {
 }
 
 TEST(CycleSkip, FlitTraceIdenticalAcrossModes) {
-  SimConfig slow_cfg = low_rate(TopologyKind::kMesh, 0.02);
-  slow_cfg.enable_idle_fastpath = false;
-  Simulation slow(slow_cfg);
+  const SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
+  Simulation slow(reference_of(cfg));
   slow.enable_flit_trace(1 << 16);
   slow.run();
   const std::vector<FlitTraceEvent> reference = slow.collect_flit_trace();
   ASSERT_GT(reference.size(), 0u);
   EXPECT_EQ(slow.flit_trace_dropped(), 0);
 
-  SimConfig skip_cfg = low_rate(TopologyKind::kMesh, 0.02);
-  skip_cfg.enable_cycle_skip = true;
-  Simulation skipping(skip_cfg);
+  Simulation skipping(cfg);
   skipping.enable_flit_trace(1 << 16);
   skipping.run();
+  EXPECT_TRUE(skipping.event_stepping());
   const std::vector<FlitTraceEvent> got = skipping.collect_flit_trace();
   EXPECT_EQ(skipping.flit_trace_dropped(), 0);
   ASSERT_EQ(reference.size(), got.size());
@@ -339,6 +425,81 @@ TEST(CycleSkip, FlitTraceIdenticalAcrossModes) {
     EXPECT_EQ(reference[i].node, got[i].node);
     EXPECT_EQ(reference[i].kind, got[i].kind);
   }
+}
+
+TEST(IdleFastPath, FastTickCountIsDeterministicAcrossShardLayouts) {
+  // The quiescence predicate reads only pre-cycle state, so even the
+  // per-run fast-tick TOTAL must agree between engines and layouts,
+  // per-cycle or event-stepped.
+  for (double rate : {kSparse, 0.03}) {
+    const SimConfig cfg = low_rate(TopologyKind::kMesh, rate);
+    Simulation serial(cfg);
+    serial.run();
+    const std::int64_t reference = serial.idle_fast_ticks();
+    EXPECT_GT(reference, 0);
+    for (int shards : {2, 8}) {
+      ShardedOptions o;
+      o.shards = shards;
+      o.partition = PartitionStrategy::kBlocks2D;
+      ShardedSimulation sim(cfg, o);
+      sim.run();
+      EXPECT_EQ(sim.idle_fast_ticks(), reference)
+          << shards << " shards at " << rate;
+    }
+  }
+}
+
+TEST(IdleFastPath, QuiescencePredicateTracksTraffic) {
+  SimConfig cfg;
+  cfg.radix_x = 3;
+  cfg.radix_y = 3;
+  cfg.packet_length_flits = 3;
+  Network net(cfg);
+  // An untouched fabric is quiescent everywhere.
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).quiescent()) << "router " << n;
+  }
+  // Source a corner-to-corner packet and step until delivery; the
+  // routers along the XY path must wake (lose quiescence) at some
+  // point, and the whole fabric must settle back to quiescent.
+  net.nic(0).source_packet(8, 0, 1);
+  bool center_woke = false;
+  for (Cycle t = 0; t < 100; ++t) {
+    for (NodeId n = 0; n < net.num_nodes(); ++n) net.nic(n).tick(t);
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      Router& r = net.router(n);
+      if (r.quiescent()) {
+        r.tick_idle();
+      } else {
+        r.tick();
+      }
+    }
+    center_woke |= !net.router(2).quiescent();
+    net.tick_channels();
+  }
+  EXPECT_TRUE(center_woke);  // node 2 is on the XY path 0->1->2->5->8
+  EXPECT_EQ(net.nic(8).packets_ejected(), 1);
+  EXPECT_EQ(net.flits_in_flight(), 0);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).quiescent()) << "router " << n;
+  }
+}
+
+TEST(IdleFastPath, IdleTickKeepsActivityAndEventsConsistent) {
+  SimConfig cfg;
+  Network net(cfg);
+  Router& r = net.router(12);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(r.quiescent());
+    r.tick_idle();
+  }
+  EXPECT_EQ(r.activity().cycles(), 50);
+  EXPECT_EQ(r.activity().busy_cycles(), 0);
+  EXPECT_EQ(r.activity().traversals(), 0);
+  EXPECT_EQ(r.last_events().flits_received, 0);
+  EXPECT_EQ(r.last_events().flits_sent, 0);
+  EXPECT_FALSE(r.last_events().demand);
+  EXPECT_EQ(r.occupancy(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // test_engine_flags.cpp — the universal engine flags, end to end
 // through the scenario registry: the kernel-choice flags (--sim-threads,
-// --partition, --cycle-skip) must leave every NoC table byte-identical,
-// and the fault flags (--fault-*) must reach every cycle-accurate
-// scenario.
+// --partition) must leave every NoC table byte-identical, on sparse
+// traffic the kernel steps event-driven as on denser per-cycle
+// traffic, and the fault flags (--fault-*) must reach every
+// cycle-accurate scenario.
 
 #include <gtest/gtest.h>
 
@@ -59,15 +60,16 @@ std::vector<std::string> csv_column(const std::string& csv,
   return out;
 }
 
-const std::vector<const char*> kEngineFlags = {
-    "--sim-threads", "2", "--partition", "blocks2d", "--cycle-skip"};
+const std::vector<const char*> kEngineFlags = {"--sim-threads", "2",
+                                               "--partition", "blocks2d"};
 const std::vector<const char*> kFaultFlags = {"--fault-links", "1",
                                               "--fault-seed", "2"};
 
-const std::vector<const char*> kSweep = {"--rates", "0.05", "--patterns",
-                                         "uniform", "--schemes", "sdpc"};
-const std::vector<const char*> kHistogram = {"--rates", "0.05", "--patterns",
-                                             "uniform"};
+const std::vector<const char*> kSweep = {"--rates",    "0.002,0.05",
+                                         "--patterns", "uniform",
+                                         "--schemes",  "sdpc"};
+const std::vector<const char*> kHistogram = {"--rates", "0.002,0.05",
+                                             "--patterns", "uniform"};
 const std::vector<const char*> kTopology = {"--radices", "4", "--rates",
                                             "0.05", "--patterns", "uniform"};
 

@@ -9,8 +9,8 @@
 //   * a transient flap repairs and the fabric returns to full
 //     connectivity,
 //   * the degraded run stays bit-identical across engines, shard
-//     counts, partition shapes and topologies, with and without
-//     cycle skipping,
+//     counts, partition shapes and topologies, per-cycle and
+//     event-stepped,
 //   * with faults disabled the new columns are identically zero.
 
 #include <gtest/gtest.h>
@@ -93,23 +93,34 @@ TEST(Fault, SingleLinkKillMeshDeliversEverything) {
   EXPECT_EQ(sim.unreachable_pairs(), 0);
 }
 
-// Degraded bit-identity: serial per-cycle vs cycle-skip vs sharded
-// 1/2/4/8 x rows/blocks2d, mesh and torus.
+// Degraded bit-identity: the per-cycle reference vs the kernel's own
+// stepping, serial and sharded 1/2/4/8 x rows/blocks2d.  Mesh and torus
+// at 0.02 step per-cycle; the sparse mesh steps event-driven and loses
+// a packet to the purge, so a purge and its retransmission run under
+// event stepping too.
 TEST(Fault, BitIdenticalAcrossEnginesAndTopologiesDegraded) {
-  for (TopologyKind topo : {TopologyKind::kMesh, TopologyKind::kTorus}) {
-    SimConfig slow_cfg = faulty(topo, 0.02);
-    slow_cfg.fault.links = 2;
-    slow_cfg.fault.at = 400;
+  SimConfig sparse = faulty(TopologyKind::kMesh, 0.005);
+  sparse.fault.links = 8;
+  sparse.fault.seed = 7;
+  std::vector<SimConfig> cfgs = {faulty(TopologyKind::kMesh, 0.02),
+                                 faulty(TopologyKind::kTorus, 0.02), sparse};
+  cfgs[0].fault.links = 2;
+  cfgs[1].fault.links = 2;
+  for (SimConfig& cfg : cfgs) {
+    cfg.fault.at = 400;
+    SCOPED_TRACE(cfg.injection_rate);
+    SimConfig slow_cfg = cfg;
     slow_cfg.enable_idle_fastpath = false;
     Simulation slow(slow_cfg);
     const SimStats reference = slow.run();
     expect_conserved(reference);
 
-    SimConfig skip_cfg = slow_cfg;
-    skip_cfg.enable_idle_fastpath = true;
-    skip_cfg.enable_cycle_skip = true;
-    Simulation skipping(skip_cfg);
-    expect_bit_identical(reference, skipping.run());
+    Simulation serial(cfg);
+    expect_bit_identical(reference, serial.run());
+    if (cfg.injection_rate <= SimKernel::kEventSteppingMaxRate) {
+      EXPECT_GT(reference.packets_lost, 0);
+      EXPECT_GT(serial.skipped_cycles(), 0);
+    }
 
     for (PartitionStrategy partition :
          {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
@@ -117,7 +128,7 @@ TEST(Fault, BitIdenticalAcrossEnginesAndTopologiesDegraded) {
         ShardedOptions o;
         o.shards = shards;
         o.partition = partition;
-        ShardedSimulation sim(skip_cfg, o);
+        ShardedSimulation sim(cfg, o);
         expect_bit_identical(reference, sim.run());
       }
     }
@@ -187,14 +198,13 @@ TEST(Fault, TransientFlapRepairsAndRecovers) {
   expect_conserved(st);
 }
 
-// Fault + cycle skip composition: after the last fault event the
+// Fault + event stepping composition: after the last fault event the
 // event kernel must resume skipping on sparse traffic (the due-cycle
 // clamp may not pin the clock forever).
 TEST(Fault, CycleSkipStillSkipsAfterFaults) {
   SimConfig cfg = faulty(TopologyKind::kMesh, 0.002);
   cfg.fault.links = 1;
   cfg.fault.at = 300;
-  cfg.enable_cycle_skip = true;
   Simulation sim(cfg);
   const SimStats st = sim.run();
   expect_conserved(st);

@@ -425,6 +425,34 @@ TEST(JsonSchema, ManifestAndSummaryAndFlitEncode) {
   EXPECT_EQ(kind, "eject");
 }
 
+TEST(JsonSchema, SummaryRecordsTheKernelsStepping) {
+  // The summary says which stepping the kernel chose and how many
+  // cycles it jumped: event-driven on sparse traffic, per-cycle above
+  // SimKernel::kEventSteppingMaxRate.
+  core::LainContext ctx;
+  for (const double rate : {0.002, 0.05}) {
+    telemetry::MemorySink sink;
+    NocRunSpec spec;
+    spec.sim = mesh8(rate);
+    spec.telemetry.sink = &sink;
+    ctx.run_noc(spec);
+    ASSERT_EQ(sink.summaries.size(), 1u);
+    const std::string line = telemetry::to_json(sink.summaries[0]);
+    std::string stepping;
+    double skipped = -1.0;
+    ASSERT_TRUE(telemetry::json_string_field(line, "stepping", &stepping));
+    ASSERT_TRUE(
+        telemetry::json_number_field(line, "skipped_cycles", &skipped));
+    if (rate <= SimKernel::kEventSteppingMaxRate) {
+      EXPECT_EQ(stepping, "event");
+      EXPECT_GT(skipped, 0.0);
+    } else {
+      EXPECT_EQ(stepping, "per_cycle");
+      EXPECT_EQ(skipped, 0.0);
+    }
+  }
+}
+
 TEST(JsonSchema, MemoryAndMultiSinkFanOut) {
   telemetry::MemorySink a;
   telemetry::MemorySink b;
