@@ -125,7 +125,7 @@ TEST(CycleSkip, BitIdenticalToPerCycleAllEnginesAndTopologies) {
   }
 }
 
-// Runs cfg per-cycle with the idle fast path on: an observer forces
+// Runs `sim` per-cycle with the idle fast path on: an observer forces
 // per-cycle stepping whatever the rate.
 void run_per_cycle(Simulation& sim) {
   sim.set_observer([](int, const ShardPlan&) {
