@@ -75,54 +75,58 @@ struct Load {
   double burst_duty;
   bool event;
 };
-constexpr Load kLoads[] = {
-    {"sparse", kSparse, 1.0, true},
-    {"sparse bursty", kSparse, 0.1, true},
-    {"dense", kDense, 1.0, false},
-};
 
-// The acceptance pin: the kernel's choice vs the per-cycle reference
-// on both sides of the constant, serial vs sharded (1/2/4/8 x
-// rows/blocks2d), mesh and torus — all identical.
-TEST(CycleSkip, BitIdenticalToPerCycleAllEnginesAndTopologies) {
+// The acceptance pin for one load: the kernel's choice vs the
+// per-cycle reference, serial vs sharded (1/2/4/8 x rows/blocks2d),
+// mesh and torus — all identical.
+void expect_identical_on_every_engine(const Load& load) {
+  SCOPED_TRACE(load.name);
   for (TopologyKind topo : {TopologyKind::kMesh, TopologyKind::kTorus}) {
-    for (const Load& load : kLoads) {
-      SCOPED_TRACE(load.name);
-      SimConfig cfg = low_rate(topo, load.rate);
-      cfg.burst_duty = load.burst_duty;
-      Simulation slow(reference_of(cfg));
-      const SimStats reference = slow.run();
-      EXPECT_FALSE(slow.event_stepping());
-      EXPECT_EQ(slow.skipped_cycles(), 0);
-      EXPECT_EQ(slow.idle_fast_ticks(), 0);
-      EXPECT_FALSE(slow.saturated());
+    SimConfig cfg = low_rate(topo, load.rate);
+    cfg.burst_duty = load.burst_duty;
+    Simulation slow(reference_of(cfg));
+    const SimStats reference = slow.run();
+    EXPECT_FALSE(slow.event_stepping());
+    EXPECT_EQ(slow.skipped_cycles(), 0);
+    EXPECT_EQ(slow.idle_fast_ticks(), 0);
+    EXPECT_FALSE(slow.saturated());
 
-      Simulation serial(cfg);
-      expect_bit_identical(reference, serial.run());
-      EXPECT_EQ(serial.event_stepping(), load.event);
-      EXPECT_FALSE(serial.saturated());
-      // The fabric is idle most of the time on every load here: the
-      // idle path (per-cycle fast ticks or deferred event-idle spans)
-      // must carry most router-cycles.
-      EXPECT_GT(serial.idle_fast_ticks(),
-                static_cast<std::int64_t>(serial.now()) * 64 / 4);
+    Simulation serial(cfg);
+    expect_bit_identical(reference, serial.run());
+    EXPECT_EQ(serial.event_stepping(), load.event);
+    EXPECT_FALSE(serial.saturated());
+    // The fabric is idle most of the time on every load here: the
+    // idle path (per-cycle fast ticks or deferred event-idle spans)
+    // must carry most router-cycles.
+    EXPECT_GT(serial.idle_fast_ticks(),
+              static_cast<std::int64_t>(serial.now()) * 64 / 4);
 
-      for (PartitionStrategy partition :
-           {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
-        for (int shards : {1, 2, 4, 8}) {
-          ShardedOptions o;
-          o.shards = shards;
-          o.partition = partition;
-          ShardedSimulation sim(cfg, o);
-          expect_bit_identical(reference, sim.run());
-          EXPECT_EQ(sim.event_stepping(), load.event)
-              << shards << " shards, " << partition_name(partition);
-          EXPECT_GT(sim.idle_fast_ticks(), 0)
-              << shards << " shards, " << partition_name(partition);
-        }
+    for (PartitionStrategy partition :
+         {PartitionStrategy::kRowBands, PartitionStrategy::kBlocks2D}) {
+      for (int shards : {1, 2, 4, 8}) {
+        ShardedOptions o;
+        o.shards = shards;
+        o.partition = partition;
+        ShardedSimulation sim(cfg, o);
+        expect_bit_identical(reference, sim.run());
+        EXPECT_EQ(sim.event_stepping(), load.event)
+            << shards << " shards, " << partition_name(partition);
+        EXPECT_GT(sim.idle_fast_ticks(), 0)
+            << shards << " shards, " << partition_name(partition);
       }
     }
   }
+}
+
+// At or below the constant: event stepping, on plain and bursty traffic.
+TEST(CycleSkip, BitIdenticalToPerCycleAllEnginesAndTopologies) {
+  expect_identical_on_every_engine({"sparse", kSparse, 1.0, true});
+  expect_identical_on_every_engine({"sparse bursty", kSparse, 0.1, true});
+}
+
+// Above the constant: per-cycle stepping with the idle fast path.
+TEST(IdleFastPath, BitIdenticalToForcedSlowPathAllEnginesAndTopologies) {
+  expect_identical_on_every_engine({"dense", kDense, 1.0, false});
 }
 
 // Runs `sim` per-cycle with the idle fast path on: an observer forces
@@ -272,52 +276,64 @@ TEST(CycleSkip, WindowedMetricsSeriesIdentical) {
   EXPECT_GT(sharded.skipped_cycles(), 0);
 }
 
-TEST(CycleSkip, PowerAndGatingColumnsUnaffected) {
-  // The full powered pipeline: leakage accrual, sleep-controller
-  // decisions and realized savings all ride on the per-cycle power
-  // hook sequence, which the idle fast path and batched event-idle
-  // accounting must replay exactly.
+// The full powered pipeline: leakage accrual, sleep-controller
+// decisions and realized savings all ride on the per-cycle power hook
+// sequence, which the idle fast path and batched event-idle accounting
+// must replay exactly.
+void expect_power_columns_identical(double rate) {
   core::LainContext ctx;
   for (xbar::Scheme scheme : {xbar::Scheme::kSDPC, xbar::Scheme::kSDFC}) {
-    for (double rate : {kSparse, kDense}) {
-      core::NocRunSpec spec;
-      spec.scheme = scheme;
-      spec.sim = core::default_mesh_config(rate, TrafficPattern::kUniform, 5);
-      spec.enable_gating = true;
-      const core::NocRunResult chosen = ctx.run_noc(spec);
-      spec.sim.enable_idle_fastpath = false;
-      const core::NocRunResult slow = ctx.run_noc(spec);
-      EXPECT_EQ(slow.avg_packet_latency_cycles,
-                chosen.avg_packet_latency_cycles);
-      EXPECT_EQ(slow.throughput_flits_node_cycle,
-                chosen.throughput_flits_node_cycle);
-      EXPECT_EQ(slow.network_power_w, chosen.network_power_w);
-      EXPECT_EQ(slow.crossbar_power_w, chosen.crossbar_power_w);
-      EXPECT_EQ(slow.standby_fraction, chosen.standby_fraction);
-      EXPECT_EQ(slow.realized_saving_w, chosen.realized_saving_w);
-      EXPECT_EQ(slow.saturated, chosen.saturated);
-    }
+    core::NocRunSpec spec;
+    spec.scheme = scheme;
+    spec.sim = core::default_mesh_config(rate, TrafficPattern::kUniform, 5);
+    spec.enable_gating = true;
+    const core::NocRunResult chosen = ctx.run_noc(spec);
+    spec.sim.enable_idle_fastpath = false;
+    const core::NocRunResult slow = ctx.run_noc(spec);
+    EXPECT_EQ(slow.avg_packet_latency_cycles,
+              chosen.avg_packet_latency_cycles);
+    EXPECT_EQ(slow.throughput_flits_node_cycle,
+              chosen.throughput_flits_node_cycle);
+    EXPECT_EQ(slow.network_power_w, chosen.network_power_w);
+    EXPECT_EQ(slow.crossbar_power_w, chosen.crossbar_power_w);
+    EXPECT_EQ(slow.standby_fraction, chosen.standby_fraction);
+    EXPECT_EQ(slow.realized_saving_w, chosen.realized_saving_w);
+    EXPECT_EQ(slow.saturated, chosen.saturated);
+  }
+}
+
+TEST(CycleSkip, PowerAndGatingColumnsUnaffected) {
+  expect_power_columns_identical(kSparse);
+}
+
+TEST(IdleFastPath, PowerAndGatingColumnsUnaffected) {
+  expect_power_columns_identical(kDense);
+}
+
+// The idle-period histogram is exactly the statistic a collapsed or
+// skipped cycle must still extend: every idle cycle lands in the
+// router's current idle run, per cycle or when flushed.
+void expect_idle_histogram_identical(double rate) {
+  core::LainContext ctx;
+  core::RunOptions sharded;
+  sharded.sim_threads = 4;
+  const SimConfig cfg =
+      core::default_mesh_config(rate, TrafficPattern::kUniform, 9);
+  const Histogram slow = ctx.idle_histogram(reference_of(cfg));
+  EXPECT_GT(slow.count(), 0);
+  for (const Histogram& got :
+       {ctx.idle_histogram(cfg), ctx.idle_histogram(cfg, sharded)}) {
+    EXPECT_EQ(slow.count(), got.count());
+    EXPECT_TRUE(slow.bins() == got.bins());
   }
 }
 
 TEST(CycleSkip, IdleRunHistogramUnaffected) {
-  // The idle-period histogram is exactly the statistic a collapsed or
-  // skipped cycle must still extend: every idle cycle lands in the
-  // router's current idle run, per cycle or when flushed.
-  core::LainContext ctx;
-  core::RunOptions sharded;
-  sharded.sim_threads = 4;
-  for (double rate : {kSparse, kDense}) {
-    const SimConfig cfg =
-        core::default_mesh_config(rate, TrafficPattern::kUniform, 9);
-    const Histogram slow = ctx.idle_histogram(reference_of(cfg));
-    EXPECT_GT(slow.count(), 0);
-    for (const Histogram& got :
-         {ctx.idle_histogram(cfg), ctx.idle_histogram(cfg, sharded)}) {
-      EXPECT_EQ(slow.count(), got.count()) << rate;
-      EXPECT_TRUE(slow.bins() == got.bins()) << rate;
-    }
-  }
+  expect_idle_histogram_identical(kSparse);
+}
+
+TEST(IdleFastPath, IdleRunHistogramUnaffected) {
+  expect_idle_histogram_identical(kDense);
 }
 
 TEST(CycleSkip, BareSteppingAdvancesOneCyclePerStep) {
