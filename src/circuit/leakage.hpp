@@ -21,6 +21,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -57,30 +59,89 @@ struct LeakageResult {
   std::vector<double> device_sub_a;   // per-device subthreshold current
   std::vector<double> device_gate_a;  // per-device gate current
   std::vector<double> node_voltage_v; // solved node voltages
+  // Gauss-Seidel sweeps the node solve ran (a memo hit reports the
+  // stored count).  LeakageSolver::kMaxSweeps means the cap, not the
+  // tolerance, may have ended it.
+  int sweeps = 0;
 
   double total_w() const { return subthreshold_w + gate_w; }
 };
 
+// Solves leakage states of one netlist under one device model.  Build
+// one solver per netlist and reuse it for every state: the solver
+// memoizes each node solution by its boundary state (below), so states
+// that differ only away from the floating nodes solve them once.
+//
+// The node solve is Gauss-Seidel relaxation over the floating nodes,
+// each balanced by bisection on [0, Vdd], for at most kMaxSweeps
+// sweeps.  Its iterates read only the floating nodes and the fixed
+// terminals of devices whose drain or source floats.  The memo key is
+// the floating-node set plus the bit patterns of those terminals, so a
+// hit returns the node voltages the relaxation would compute, bit for
+// bit.  The leakage evaluation runs on every call.  The memo keeps the
+// kMemoCapacity most recent boundary states.
+//
+// Some states reach the sweep cap unconverged: SDPC's standby slice at
+// the Table 1 point still moves ~1 mV per sweep at sweep 100.  Raising
+// the cap moves Table 1 (see ROADMAP item 5), so the cap is part of the
+// model; LeakageResult::sweeps makes it visible.
+//
+// The solver keeps references to the netlist and the model, so it
+// accepts neither as a temporary.
 class LeakageSolver {
  public:
+  static constexpr int kMaxSweeps = 100;
+  static constexpr std::size_t kMemoCapacity = 64;
+
   LeakageSolver(const Netlist& nl, const tech::DeviceModel& model);
+  LeakageSolver(Netlist&&, const tech::DeviceModel&) = delete;
+  LeakageSolver(const Netlist&, tech::DeviceModel&&) = delete;
+  LeakageSolver(Netlist&&, tech::DeviceModel&&) = delete;
 
   // Solves internal nodes and evaluates leakage.  Throws
-  // std::invalid_argument if a signal node was left unset.
-  LeakageResult solve(const NodeVoltages& state) const;
-
-  // Signed current into a node terminal through one device, at the
-  // given node voltages.  Exposed for tests.
-  double device_current_into(const Device& d, NodeId node,
-                             const std::vector<double>& v) const;
+  // std::invalid_argument if a signal node was left unset, and
+  // std::domain_error if a device without drive conducts.
+  LeakageResult solve(const NodeVoltages& state);
 
  private:
-  double solve_node(NodeId node, std::vector<double>& v) const;
+  // One netlist device (same index) with its model terms evaluated
+  // once.
+  struct SolverDevice {
+    std::size_t gate = 0;
+    std::size_t drain = 0;
+    std::size_t source = 0;
+    bool nmos = true;
+    tech::DeviceTerms terms;
+    double reff_ohm = 0.0;  // 0: no drive
+  };
+  // One device terminal (drain or source) at a node.
+  struct Incidence {
+    std::size_t device = 0;
+    bool at_drain = false;
+  };
+  struct MemoEntry {
+    std::vector<std::uint64_t> key;
+    std::vector<double> node_v;  // solved voltages, in unknown order
+    int sweeps = 0;
+  };
+
+  double channel_current(std::size_t device, double vg, double va,
+                         double vb) const;
+  double current_into(const Incidence& at,
+                      const std::vector<double>& v) const;
+  double solve_node(std::size_t node, std::vector<double>& v) const;
+  int relax(const std::vector<std::size_t>& unknown,
+            std::vector<double>& v) const;
 
   const Netlist& nl_;
   const tech::DeviceModel& model_;
-  // adjacency: devices touching each node via drain/source
-  std::vector<std::vector<DeviceId>> node_devices_;
+  std::vector<SolverDevice> devices_;
+  // Drain/source incidences per node, flattened: node n's run is
+  // incidences_[first_incidence_[n] .. first_incidence_[n + 1]).
+  std::vector<std::size_t> first_incidence_;
+  std::vector<Incidence> incidences_;
+  std::vector<MemoEntry> memo_;
+  std::size_t memo_next_ = 0;  // slot the next entry replaces when full
 };
 
 }  // namespace lain::circuit

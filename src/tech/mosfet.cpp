@@ -110,10 +110,22 @@ const DeviceParams& DeviceModel::params(DeviceType type, VtClass vt) const {
   return vt == VtClass::kNominal ? pmos_nominal_ : pmos_high_;
 }
 
-double DeviceModel::vth_v(const Mosfet& m, double vds_v) const {
+DeviceTerms DeviceModel::terms(const Mosfet& m) const {
   const DeviceParams& p = params(m.type, m.vt);
-  return p.vth0_v + vth_shift_v_ - p.dibl * (vds_v - vdd_v_) -
-         p.vth_tc * (temp_k_ - phys::kRoomTempK);
+  DeviceTerms t;
+  t.vth_base_v = p.vth0_v + vth_shift_v_;
+  t.dibl = p.dibl;
+  t.vdd_v = vdd_v_;
+  t.vth_temp_v = p.vth_tc * (temp_k_ - phys::kRoomTempK);
+  t.width_m = m.width_m;
+  t.vt_v = phys::thermal_voltage(temp_k_);
+  t.sub_scale_a = p.i0_sub * m.width_m * t.vt_v * t.vt_v;
+  t.n_vt_v = p.n_sub * t.vt_v;
+  return t;
+}
+
+double DeviceModel::vth_v(const Mosfet& m, double vds_v) const {
+  return terms(m).vth_v(vds_v);
 }
 
 double DeviceModel::ion_a(const Mosfet& m) const {
@@ -133,17 +145,8 @@ double DeviceModel::eff_resistance_ohm(const Mosfet& m) const {
 
 double DeviceModel::subthreshold_a(const Mosfet& m, double vgs_v,
                                    double vds_v) const {
-  if (vds_v <= 0.0 || m.width_m <= 0.0) return 0.0;
-  const DeviceParams& p = params(m.type, m.vt);
-  const double vt_therm = phys::thermal_voltage(temp_k_);
-  const double vth = vth_v(m, vds_v);
-  const double expo = (vgs_v - vth) / (p.n_sub * vt_therm);
-  // Clamp: above threshold the exponential law is invalid; leakage
-  // callers never ask for vgs > vth, but be safe.
-  const double ids = p.i0_sub * m.width_m * vt_therm * vt_therm *
-                     std::exp(std::min(expo, 0.0)) *
-                     (1.0 - std::exp(-vds_v / vt_therm));
-  return ids;
+  const DeviceTerms t = terms(m);
+  return t.subthreshold_a(vgs_v, vds_v, t.vth_v(vds_v));
 }
 
 double DeviceModel::ioff_a(const Mosfet& m) const {

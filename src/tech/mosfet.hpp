@@ -25,6 +25,9 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "tech/itrs.hpp"
 
 namespace lain::tech {
@@ -55,6 +58,39 @@ struct DeviceParams {
   double cdrain_per_m = 0.0; // drain junction + overlap cap per width (F/m)
 };
 
+// The bias-independent terms of one device's threshold and
+// subthreshold equations, and the one home of those two formulas:
+// DeviceModel::vth_v / subthreshold_a evaluate them on terms built per
+// call, while the leakage solver keeps one DeviceTerms per device so
+// its bisection does not rebuild them.  Each term is the sub-expression
+// the formula evaluates first, so both paths give identical bits.
+struct DeviceTerms {
+  double vth_base_v = 0.0;   // vth0 + corner shift
+  double dibl = 0.0;
+  double vdd_v = 0.0;
+  double vth_temp_v = 0.0;   // vth_tc * (T - 300 K)
+  double width_m = 0.0;
+  double vt_v = 0.0;         // thermal voltage
+  double sub_scale_a = 0.0;  // i0 * W * vT * vT
+  double n_vt_v = 0.0;       // n * vT
+
+  // Effective threshold at drain-source bias `vds_v` (magnitude).
+  double vth_v(double vds_v) const {
+    return vth_base_v - dibl * (vds_v - vdd_v) - vth_temp_v;
+  }
+
+  // Subthreshold current (A) at gate/drain bias magnitudes, given
+  // `vth` = vth_v(vds_v).
+  double subthreshold_a(double vgs_v, double vds_v, double vth) const {
+    if (vds_v <= 0.0 || width_m <= 0.0) return 0.0;
+    const double expo = (vgs_v - vth) / n_vt_v;
+    // Clamp: above threshold the exponential law is invalid; leakage
+    // callers never ask for vgs > vth, but be safe.
+    return sub_scale_a * std::exp(std::min(expo, 0.0)) *
+           (1.0 - std::exp(-vds_v / vt_v));
+  }
+};
+
 // Device model bound to a node (supplies Vdd, Lg) and a temperature.
 // Thread-safe: all methods are const.
 class DeviceModel {
@@ -75,6 +111,9 @@ class DeviceModel {
 
   const DeviceParams& params(DeviceType type, VtClass vt) const;
 
+  // The bias-independent threshold/subthreshold terms of `m`.
+  DeviceTerms terms(const Mosfet& m) const;
+
   // Effective threshold of `m` at drain-source bias `vds_v` (magnitude)
   // and the model temperature.
   double vth_v(const Mosfet& m, double vds_v) const;
@@ -83,7 +122,8 @@ class DeviceModel {
   double ion_a(const Mosfet& m) const;
 
   // Switching effective resistance: r_factor * Vdd / Ion.  Used by the
-  // Elmore delay engine.
+  // Elmore delay engine.  Throws std::domain_error when the device has
+  // no drive (Ion <= 0).
   double eff_resistance_ohm(const Mosfet& m) const;
 
   // Subthreshold current for gate/drain bias magnitudes (A).  vgs may

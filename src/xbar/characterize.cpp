@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "circuit/delay.hpp"
 #include "circuit/energy.hpp"
@@ -330,15 +331,13 @@ DelayPair compute_delay(const Ctx& c, Scheme scheme) {
 // Leakage scenarios
 // ---------------------------------------------------------------------
 
-double solve_w(const circuit::Netlist& nl, const DeviceModel& model,
-               const NodeVoltages& nv) {
-  const circuit::LeakageSolver solver(nl, model);
-  return solver.solve(nv).total_w();
-}
+// The functions below build the logic states characterize() solves;
+// compute_leakage() weights the solved powers into the leakage set.
 
 // Flat slice: one mux cell drives the full output wire.
-double flat_slice_leakage_w(const Ctx& c, const OutputSlice& s, bool granted,
-                            int d_granted, int d_others, bool standby) {
+NodeVoltages flat_slice_state(const Ctx& c, const OutputSlice& s,
+                              bool granted, int d_granted, int d_others,
+                              bool standby) {
   NodeVoltages nv(s.nl, c.model.vdd_v());
   const CellHandles& cell = s.cells.front();
   const int P_1 = static_cast<int>(cell.grants.size());
@@ -356,16 +355,16 @@ double flat_slice_leakage_w(const Ctx& c, const OutputSlice& s, bool granted,
   if (s.precharge_signal != circuit::kNoNode) {
     nv.set_logic(s.precharge_signal, true);  // deactivated (pFET off)
   }
-  return solve_w(s.nl, c.model, nv);
+  return nv;
 }
 
 // Segmented slice: the cell of one wire half drives; the other half's
 // cell is parked in per-segment standby (Sec 2.3's "higher probability
 // that some segments can be put in standby").  active_half: 0 = far
 // (crosses the boundary switch), 1 = near (boundary open).
-double seg_slice_leakage_w(const Ctx& c, const OutputSlice& s, int active_half,
-                           int d_granted, int d_others, bool standby,
-                           bool idle_ungated) {
+NodeVoltages seg_slice_state(const Ctx& c, const OutputSlice& s,
+                             int active_half, int d_granted, int d_others,
+                             bool standby, bool idle_ungated) {
   NodeVoltages nv(s.nl, c.model.vdd_v());
   const int H = static_cast<int>(s.cells.size());
   for (int h = 0; h < H; ++h) {
@@ -403,11 +402,11 @@ double seg_slice_leakage_w(const Ctx& c, const OutputSlice& s, int active_half,
   }
   // Segment nodes stay internal: the solver finds driven/floating
   // levels through the ON transistors.
-  return solve_w(s.nl, c.model, nv);
+  return nv;
 }
 
-double input_cell_leakage_w(const Ctx& c, const InputCell& cell, int d,
-                            bool standby, bool connected) {
+NodeVoltages input_cell_state(const Ctx& c, const InputCell& cell, int d,
+                              bool standby, bool connected) {
   NodeVoltages nv(cell.nl, c.model.vdd_v());
   const bool wire_high = standby ? false : d;
   nv.set_logic(cell.data_in, !wire_high);
@@ -420,7 +419,7 @@ double input_cell_leakage_w(const Ctx& c, const InputCell& cell, int d,
   if (cell.precharge_signal != circuit::kNoNode) {
     nv.set_logic(cell.precharge_signal, true);
   }
-  return solve_w(cell.nl, c.model, nv);
+  return nv;
 }
 
 struct LeakageSet {
@@ -429,12 +428,21 @@ struct LeakageSet {
   double standby_w = 0.0;
 };
 
-LeakageSet compute_leakage(const Ctx& c, Scheme scheme) {
-  const OutputSlice slice = build_output_slice(c.spec, scheme);
-  const InputCell in_cell = build_input_cell(c.spec, scheme);
+// `solve(state)` returns a state's leakage power (W); LeakageState
+// says which netlist the state belongs to.
+template <typename Solve>
+LeakageSet compute_leakage(const Ctx& c, Scheme scheme,
+                           const OutputSlice& slice, const InputCell& in_cell,
+                           Solve&& solve) {
   const double p = c.spec.static_probability;
   const double q = 1.0 - p;
   const int cells = c.spec.flit_bits * c.spec.ports;  // per side
+  auto slice_w = [&](NodeVoltages nv) {
+    return solve(LeakageState{false, std::move(nv)});
+  };
+  auto in_cell_w = [&](NodeVoltages nv) {
+    return solve(LeakageState{true, std::move(nv)});
+  };
 
   auto mix4 = [&](auto&& f) {
     // E over granted data dg and background data do, independent with
@@ -447,35 +455,37 @@ LeakageSet compute_leakage(const Ctx& c, Scheme scheme) {
   double slice_active, slice_idle, slice_standby;
   if (!is_segmented(scheme)) {
     slice_active = mix4([&](int dg, int dn) {
-      return flat_slice_leakage_w(c, slice, true, dg, dn, false);
+      return slice_w(flat_slice_state(c, slice, true, dg, dn, false));
     });
     slice_idle = mix4([&](int dg, int dn) {
-      return flat_slice_leakage_w(c, slice, false, dg, dn, false);
+      return slice_w(flat_slice_state(c, slice, false, dg, dn, false));
     });
-    slice_standby = flat_slice_leakage_w(c, slice, false, 0, 0, true);
+    slice_standby = slice_w(flat_slice_state(c, slice, false, 0, 0, true));
   } else {
     // Average over which wire half holds the granted input (weighted
     // by how many input rows land in each half).
     const int n_inputs = c.spec.ports - 1;
     const double w_far = static_cast<double>((n_inputs + 1) / 2) / n_inputs;
     const double act_far = mix4([&](int dg, int dn) {
-      return seg_slice_leakage_w(c, slice, 0, dg, dn, false, false);
+      return slice_w(seg_slice_state(c, slice, 0, dg, dn, false, false));
     });
     const double act_near = mix4([&](int dg, int dn) {
-      return seg_slice_leakage_w(c, slice, 1, dg, dn, false, false);
+      return slice_w(seg_slice_state(c, slice, 1, dg, dn, false, false));
     });
     slice_active = w_far * act_far + (1.0 - w_far) * act_near;
     slice_idle = mix4([&](int dg, int dn) {
-      return seg_slice_leakage_w(c, slice, 0, dg, dn, false, true);
+      return slice_w(seg_slice_state(c, slice, 0, dg, dn, false, true));
     });
-    slice_standby = seg_slice_leakage_w(c, slice, 0, 0, 0, true, false);
+    slice_standby =
+        slice_w(seg_slice_state(c, slice, 0, 0, 0, true, false));
   }
 
   const double in_active =
-      p * input_cell_leakage_w(c, in_cell, 1, false, true) +
-      q * input_cell_leakage_w(c, in_cell, 0, false, true);
+      p * in_cell_w(input_cell_state(c, in_cell, 1, false, true)) +
+      q * in_cell_w(input_cell_state(c, in_cell, 0, false, true));
   const double in_idle = in_active;
-  const double in_standby = input_cell_leakage_w(c, in_cell, 0, true, false);
+  const double in_standby =
+      in_cell_w(input_cell_state(c, in_cell, 0, true, false));
 
   out.active_w = cells * (slice_active + in_active);
   out.idle_w = cells * (slice_idle + in_idle);
@@ -641,7 +651,18 @@ Characterization characterize(const CrossbarSpec& spec, Scheme scheme) {
   r.delay_hl_s = d.hl_s;
   r.delay_lh_s = d.lh_s;
 
-  const LeakageSet leak = compute_leakage(ctx, scheme);
+  // One solver per netlist, so states sharing a boundary state share
+  // its node solve.
+  const OutputSlice slice = build_output_slice(spec, scheme);
+  const InputCell in_cell = build_input_cell(spec, scheme);
+  circuit::LeakageSolver slice_solver(slice.nl, ctx.model);
+  circuit::LeakageSolver in_cell_solver(in_cell.nl, ctx.model);
+  const LeakageSet leak = compute_leakage(
+      ctx, scheme, slice, in_cell, [&](const LeakageState& state) {
+        circuit::LeakageSolver& solver =
+            state.input_cell ? in_cell_solver : slice_solver;
+        return solver.solve(state.voltages).total_w();
+      });
   r.active_leakage_w = leak.active_w;
   r.idle_leakage_w = leak.idle_w;
   r.standby_leakage_w = leak.standby_w;
@@ -661,6 +682,20 @@ Characterization characterize(const CrossbarSpec& spec, Scheme scheme) {
         1, static_cast<int>(std::ceil(r.sleep_penalty_j() / saving_per_cycle)));
   }
   return r;
+}
+
+std::vector<LeakageState> leakage_states(const CrossbarSpec& spec,
+                                         Scheme scheme) {
+  spec.validate();
+  const Ctx ctx(spec);
+  std::vector<LeakageState> states;
+  compute_leakage(ctx, scheme, build_output_slice(spec, scheme),
+                  build_input_cell(spec, scheme),
+                  [&](LeakageState state) {
+                    states.push_back(std::move(state));
+                    return 0.0;
+                  });
+  return states;
 }
 
 }  // namespace lain::xbar

@@ -16,6 +16,9 @@
 
 #pragma once
 
+#include <vector>
+
+#include "circuit/leakage.hpp"
 #include "xbar/builder.hpp"
 #include "xbar/floorplan.hpp"
 #include "xbar/scheme.hpp"
@@ -60,6 +63,19 @@ struct Characterization {
 
 // Characterizes `scheme` at the given design point.
 Characterization characterize(const CrossbarSpec& spec, Scheme scheme);
+
+// One logic state characterize() solves for leakage.  `input_cell`
+// names its netlist: build_input_cell(spec, scheme) when set,
+// build_output_slice(spec, scheme) otherwise.
+struct LeakageState {
+  bool input_cell = false;
+  circuit::NodeVoltages voltages;
+};
+
+// Every leakage state characterize(spec, scheme) solves.  The slice's
+// standby state is the last slice state.
+std::vector<LeakageState> leakage_states(const CrossbarSpec& spec,
+                                         Scheme scheme);
 
 // Fractional saving of `value` relative to `base` (1 - value/base).
 double relative_saving(double base, double value);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <type_traits>
+#include <vector>
+
 #include "tech/itrs.hpp"
+#include "xbar/characterize.hpp"
 
 namespace lain::circuit {
 namespace {
@@ -11,6 +18,16 @@ using tech::DeviceModel;
 using tech::DeviceType;
 using tech::Mosfet;
 using tech::VtClass;
+
+// The solver keeps references to its netlist and model: temporaries
+// must not bind.
+static_assert(
+    std::is_constructible_v<LeakageSolver, Netlist&, const DeviceModel&>);
+static_assert(
+    !std::is_constructible_v<LeakageSolver, Netlist, const DeviceModel&>);
+static_assert(
+    !std::is_constructible_v<LeakageSolver, const Netlist&, DeviceModel>);
+static_assert(!std::is_constructible_v<LeakageSolver, Netlist, DeviceModel>);
 
 class LeakageTest : public ::testing::Test {
  protected:
@@ -30,7 +47,7 @@ TEST_F(LeakageTest, OffInverterLeaksItsOffDevice) {
   NodeVoltages nv(nl, model.vdd_v());
   nv.set_logic(in, true);
   nv.set_logic(out, false);
-  const LeakageSolver solver(nl, model);
+  LeakageSolver solver(nl, model);
   const LeakageResult res = solver.solve(nv);
   // Subthreshold power should match the PMOS's Ioff * Vdd closely.
   EXPECT_NEAR(res.subthreshold_w, model.ioff_a(p) * model.vdd_v(),
@@ -140,6 +157,138 @@ TEST_F(LeakageTest, NoDoubleCountingInSeriesPath) {
       res.device_sub_a[static_cast<size_t>(nl.find_device("bot"))];
   EXPECT_NEAR(res.subthreshold_w, i_bot * model.vdd_v(),
               0.02 * res.subthreshold_w);
+}
+
+TEST_F(LeakageTest, StackConvergesBeforeTheSweepCap) {
+  Netlist nl;
+  const NodeId top = nl.add_node("TOP");
+  const NodeId mid = nl.add_node("MID", NodeKind::kInternal);
+  nl.add_device("hi", n1um, DeviceRole::kOther, nl.gnd(), top, mid);
+  nl.add_device("lo", n1um, DeviceRole::kOther, nl.gnd(), mid, nl.gnd());
+  NodeVoltages nv(nl, model.vdd_v());
+  nv.set_logic(top, true);
+  const LeakageResult res = LeakageSolver(nl, model).solve(nv);
+  EXPECT_GT(res.sweeps, 0);
+  EXPECT_LT(res.sweeps, LeakageSolver::kMaxSweeps);
+}
+
+// Known non-convergence: SDPC's standby slice at the paper point is
+// still moving ~1 mV per sweep when the cap ends the solve.
+TEST_F(LeakageTest, SdpcStandbyStopsAtTheSweepCap) {
+  const xbar::CrossbarSpec spec = xbar::table1_spec();
+  const xbar::OutputSlice slice =
+      xbar::build_output_slice(spec, xbar::Scheme::kSDPC);
+  const DeviceModel paper(tech::itrs_node(spec.node), spec.temp_k);
+  const NodeVoltages* standby = nullptr;
+  const std::vector<xbar::LeakageState> states =
+      xbar::leakage_states(spec, xbar::Scheme::kSDPC);
+  for (const xbar::LeakageState& s : states) {
+    if (!s.input_cell) standby = &s.voltages;  // the last slice state
+  }
+  ASSERT_NE(standby, nullptr);
+  EXPECT_EQ(LeakageSolver(slice.nl, paper).solve(*standby).sweeps,
+            LeakageSolver::kMaxSweeps);
+}
+
+TEST_F(LeakageTest, NoDriveDeviceThrowsOnlyWhenItConducts) {
+  // Zero drive scale: every device has Ion = 0.
+  const DeviceModel no_drive(node, 383.0, 0.0, 0.0, 1.0);
+  Netlist nl;
+  const NodeId g = nl.add_node("G");
+  const NodeId top = nl.add_node("TOP");
+  nl.add_device("m", n1um, DeviceRole::kOther, g, top, nl.gnd());
+  LeakageSolver solver(nl, no_drive);  // never throws here
+  NodeVoltages off(nl, model.vdd_v());
+  off.set_logic(g, false);
+  off.set_logic(top, true);
+  EXPECT_NO_THROW(solver.solve(off));
+  NodeVoltages on = off;
+  on.set_logic(g, true);
+  EXPECT_THROW(solver.solve(on), std::domain_error);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_bitwise_equal(const LeakageResult& a, const LeakageResult& b,
+                          std::size_t state) {
+  EXPECT_TRUE(same_bits(a.subthreshold_w, b.subthreshold_w)) << state;
+  EXPECT_TRUE(same_bits(a.gate_w, b.gate_w)) << state;
+  EXPECT_EQ(a.sweeps, b.sweeps) << state;
+  for (const auto& [va, vb] :
+       {std::pair{&a.device_sub_a, &b.device_sub_a},
+        std::pair{&a.device_gate_a, &b.device_gate_a},
+        std::pair{&a.node_voltage_v, &b.node_voltage_v}}) {
+    ASSERT_EQ(va->size(), vb->size()) << state;
+    for (std::size_t i = 0; i < va->size(); ++i) {
+      EXPECT_TRUE(same_bits((*va)[i], (*vb)[i])) << state << " [" << i << "]";
+    }
+  }
+}
+
+// Every state characterize() visits, solved on one shared solver per
+// netlist (forward and in reverse) and on a fresh solver per state:
+// the memo must not change a single bit.
+TEST(LeakageMemo, SharedSolverMatchesFreshSolverPerState) {
+  const xbar::CrossbarSpec spec = xbar::table1_spec();
+  const DeviceModel model(tech::itrs_node(spec.node), spec.temp_k);
+  for (xbar::Scheme scheme : {xbar::Scheme::kSDFC, xbar::Scheme::kSDPC}) {
+    SCOPED_TRACE(std::string(xbar::scheme_name(scheme)));
+    const xbar::OutputSlice slice = xbar::build_output_slice(spec, scheme);
+    const xbar::InputCell in_cell = xbar::build_input_cell(spec, scheme);
+    const std::vector<xbar::LeakageState> states =
+        xbar::leakage_states(spec, scheme);
+    ASSERT_FALSE(states.empty());
+    auto netlist = [&](const xbar::LeakageState& s) -> const Netlist& {
+      return s.input_cell ? in_cell.nl : slice.nl;
+    };
+
+    std::vector<LeakageResult> fresh;
+    for (const xbar::LeakageState& s : states) {
+      fresh.push_back(LeakageSolver(netlist(s), model).solve(s.voltages));
+    }
+    LeakageSolver slice_fwd(slice.nl, model), cell_fwd(in_cell.nl, model);
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      LeakageSolver& solver = states[i].input_cell ? cell_fwd : slice_fwd;
+      expect_bitwise_equal(solver.solve(states[i].voltages), fresh[i], i);
+    }
+    LeakageSolver slice_rev(slice.nl, model), cell_rev(in_cell.nl, model);
+    for (std::size_t i = states.size(); i-- > 0;) {
+      LeakageSolver& solver = states[i].input_cell ? cell_rev : slice_rev;
+      expect_bitwise_equal(solver.solve(states[i].voltages), fresh[i], i);
+    }
+  }
+}
+
+// A floating node between two OFF switches: changing any one of its
+// boundary terminals (a far S/D node or a switch gate) moves it, so a
+// state that differs there must miss the memo.
+TEST_F(LeakageTest, BoundaryChangeMissesTheMemo) {
+  Netlist nl;
+  const NodeId seg = nl.add_node("SEG", NodeKind::kInternal);
+  const NodeId hi = nl.add_node("HI");
+  const NodeId lo = nl.add_node("LO");
+  const NodeId g = nl.add_node("G");
+  nl.add_device("sw_hi", n1um, DeviceRole::kSegmentSwitch, g, hi, seg);
+  nl.add_device("sw_lo", n1um, DeviceRole::kSegmentSwitch, nl.gnd(), seg,
+                lo);
+  NodeVoltages base(nl, model.vdd_v());
+  base.set_logic(hi, true);
+  base.set_logic(lo, false);
+  base.set_logic(g, false);
+  const std::size_t s = static_cast<std::size_t>(seg);
+  for (const auto& [node, voltage] :
+       {std::pair{hi, 0.6}, std::pair{lo, 0.2}, std::pair{g, 0.1}}) {
+    NodeVoltages moved = base;
+    moved.set(node, voltage);
+    LeakageSolver shared(nl, model);
+    const LeakageResult first = shared.solve(base);
+    const LeakageResult second = shared.solve(moved);
+    const LeakageResult fresh = LeakageSolver(nl, model).solve(moved);
+    EXPECT_NE(second.node_voltage_v[s], first.node_voltage_v[s]) << node;
+    expect_bitwise_equal(second, fresh, static_cast<std::size_t>(node));
+  }
 }
 
 }  // namespace
