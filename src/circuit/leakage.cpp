@@ -219,15 +219,11 @@ LeakageResult LeakageSolver::solve(const NodeVoltages& state) {
     res.sweeps = hit->sweeps;
   } else {
     res.sweeps = relax(unknown, v);
-    MemoEntry entry{std::move(key), {}, res.sweeps};
-    entry.node_v.reserve(unknown.size());
+    if (memo_.size() == kMemoCapacity) memo_.clear();
+    MemoEntry& entry = memo_.emplace_back();
+    entry.key = std::move(key);
     for (const std::size_t n : unknown) entry.node_v.push_back(v[n]);
-    if (memo_.size() < kMemoCapacity) {
-      memo_.push_back(std::move(entry));
-    } else {
-      memo_[memo_next_] = std::move(entry);
-      memo_next_ = (memo_next_ + 1) % kMemoCapacity;
-    }
+    entry.sweeps = res.sweeps;
   }
 
   res.node_voltage_v = v;

@@ -78,13 +78,14 @@ struct LeakageResult {
 // terminals of devices whose drain or source floats.  The memo key is
 // the floating-node set plus the bit patterns of those terminals, so a
 // hit returns the node voltages the relaxation would compute, bit for
-// bit.  The leakage evaluation runs on every call.  The memo keeps the
-// kMemoCapacity most recent boundary states.
+// bit.  The leakage evaluation runs on every call.  The memo holds at
+// most kMemoCapacity boundary states and starts over when full.
 //
-// Some states reach the sweep cap unconverged: SDPC's standby slice at
-// the Table 1 point still moves ~1 mV per sweep at sweep 100.  Raising
-// the cap moves Table 1 (see ROADMAP item 5), so the cap is part of the
-// model; LeakageResult::sweeps makes it visible.
+// Some states reach the sweep cap unconverged: at the Table 1 point,
+// SDPC's standby slice still moves a node by 0.25 mV in sweep 100, and
+// its near-half active states by 1 mV.  Raising the cap moves Table 1
+// (see ROADMAP item 5), so the cap is part of the model;
+// LeakageResult::sweeps makes it visible.
 //
 // The solver keeps references to the netlist and the model, so it
 // accepts neither as a temporary.
@@ -141,7 +142,6 @@ class LeakageSolver {
   std::vector<std::size_t> first_incidence_;
   std::vector<Incidence> incidences_;
   std::vector<MemoEntry> memo_;
-  std::size_t memo_next_ = 0;  // slot the next entry replaces when full
 };
 
 }  // namespace lain::circuit

@@ -173,7 +173,7 @@ TEST_F(LeakageTest, StackConvergesBeforeTheSweepCap) {
 }
 
 // Known non-convergence: SDPC's standby slice at the paper point is
-// still moving ~1 mV per sweep when the cap ends the solve.
+// still moving a node by 0.25 mV in the sweep the cap ends it on.
 TEST_F(LeakageTest, SdpcStandbyStopsAtTheSweepCap) {
   const xbar::CrossbarSpec spec = xbar::table1_spec();
   const xbar::OutputSlice slice =
@@ -288,6 +288,25 @@ TEST_F(LeakageTest, BoundaryChangeMissesTheMemo) {
     const LeakageResult fresh = LeakageSolver(nl, model).solve(moved);
     EXPECT_NE(second.node_voltage_v[s], first.node_voltage_v[s]) << node;
     expect_bitwise_equal(second, fresh, static_cast<std::size_t>(node));
+  }
+}
+
+// More boundary states than the memo holds: every solve, including a
+// repeat of the first state after the memo started over, stays exact.
+TEST_F(LeakageTest, MemoStaysExactPastItsCapacity) {
+  Netlist nl;
+  const NodeId seg = nl.add_node("SEG", NodeKind::kInternal);
+  const NodeId hi = nl.add_node("HI");
+  nl.add_device("sw_hi", n1um, DeviceRole::kSegmentSwitch, nl.gnd(), hi, seg);
+  nl.add_device("sw_lo", n1um, DeviceRole::kSegmentSwitch, nl.gnd(), seg,
+                nl.gnd());
+  LeakageSolver shared(nl, model);
+  const std::size_t states = LeakageSolver::kMemoCapacity + 5;
+  for (std::size_t i = 0; i <= states; ++i) {
+    NodeVoltages nv(nl, model.vdd_v());
+    nv.set(hi, 0.3 + 0.005 * static_cast<double>(i % states));
+    expect_bitwise_equal(shared.solve(nv), LeakageSolver(nl, model).solve(nv),
+                         i);
   }
 }
 
