@@ -83,9 +83,9 @@ struct LeakageResult {
 //
 // Some states reach the sweep cap unconverged: at the Table 1 point,
 // SDPC's standby slice still moves a node by 0.25 mV in sweep 100, and
-// its near-half active states by 1 mV.  Raising the cap moves Table 1
-// (see ROADMAP item 5), so the cap is part of the model;
-// LeakageResult::sweeps makes it visible.
+// its near-half active states by 1 mV.  Raising the cap moves Table 1,
+// so the cap is part of the model; LeakageResult::sweeps makes it
+// visible.
 //
 // The solver keeps references to the netlist and the model, so it
 // accepts neither as a temporary.
