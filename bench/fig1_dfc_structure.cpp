@@ -5,8 +5,7 @@
 #include <cstdio>
 
 #include "tech/units.hpp"
-#include "xbar/dfc.hpp"
-#include "xbar/sc.hpp"
+#include "xbar/builder.hpp"
 
 using namespace lain;
 using namespace lain::xbar;
@@ -46,9 +45,9 @@ int main() {
               "slice (1 bit)\n\n");
   const CrossbarSpec spec = table1_spec();
   report("SC baseline (same circuit, single nominal Vt):",
-         build_sc_slice(spec));
+         build_output_slice(spec, Scheme::kSC));
   report("DFC (staggered dual-Vt favoring the HL transition):",
-         build_dfc_slice(spec));
+         build_output_slice(spec, Scheme::kDFC));
   std::printf("Per-crossbar totals: multiply by flit_bits x ports = %d\n",
               spec.flit_bits * spec.ports);
   return 0;

@@ -6,9 +6,8 @@
 
 #include "circuit/leakage.hpp"
 #include "tech/units.hpp"
+#include "xbar/builder.hpp"
 #include "xbar/characterize.hpp"
-#include "xbar/dpc.hpp"
-#include "xbar/sc.hpp"
 
 using namespace lain;
 using namespace lain::xbar;
@@ -16,7 +15,7 @@ using namespace lain::xbar;
 int main() {
   std::printf("E3: Fig 2 — dual-Vt pre-charged crossbar (DPC)\n\n");
   const CrossbarSpec spec = table1_spec();
-  const OutputSlice s = build_dpc_slice(spec);
+  const OutputSlice s = build_output_slice(spec, Scheme::kDPC);
 
   std::printf("Precharge pFETs: %zu (width %.2f um, high-Vt)\n",
               s.nl.count_devices(circuit::DeviceRole::kPrecharge),

@@ -7,10 +7,9 @@
 #include <cstdio>
 
 #include "tech/units.hpp"
+#include "xbar/builder.hpp"
 #include "xbar/characterize.hpp"
 #include "xbar/floorplan.hpp"
-#include "xbar/sdfc.hpp"
-#include "xbar/sdpc.hpp"
 
 using namespace lain;
 using namespace lain::xbar;

@@ -3,8 +3,7 @@
 // scaling studies) is one of its subcommands.
 //
 //   lain_bench <subcommand> [--threads N] [--csv | --json] [--out FILE]
-//              [--metrics-window N] [--metrics-out FILE] [--progress]
-//              [--trace-flits N] [axis flags...]
+//              [the subcommand's own flags...]
 //   lain_bench --scenario-file FILE [shared flags...]
 //   lain_bench --list-scenarios
 //   lain_bench <subcommand> --help
@@ -13,8 +12,15 @@
 // from core::ScenarioRegistry::builtin(); the per-subcommand driver
 // (flag parsing, context sizing, output emission) is
 // core::run_scenario_cli.  Unknown subcommands and flags a scenario
-// does not accept fail with the registry-derived usage and a nonzero
-// exit.
+// does not accept fail with the registry-derived usage and exit 2.
+//
+// Beyond the four universal flags above, each subcommand takes its
+// axis flags, and the subcommands that simulate a network the fault
+// group (--fault-*, --allow-partition) and — all but mesh_scaling —
+// the telemetry group (--metrics-*, --trace-flits, --progress,
+// --abort-on-*).  The circuit subcommands (table1, corner_sweep,
+// node_scaling, static_probability, breakeven, segmentation) take
+// neither group.
 //
 // --threads parallelizes across sweep jobs; --sim-threads shards one
 // simulation across a thread-pool kernel and --partition picks the
@@ -24,14 +30,15 @@
 //       --patterns uniform,transpose,tornado --schemes all --replicates 3
 //   lain_bench mesh_scaling --radices 16,32 --partition rows,blocks2d
 //
-// The universal telemetry flags stream every simulation in the run:
+// The telemetry flags stream every simulation in the run:
 //   lain_bench injection_sweep --rates 0.10 --metrics-window 500
 //       --metrics-out metrics.jsonl --progress --trace-flits 256
 // See README "Observability" for the JSONL schema.
 //
 // --scenario-file runs a batch of jobs from a JSONL file (one job
 // object per line — the same wire format lain_serve accepts); any
-// further flags are shared across the jobs and override the file:
+// further flags are shared across the jobs and override the file, so
+// each must be one every job's scenario accepts:
 //   lain_bench --scenario-file jobs.jsonl --csv --threads 4
 // See README "Sweep service" for the job schema.
 

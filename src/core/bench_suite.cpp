@@ -1,6 +1,7 @@
 #include "core/bench_suite.hpp"
 
 #include <chrono>
+#include <iterator>
 #include <string>
 
 #include "core/context.hpp"
@@ -9,12 +10,22 @@
 #include "noc/parallel/sharded_sim.hpp"
 #include "power/sleep_controller.hpp"
 #include "tech/corners.hpp"
+#include "tech/itrs.hpp"
 #include "tech/units.hpp"
 #include "xbar/characterize.hpp"
 
 namespace lain::core {
 
 namespace {
+
+// mesh_scaling's phase lengths, the same for every timed row.
+constexpr noc::Cycle kScalingWarmupCycles = 200;
+constexpr noc::Cycle kScalingMeasureCycles = 1000;
+
+// node_scaling's technology axis.
+constexpr tech::Node kScalingNodes[] = {tech::Node::k90nm, tech::Node::k65nm,
+                                        tech::Node::k45nm};
+constexpr std::size_t kNumScalingNodes = std::size(kScalingNodes);
 
 std::string scheme_str(xbar::Scheme s) {
   return std::string(xbar::scheme_name(s));
@@ -42,31 +53,31 @@ std::vector<xbar::Characterization> characterize_grid(
 
 }  // namespace
 
-ReportTable injection_sweep(LainContext& ctx, const NocSweepOptions& opt,
+ReportTable injection_sweep(LainContext& ctx, const ScenarioSpec& spec,
                             const SweepEngine& engine) {
   SweepAxes axes;
-  axes.schemes = opt.schemes;
-  axes.patterns = opt.patterns;
-  axes.injection_rates = opt.rates;
-  axes.hotspot_fractions = opt.hotspot_fracs;
-  axes.burst_duties = opt.burst_duties;
-  axes.seeds = opt.seeds;
+  axes.schemes = spec.schemes;
+  axes.patterns = spec.patterns;
+  axes.injection_rates = spec.rates;
+  axes.hotspot_fractions = spec.hotspot_fracs;
+  axes.burst_duties = spec.burst_duties;
+  axes.seeds = spec.seeds;
 
   const std::vector<NocRunResult> results =
       engine.map_points<NocRunResult>(axes, [&](const SweepPoint& p) {
-        NocRunSpec spec(opt.run);
-        spec.scheme = p.scheme;
-        spec.sim = default_mesh_config(p.injection_rate, p.pattern, p.seed);
-        spec.sim.hotspot_fraction = p.hotspot_fraction;
-        spec.sim.burst_duty = p.burst_duty;
-        spec.sim.burst_on_mean_cycles = opt.burst_on_mean_cycles;
-        spec.enable_gating = opt.gating;
-        return ctx.run_noc(spec);
+        NocRunSpec run(spec.run);
+        run.scheme = p.scheme;
+        run.sim = default_mesh_config(p.injection_rate, p.pattern, p.seed);
+        run.sim.hotspot_fraction = p.hotspot_fraction;
+        run.sim.burst_duty = p.burst_duty;
+        run.sim.burst_on_mean_cycles = spec.burst_on_mean_cycles;
+        run.enable_gating = spec.gating;
+        return ctx.run_noc(run);
       });
 
-  const bool show_hotspot = opt.hotspot_fracs.size() > 1;
-  const bool show_duty = opt.burst_duties.size() > 1;
-  const bool show_seed = opt.seeds.size() > 1;
+  const bool show_hotspot = spec.hotspot_fracs.size() > 1;
+  const bool show_duty = spec.burst_duties.size() > 1;
+  const bool show_seed = spec.seeds.size() > 1;
   ReportTable t;
   t.add_column("pattern", 9, Align::kLeft)
       .add_column("scheme", 6, Align::kLeft)
@@ -105,14 +116,14 @@ ReportTable injection_sweep(LainContext& ctx, const NocSweepOptions& opt,
   return t;
 }
 
-ReportTable idle_histogram(LainContext& ctx, const IdleHistogramOptions& opt,
+ReportTable idle_histogram(LainContext& ctx, const ScenarioSpec& spec,
                            const SweepEngine& engine) {
   SweepAxes axes;
-  axes.patterns = opt.patterns;
-  axes.injection_rates = opt.rates;
-  axes.hotspot_fractions = opt.hotspot_fracs;
-  axes.burst_duties = opt.burst_duties;
-  axes.seeds = opt.seeds;
+  axes.patterns = spec.patterns;
+  axes.injection_rates = spec.rates;
+  axes.hotspot_fractions = spec.hotspot_fracs;
+  axes.burst_duties = spec.burst_duties;
+  axes.seeds = spec.seeds;
 
   const std::vector<noc::Histogram> results =
       engine.map_points<noc::Histogram>(axes, [&](const SweepPoint& p) {
@@ -120,13 +131,13 @@ ReportTable idle_histogram(LainContext& ctx, const IdleHistogramOptions& opt,
             default_mesh_config(p.injection_rate, p.pattern, p.seed);
         cfg.hotspot_fraction = p.hotspot_fraction;
         cfg.burst_duty = p.burst_duty;
-        cfg.burst_on_mean_cycles = opt.burst_on_mean_cycles;
-        return ctx.idle_histogram(cfg, opt.run);
+        cfg.burst_on_mean_cycles = spec.burst_on_mean_cycles;
+        return ctx.idle_histogram(cfg, spec.run);
       });
 
-  const bool show_hotspot = opt.hotspot_fracs.size() > 1;
-  const bool show_duty = opt.burst_duties.size() > 1;
-  const bool show_seed = opt.seeds.size() > 1;
+  const bool show_hotspot = spec.hotspot_fracs.size() > 1;
+  const bool show_duty = spec.burst_duties.size() > 1;
+  const bool show_seed = spec.seeds.size() > 1;
   ReportTable t;
   t.add_column("pattern", 9, Align::kLeft).add_column("rate", 6, Align::kLeft);
   if (show_hotspot) t.add_column("hotspot", 8, Align::kLeft);
@@ -161,7 +172,7 @@ ReportTable idle_histogram(LainContext& ctx, const IdleHistogramOptions& opt,
   return t;
 }
 
-ReportTable mesh_vs_torus(LainContext& ctx, const MeshVsTorusOptions& opt,
+ReportTable mesh_vs_torus(LainContext& ctx, const ScenarioSpec& spec,
                           const SweepEngine& engine) {
   // Job layout: (pattern, radix, rate) x {mesh, torus}.
   struct Point {
@@ -170,9 +181,9 @@ ReportTable mesh_vs_torus(LainContext& ctx, const MeshVsTorusOptions& opt,
     double rate;
   };
   std::vector<Point> points;
-  for (noc::TrafficPattern pattern : opt.patterns) {
-    for (int radix : opt.radices) {
-      for (double rate : opt.rates) {
+  for (noc::TrafficPattern pattern : spec.patterns) {
+    for (int radix : spec.radices) {
+      for (double rate : spec.rates) {
         points.push_back(Point{pattern, radix, rate});
       }
     }
@@ -184,12 +195,12 @@ ReportTable mesh_vs_torus(LainContext& ctx, const MeshVsTorusOptions& opt,
         const noc::TopologyKind topology = (job % 2 == 0)
                                                ? noc::TopologyKind::kMesh
                                                : noc::TopologyKind::kTorus;
-        NocRunSpec spec(opt.run);
-        spec.scheme = opt.scheme;
-        spec.sim = make_sim_config(p.radix, topology, p.rate, p.pattern,
-                                   opt.seed);
-        spec.enable_gating = opt.gating;
-        return ctx.run_noc(spec);
+        NocRunSpec run(spec.run);
+        run.scheme = spec.schemes.front();
+        run.sim = make_sim_config(p.radix, topology, p.rate, p.pattern,
+                                  spec.seed);
+        run.enable_gating = spec.gating;
+        return ctx.run_noc(run);
       });
 
   ReportTable t;
@@ -225,7 +236,7 @@ ReportTable mesh_vs_torus(LainContext& ctx, const MeshVsTorusOptions& opt,
   return t;
 }
 
-ReportTable mesh_scaling(const MeshScalingOptions& opt) {
+ReportTable mesh_scaling(const ScenarioSpec& spec) {
   ReportTable t;
   t.add_column("radix", 6, Align::kLeft)
       .add_column("nodes", 7)
@@ -241,14 +252,14 @@ ReportTable mesh_scaling(const MeshScalingOptions& opt) {
       .add_column("lat", 8)
       .add_column("match", 6, Align::kLeft);
 
-  for (int radix : opt.radices) {
+  for (int radix : spec.radices) {
     noc::SimConfig cfg =
-        make_sim_config(radix, noc::TopologyKind::kMesh, opt.injection_rate,
-                        opt.pattern, opt.seed);
-    cfg.warmup_cycles = opt.warmup_cycles;
-    cfg.measure_cycles = opt.measure_cycles;
+        make_sim_config(radix, noc::TopologyKind::kMesh, spec.rates.front(),
+                        spec.patterns.front(), spec.seed);
+    cfg.warmup_cycles = kScalingWarmupCycles;
+    cfg.measure_cycles = kScalingMeasureCycles;
     // No thread budget: the runs are timed one at a time on purpose.
-    const noc::ShardedOptions engine = apply_run_options(opt.run, cfg);
+    const noc::ShardedOptions engine = apply_run_options(spec.run, cfg);
 
     // The first (partition, shards) pair anchors speedup and the
     // bit-identity check for the whole radix — every partition shape
@@ -256,8 +267,8 @@ ReportTable mesh_scaling(const MeshScalingOptions& opt) {
     bool have_base = false;
     double base_ms = 0.0;
     noc::SimStats base;
-    for (noc::PartitionStrategy partition : opt.partitions) {
-      for (int shards : opt.shard_counts) {
+    for (noc::PartitionStrategy partition : spec.partition_list) {
+      for (int shards : spec.sim_thread_list) {
         noc::ShardedOptions sopt = engine;
         sopt.shards = shards;
         sopt.partition = partition;
@@ -307,20 +318,20 @@ ReportTable mesh_scaling(const MeshScalingOptions& opt) {
   return t;
 }
 
-ReportTable corner_sweep(LainContext& ctx, const CornerSweepOptions& opt,
+ReportTable corner_sweep(LainContext& ctx, const ScenarioSpec& spec,
                          const SweepEngine& engine) {
   // Every (temp, scheme) pair, plus a per-temp SC baseline for the
   // saving column when SC is not already on the scheme axis; all
   // characterized in one parallel grid.
-  std::vector<xbar::Scheme> grid_schemes = opt.schemes;
+  std::vector<xbar::Scheme> grid_schemes = spec.schemes;
   std::size_t sc_at = grid_schemes.size();
   for (std::size_t s = 0; s < grid_schemes.size(); ++s)
     if (grid_schemes[s] == xbar::Scheme::kSC) sc_at = s;
   if (sc_at == grid_schemes.size()) grid_schemes.push_back(xbar::Scheme::kSC);
   const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, opt.temps_c.size(), grid_schemes,
-      [&](xbar::CrossbarSpec& spec, std::size_t axis) {
-        spec.temp_k = opt.temps_c[axis] + 273.0;
+      ctx, engine, spec.temps_c.size(), grid_schemes,
+      [&](xbar::CrossbarSpec& xs, std::size_t axis) {
+        xs.temp_k = spec.temps_c[axis] + 273.0;
       });
   auto at = [&](std::size_t axis, std::size_t s) -> const auto& {
     return chars[axis * grid_schemes.size() + s];
@@ -332,17 +343,17 @@ ReportTable corner_sweep(LainContext& ctx, const CornerSweepOptions& opt,
       .add_column("active mW", 14)
       .add_column("standby mW", 14)
       .add_column("act saving", 12);
-  for (std::size_t a = 0; a < opt.temps_c.size(); ++a) {
-    for (std::size_t s = 0; s < opt.schemes.size(); ++s) {
+  for (std::size_t a = 0; a < spec.temps_c.size(); ++a) {
+    for (std::size_t s = 0; s < spec.schemes.size(); ++s) {
       const xbar::Characterization& c = at(a, s);
       const double saving =
-          opt.schemes[s] == xbar::Scheme::kSC
+          spec.schemes[s] == xbar::Scheme::kSC
               ? 0.0
               : xbar::relative_saving(at(a, sc_at).active_leakage_w,
                                       c.active_leakage_w);
       t.begin_row()
-          .cell(opt.temps_c[a], 0)
-          .cell(scheme_str(opt.schemes[s]))
+          .cell(spec.temps_c[a], 0)
+          .cell(scheme_str(spec.schemes[s]))
           .cell(to_mW(c.active_leakage_w), 3)
           .cell(to_mW(c.standby_leakage_w), 3)
           .cell_pct(saving, 1);
@@ -377,12 +388,12 @@ ReportTable corner_device_report() {
   return t;
 }
 
-ReportTable node_scaling(LainContext& ctx, const NodeScalingOptions& opt,
+ReportTable node_scaling(LainContext& ctx, const ScenarioSpec& spec,
                          const SweepEngine& engine) {
   const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, opt.nodes.size(), opt.schemes,
-      [&](xbar::CrossbarSpec& spec, std::size_t axis) {
-        spec.node = opt.nodes[axis];
+      ctx, engine, kNumScalingNodes, spec.schemes,
+      [](xbar::CrossbarSpec& xs, std::size_t axis) {
+        xs.node = kScalingNodes[axis];
       });
 
   ReportTable t;
@@ -392,12 +403,12 @@ ReportTable node_scaling(LainContext& ctx, const NodeScalingOptions& opt,
       .add_column("leakage mW", 12)
       .add_column("total mW", 12)
       .add_column("leak share", 10);
-  for (std::size_t a = 0; a < opt.nodes.size(); ++a) {
-    for (std::size_t s = 0; s < opt.schemes.size(); ++s) {
-      const xbar::Characterization& c = chars[a * opt.schemes.size() + s];
+  for (std::size_t a = 0; a < kNumScalingNodes; ++a) {
+    for (std::size_t s = 0; s < spec.schemes.size(); ++s) {
+      const xbar::Characterization& c = chars[a * spec.schemes.size() + s];
       t.begin_row()
-          .cell(std::string(tech::itrs_node(opt.nodes[a]).name))
-          .cell(scheme_str(opt.schemes[s]))
+          .cell(std::string(tech::itrs_node(kScalingNodes[a]).name))
+          .cell(scheme_str(spec.schemes[s]))
           .cell(to_mW(c.dynamic_power_w + c.control_power_w), 2)
           .cell(to_mW(c.active_leakage_w), 2)
           .cell(to_mW(c.total_power_w), 2)
@@ -407,18 +418,17 @@ ReportTable node_scaling(LainContext& ctx, const NodeScalingOptions& opt,
   return t;
 }
 
-ReportTable node_scaling_savings(LainContext& ctx,
-                                 const NodeScalingOptions& opt,
+ReportTable node_scaling_savings(LainContext& ctx, const ScenarioSpec& spec,
                                  const SweepEngine& engine) {
   // SC anchors the saving column even when not requested: put it at
   // the front of the grid and only emit the requested columns.
   std::vector<xbar::Scheme> grid_schemes{xbar::Scheme::kSC};
-  for (xbar::Scheme s : opt.schemes)
+  for (xbar::Scheme s : spec.schemes)
     if (s != xbar::Scheme::kSC) grid_schemes.push_back(s);
   const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, opt.nodes.size(), grid_schemes,
-      [&](xbar::CrossbarSpec& spec, std::size_t axis) {
-        spec.node = opt.nodes[axis];
+      ctx, engine, kNumScalingNodes, grid_schemes,
+      [](xbar::CrossbarSpec& xs, std::size_t axis) {
+        xs.node = kScalingNodes[axis];
       });
   auto column_of = [&](xbar::Scheme s) -> std::size_t {
     for (std::size_t i = 0; i < grid_schemes.size(); ++i)
@@ -428,11 +438,11 @@ ReportTable node_scaling_savings(LainContext& ctx,
 
   ReportTable t;
   t.add_column("node", 6, Align::kLeft);
-  for (xbar::Scheme s : opt.schemes) t.add_column(scheme_str(s), 9);
-  for (std::size_t a = 0; a < opt.nodes.size(); ++a) {
+  for (xbar::Scheme s : spec.schemes) t.add_column(scheme_str(s), 9);
+  for (std::size_t a = 0; a < kNumScalingNodes; ++a) {
     const xbar::Characterization& base = chars[a * grid_schemes.size()];
-    t.begin_row().cell(std::string(tech::itrs_node(opt.nodes[a]).name));
-    for (xbar::Scheme s : opt.schemes) {
+    t.begin_row().cell(std::string(tech::itrs_node(kScalingNodes[a]).name));
+    for (xbar::Scheme s : spec.schemes) {
       const xbar::Characterization& c =
           chars[a * grid_schemes.size() + column_of(s)];
       t.cell_pct(xbar::relative_saving(base.active_leakage_w,
@@ -443,27 +453,26 @@ ReportTable node_scaling_savings(LainContext& ctx,
   return t;
 }
 
-ReportTable static_probability(LainContext& ctx,
-                               const StaticProbabilityOptions& opt,
+ReportTable static_probability(LainContext& ctx, const ScenarioSpec& spec,
                                const SweepEngine& engine) {
-  std::vector<double> ps = opt.probabilities;
+  std::vector<double> ps = spec.probabilities;
   if (ps.empty())
     for (double p = 0.1; p <= 0.91; p += 0.1) ps.push_back(p);
 
   const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, ps.size(), opt.schemes,
-      [&](xbar::CrossbarSpec& spec, std::size_t axis) {
-        spec.static_probability = ps[axis];
+      ctx, engine, ps.size(), spec.schemes,
+      [&](xbar::CrossbarSpec& xs, std::size_t axis) {
+        xs.static_probability = ps[axis];
       });
 
   // Pivoted: one row per p, one total-power column per scheme.
   ReportTable t;
   t.add_column("p", 6, Align::kLeft);
-  for (xbar::Scheme s : opt.schemes) t.add_column(scheme_str(s) + " mW", 10);
+  for (xbar::Scheme s : spec.schemes) t.add_column(scheme_str(s) + " mW", 10);
   for (std::size_t a = 0; a < ps.size(); ++a) {
     t.begin_row().cell(ps[a], 1);
-    for (std::size_t s = 0; s < opt.schemes.size(); ++s)
-      t.cell(to_mW(chars[a * opt.schemes.size() + s].total_power_w), 2);
+    for (std::size_t s = 0; s < spec.schemes.size(); ++s)
+      t.cell(to_mW(chars[a * spec.schemes.size() + s].total_power_w), 2);
   }
   return t;
 }

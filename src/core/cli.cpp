@@ -13,6 +13,8 @@ bool is_flag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
 }
 
+constexpr double kMaxRangePoints = 1e6;
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv,
@@ -63,7 +65,7 @@ std::string ArgParser::get(const std::string& flag,
 double ArgParser::get_double(const std::string& flag, double fallback) const {
   const std::string v = get(flag, "");
   if (v.empty()) return fallback;
-  return std::stod(v);
+  return parse_finite(v);
 }
 
 int ArgParser::get_int(const std::string& flag, int fallback) const {
@@ -108,6 +110,14 @@ std::vector<int> parse_int_list(const std::string& spec) {
   return out;
 }
 
+double parse_finite(const std::string& s) {
+  std::size_t used = 0;
+  const double v = std::stod(s, &used);
+  if (used != s.size()) throw std::invalid_argument("not a number: " + s);
+  if (!std::isfinite(v)) throw std::invalid_argument("not finite: " + s);
+  return v;
+}
+
 std::vector<double> parse_range(const std::string& spec) {
   if (spec.find(':') != std::string::npos) {
     std::vector<std::string> parts;
@@ -123,14 +133,20 @@ std::vector<double> parse_range(const std::string& spec) {
     if (parts.size() != 3)
       throw std::invalid_argument("range spec must be start:stop:step: " +
                                   spec);
-    const double lo = std::stod(parts[0]);
-    const double hi = std::stod(parts[1]);
-    const double step = std::stod(parts[2]);
+    const double lo = parse_finite(parts[0]);
+    const double hi = parse_finite(parts[1]);
+    const double step = parse_finite(parts[2]);
     if (step <= 0.0) throw std::invalid_argument("range step must be > 0");
     if (hi < lo) throw std::invalid_argument("range stop < start: " + spec);
-    std::vector<double> out;
     // Inclusive stop with half-step tolerance: 0.05:0.45:0.05 yields
-    // exactly nine points despite accumulated FP error.
+    // exactly nine points despite accumulated FP error.  The loop below
+    // emits floor(span + 1/2) + 1 points.
+    const double span = (hi - lo) / step;
+    if (!(span + 0.5 < kMaxRangePoints)) {
+      throw std::invalid_argument("range has more than 1000000 points: " +
+                                  spec);
+    }
+    std::vector<double> out;
     for (int k = 0;; ++k) {
       const double v = lo + k * step;
       if (v > hi + step / 2.0) break;
@@ -140,7 +156,7 @@ std::vector<double> parse_range(const std::string& spec) {
   }
   std::vector<double> out;
   for (const std::string& piece : split_csv(spec)) {
-    out.push_back(std::stod(piece));
+    out.push_back(parse_finite(piece));
   }
   if (out.empty()) throw std::invalid_argument("empty numeric axis: " + spec);
   return out;

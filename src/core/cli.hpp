@@ -47,8 +47,13 @@ std::vector<std::string> split_csv(const std::string& s);
 // non-integer pieces.
 std::vector<int> parse_int_list(const std::string& spec);
 
+// One finite number ("0.05", "1e-3"); throws on trailing junk, NaN
+// and infinities.  Every numeric flag parses through it.
+double parse_finite(const std::string& s);
+
 // Numeric axis spec: either "start:stop:step" (inclusive stop, with a
 // half-step tolerance against FP drift) or a comma list "0.05,0.1".
+// A range of more than 10^6 points is rejected before it expands.
 std::vector<double> parse_range(const std::string& spec);
 
 // Named axes.  All throw std::invalid_argument on unknown names;

@@ -145,6 +145,9 @@ bool CharacterizationCache::KeyLess::operator()(
 
 const xbar::Characterization& CharacterizationCache::get(
     const xbar::CrossbarSpec& spec, xbar::Scheme scheme) {
+  // Before the key enters the map: KeyLess cannot order a NaN field,
+  // so an unvalidated key could alias a valid entry.
+  spec.validate();
   lookups_.fetch_add(1, std::memory_order_relaxed);
   const auto key = std::make_pair(spec, scheme);
 

@@ -44,6 +44,8 @@ namespace lain::core {
 //   * returned references are stable for the cache's lifetime.
 class CharacterizationCache {
  public:
+  // Throws std::invalid_argument, caching nothing, when the spec fails
+  // CrossbarSpec::validate.
   const xbar::Characterization& get(const xbar::CrossbarSpec& spec,
                                     xbar::Scheme scheme);
 

@@ -1,11 +1,13 @@
 // experiments.hpp — the shared vocabulary of the experiment layer:
 // canonical configurations, the engine options of a simulation run,
-// and the spec/result pair of one powered NoC run
-// (LainContext::run_noc, core/context.hpp).
+// the spec/result pair of one powered NoC run
+// (LainContext::run_noc, core/context.hpp), and the ScenarioSpec every
+// experiment (core/bench_suite.hpp) reads its axes from.
 
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -93,9 +95,10 @@ struct TelemetryOptions {
   bool abort_on_disconnect = false;
 };
 
-// Engine options of one simulation run: the universal --sim-threads,
-// --partition, --pin-threads, --fault-* and telemetry flags, declared
-// once here and applied to the SimConfig and the kernel in one place
+// Engine options of one simulation run: the --sim-threads,
+// --partition and --pin-threads flags and the fault and telemetry flag
+// groups of the NoC scenarios (core/scenario.hpp), declared once here
+// and applied to the SimConfig and the kernel in one place
 // (apply_run_options, core/context.hpp).
 // sim_threads == 1 runs the serial kernel; > 1 runs the sharded
 // parallel kernel with that many shards; <= 0 lets the kernel
@@ -124,6 +127,52 @@ struct NocRunSpec : RunOptions {
   xbar::Scheme scheme = xbar::Scheme::kSC;
   noc::SimConfig sim;
   bool enable_gating = true;
+};
+
+// Plain-data description of one experiment invocation, produced from
+// CLI flags (build_scenario_spec, core/scenario.hpp) or filled
+// directly by library callers.  Each experiment reads only the fields
+// of its own axes; an empty axis yields an empty table, so library
+// callers set every axis the experiment reads.
+struct ScenarioSpec {
+  int threads = 1;       // sweep worker lanes (0 = all cores)
+  // Engine options of every simulation the scenario runs: the fault
+  // and telemetry flag groups, plus --sim-threads (0 = auto, 1 =
+  // serial), --partition and --pin-threads, where the scenario accepts
+  // them.  Ignored by scenarios without a cycle-accurate simulation.
+  // run.telemetry.sink is filled by the CLI driver from
+  // --metrics-out/--progress; library callers may install any
+  // MetricsSink (not owned; must outlive the run), and serve callers a
+  // cancel flag.  A sink must be thread-safe when the engine runs jobs
+  // in parallel (the built-in JSONL sink is); records carry per-run
+  // ids, so interleaved streams demultiplex cleanly.
+  RunOptions run;
+  // mesh_scaling's axes, in place of run.sim_threads / run.partition.
+  // The first (partition, shard count) pair per radix is its speedup
+  // and bit-identity baseline.
+  std::vector<int> sim_thread_list{1, 2, 4};
+  std::vector<noc::PartitionStrategy> partition_list{
+      noc::PartitionStrategy::kRowBands, noc::PartitionStrategy::kBlocks2D};
+
+  std::vector<xbar::Scheme> schemes;
+  std::vector<noc::TrafficPattern> patterns;
+  std::vector<double> rates;
+  // Traffic-diversity axes: hotspot share (hotspot pattern) and burst
+  // duty cycle (1.0 = unmodulated).
+  std::vector<double> hotspot_fracs{0.2};
+  std::vector<double> burst_duties{1.0};
+  double burst_on_mean_cycles = 50.0;
+  std::vector<double> temps_c;
+  std::vector<double> probabilities;  // empty = experiment default
+  std::vector<int> radices;
+
+  std::uint64_t seed = 1;
+  std::vector<std::uint64_t> seeds{1};  // expanded from seed/replicates
+  bool gating = true;
+
+  // CLI-side metrics emitters, installed by run_scenario_cli.
+  std::string metrics_out;            // --metrics-out FILE ('-' = stdout)
+  bool progress = false;              // --progress: stderr window lines
 };
 
 }  // namespace lain::core

@@ -14,119 +14,142 @@ namespace lain::core {
 
 namespace {
 
-// Universal flags every scenario accepts (parsed by the CLI driver,
-// not by build_scenario_spec — except --threads).
-const std::vector<std::string> kUniversalValueFlags = {
-    "threads",     "out",           "metrics-window",
-    "metrics-out", "trace-flits",   "abort-on-saturation",
-    "fault-links", "fault-routers", "fault-at",
-    "fault-seed",  "fault-repair"};
-const std::vector<std::string> kUniversalSwitchFlags = {
-    "csv", "json", "allow-partition", "abort-on-disconnect", "progress",
-    "help"};
+enum FlagKind { kValueFlag, kSwitchFlag };
+// Which scenarios accept a flag: every one, the ones that list the
+// flag's group, or the ones that list the flag as an axis.
+enum FlagGroup { kUniversal, kFault, kTelemetry, kAxis };
 
-struct FlagHelp {
-  const char* flag;
+struct FlagDecl {
+  const char* name;
+  FlagKind kind;
+  FlagGroup group;
+  const char* fallback;  // global default ("" = none)
   const char* help;
 };
-// One help line per known flag; shared across scenarios so the usage
-// text stays consistent however the scenarios combine them.
-const FlagHelp kFlagHelp[] = {
-    {"threads", "sweep worker threads (0 = all cores; default 1)"},
-    {"sim-threads",
-     "shards per simulation (1 = serial kernel, 0 = auto-shard\n"
-     "                      by radix; stats bit-identical)"},
-    {"partition",
-     "shard partition shape: rows|blocks2d|auto (stats are\n"
-     "                      partition-invariant; mesh_scaling takes a list)"},
-    {"pin-threads",
-     "pin shard worker threads to cores (Linux; no-op elsewhere)"},
-    {"csv", "emit CSV instead of the text table"},
-    {"json", "emit a JSON row array"},
-    {"out", "write the table to FILE instead of stdout"},
-    {"metrics-window",
+
+// Every flag, declared once.  The universal and group flags appear in
+// usage text in this order (value flags first); a scenario's axis flags
+// follow in the order the scenario lists them.
+const FlagDecl kFlags[] = {
+    {"threads", kValueFlag, kUniversal, "1",
+     "sweep worker threads (0 = all cores; default 1)"},
+    {"out", kValueFlag, kUniversal, "",
+     "write the table to FILE instead of stdout"},
+    {"metrics-window", kValueFlag, kTelemetry, "0",
      "stream windowed metrics every N cycles (0 = off; see\n"
      "                      README \"Observability\" for the JSONL schema)"},
-    {"metrics-out",
+    {"metrics-out", kValueFlag, kTelemetry, "",
      "write the metrics JSONL stream to FILE ('-' = stdout)"},
-    {"trace-flits",
+    {"trace-flits", kValueFlag, kTelemetry, "0",
      "keep the last N per-flit events per shard and dump them\n"
      "                      into the metrics stream (0 = off)"},
-    {"abort-on-saturation",
+    {"abort-on-saturation", kValueFlag, kTelemetry, "0",
      "abort a run whose windowed mean latency exceeds MULT x\n"
      "                      the zero-load reference (needs\n"
      "                      --metrics-window; 0 = off)"},
-    {"fault-links",
+    {"fault-links", kValueFlag, kFault, "0",
      "kill N inter-router links at --fault-at (deterministic,\n"
      "                      seed-derived victims; see README \"Fault "
      "injection\")"},
-    {"fault-routers",
+    {"fault-routers", kValueFlag, kFault, "0",
      "kill N whole routers (disconnects their nodes, so this\n"
      "                      needs --allow-partition)"},
-    {"fault-at",
+    {"fault-at", kValueFlag, kFault, "0",
      "fault cycle (0 = at the start of the measurement window)"},
-    {"fault-seed",
+    {"fault-seed", kValueFlag, kFault, "0",
      "independent fault-schedule seed (0 = derive from --seed)"},
-    {"fault-repair",
+    {"fault-repair", kValueFlag, kFault, "0",
      "turn each kill into a transient flap repaired after N\n"
      "                      cycles (0 = permanent)"},
-    {"allow-partition",
+    {"csv", kSwitchFlag, kUniversal, "", "emit CSV instead of the text table"},
+    {"json", kSwitchFlag, kUniversal, "", "emit a JSON row array"},
+    {"allow-partition", kSwitchFlag, kFault, "",
      "accept a fault schedule that disconnects the fabric and\n"
      "                      account unreachable pairs instead of rejecting "
      "it"},
-    {"abort-on-disconnect",
+    {"abort-on-disconnect", kSwitchFlag, kTelemetry, "",
      "abort a run whose fabric has unreachable pairs at a\n"
      "                      window boundary (fail fast instead of running\n"
      "                      degraded; needs --metrics-window)"},
-    {"progress", "print one stderr line per closed metrics window"},
-    {"help", "show this scenario's usage"},
-    {"schemes", "e.g. sc,dpc,sdpc or 'all'"},
-    {"patterns",
+    {"progress", kSwitchFlag, kTelemetry, "",
+     "print one stderr line per closed metrics window"},
+    {"help", kSwitchFlag, kUniversal, "", "show this scenario's usage"},
+    {"sim-threads", kValueFlag, kAxis, "1",
+     "shards per simulation (1 = serial kernel, 0 = auto-shard\n"
+     "                      by radix; stats bit-identical)"},
+    {"partition", kValueFlag, kAxis, "auto",
+     "shard partition shape: rows|blocks2d|auto (stats are\n"
+     "                      partition-invariant; mesh_scaling takes a list)"},
+    {"pin-threads", kSwitchFlag, kAxis, "",
+     "pin shard worker threads to cores (Linux; no-op elsewhere)"},
+    {"schemes", kValueFlag, kAxis, "all", "e.g. sc,dpc,sdpc or 'all'"},
+    {"patterns", kValueFlag, kAxis, "uniform",
      "uniform,transpose,bitcomp,bitrev,hotspot,tornado,neighbor"},
-    {"rates", "comma list or start:stop:step, e.g. 0.05:0.45:0.05"},
-    {"hotspot-fracs", "hotspot traffic shares (hotspot pattern)"},
-    {"burst-duties", "on-off duty cycles (1.0 = steady)"},
-    {"burst-on-mean", "mean ON dwell in cycles (default 50)"},
-    {"radices", "square fabric radices, e.g. 8,16"},
-    {"temps", "temperatures in C"},
-    {"probabilities", "static probabilities"},
-    {"seed", "base RNG seed (default 1)"},
-    {"replicates", "derive K independent seeds from --seed"},
-    {"no-gating", "disable the Minimum-Idle-Time sleep policy"},
+    {"rates", kValueFlag, kAxis, "0.05,0.15,0.30",
+     "comma list or start:stop:step, e.g. 0.05:0.45:0.05"},
+    {"hotspot-fracs", kValueFlag, kAxis, "0.2",
+     "hotspot traffic shares (hotspot pattern)"},
+    {"burst-duties", kValueFlag, kAxis, "1.0",
+     "on-off duty cycles (1.0 = steady)"},
+    {"burst-on-mean", kValueFlag, kAxis, "50",
+     "mean ON dwell in cycles (default 50)"},
+    {"radices", kValueFlag, kAxis, "4,8", "square fabric radices, e.g. 8,16"},
+    {"temps", kValueFlag, kAxis, "25,70,110", "temperatures in C"},
+    {"probabilities", kValueFlag, kAxis, "", "static probabilities"},
+    {"seed", kValueFlag, kAxis, "1", "base RNG seed (default 1)"},
+    {"replicates", kValueFlag, kAxis, "1",
+     "derive K independent seeds from --seed"},
+    {"no-gating", kSwitchFlag, kAxis, "",
+     "disable the Minimum-Idle-Time sleep policy"},
 };
 
-struct FlagDefault {
-  const char* flag;
-  const char* value;
-};
-const FlagDefault kFlagDefaults[] = {
-    {"threads", "1"},       {"sim-threads", "1"},
-    {"metrics-window", "0"},
-    {"trace-flits", "0"},
-    {"abort-on-saturation", "0"},
-    {"fault-links", "0"},   {"fault-routers", "0"},
-    {"fault-at", "0"},      {"fault-seed", "0"},
-    {"fault-repair", "0"},
-    {"partition", "auto"},
-    {"schemes", "all"},     {"patterns", "uniform"},
-    {"rates", "0.05,0.15,0.30"},
-    {"hotspot-fracs", "0.2"},
-    {"burst-duties", "1.0"},
-    {"burst-on-mean", "50"},
-    {"radices", "4,8"},     {"temps", "25,70,110"},
-    {"probabilities", ""},  {"seed", "1"},
-    {"replicates", "1"},
-};
-
-const char* help_for(const std::string& flag) {
-  for (const FlagHelp& h : kFlagHelp) {
-    if (flag == h.flag) return h.help;
+const FlagDecl& flag_decl(const std::string& name) {
+  for (const FlagDecl& f : kFlags) {
+    if (name == f.name) return f;
   }
-  return "";
+  throw std::invalid_argument("undeclared flag: --" + name);
 }
 
 bool contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+// A scenario's flag list: every flag of `groups`, then `axes`.
+std::vector<std::string> flags_of(std::initializer_list<FlagGroup> groups,
+                                  std::vector<std::string> axes) {
+  std::vector<std::string> out;
+  for (const FlagDecl& f : kFlags) {
+    if (std::find(groups.begin(), groups.end(), f.group) != groups.end()) {
+      out.push_back(f.name);
+    }
+  }
+  out.insert(out.end(), axes.begin(), axes.end());
+  return out;
+}
+
+// Every flag `sc` accepts, in usage order: the universal and group
+// flags in table order, then its axis flags in its own order.
+std::vector<const FlagDecl*> accepted_flags(const Scenario& sc) {
+  std::vector<const FlagDecl*> out;
+  for (const FlagDecl& f : kFlags) {
+    if (f.group == kUniversal ||
+        (f.group != kAxis && contains(sc.flags, f.name))) {
+      out.push_back(&f);
+    }
+  }
+  for (const std::string& name : sc.flags) {
+    const FlagDecl& f = flag_decl(name);
+    if (f.group == kAxis) out.push_back(&f);
+  }
+  return out;
+}
+
+std::vector<std::string> accepted_of_kind(const Scenario& sc, FlagKind kind) {
+  std::vector<std::string> out;
+  for (const FlagDecl* f : accepted_flags(sc)) {
+    if (f->kind == kind) out.push_back(f->name);
+  }
+  return out;
 }
 
 std::string format(const char* fmt, ...) {
@@ -143,13 +166,28 @@ std::string thread_banner(const char* prefix, int threads) {
                 threads == 1 ? "" : "s");
 }
 
+// One usage line per flag `sc` accepts, value flags first.  --help
+// goes without saying, and text-only scenarios take no --csv/--json.
+std::string flag_lines(const Scenario& sc) {
+  std::string out;
+  for (FlagKind kind : {kValueFlag, kSwitchFlag}) {
+    for (const FlagDecl* f : accepted_flags(sc)) {
+      const std::string name = f->name;
+      if (f->kind != kind || name == "help") continue;
+      if (sc.text_only && (name == "csv" || name == "json")) continue;
+      out += format("  --%-17s %s\n", f->name, f->help);
+    }
+  }
+  return out;
+}
+
 // The value of `flag` for this scenario: CLI value, else the
 // scenario's default, else the global default.
 std::string flag_value(const Scenario& sc, const ArgParser& args,
                        const std::string& flag) {
   auto it = sc.defaults.find(flag);
   return args.get(flag, it != sc.defaults.end() ? it->second
-                                                : flag_default(flag));
+                                                : flag_decl(flag).fallback);
 }
 
 // Wraps an axis/number parser so malformed values name the flag
@@ -170,7 +208,7 @@ auto parse_flag(const std::string& flag, const std::string& value, Fn fn)
 int single_int(const Scenario& sc, const ArgParser& args,
                const std::string& flag) {
   const std::string v = flag_value(sc, args, flag);
-  if (v.empty()) return parse_int_list(flag_default(flag)).front();
+  if (v.empty()) return parse_int_list(flag_decl(flag).fallback).front();
   const std::vector<int> parsed = parse_flag(flag, v, parse_int_list);
   if (parsed.size() != 1) {
     throw std::invalid_argument("--" + flag +
@@ -186,11 +224,11 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "injection_sweep";
     sc.summary = "powered-NoC latency/power sweep (E8)";
-    sc.value_flags = {"sim-threads",  "partition",     "schemes",
-                      "patterns",     "rates",         "hotspot-fracs",
-                      "burst-duties", "burst-on-mean", "seed",
-                      "replicates"};
-    sc.switch_flags = {"no-gating", "pin-threads"};
+    sc.flags = flags_of({kFault, kTelemetry},
+                        {"sim-threads", "partition", "schemes", "patterns",
+                         "rates", "hotspot-fracs", "burst-duties",
+                         "burst-on-mean", "seed", "replicates", "no-gating",
+                         "pin-threads"});
     sc.defaults = {{"patterns", "uniform,transpose"}};
     sc.banner = [](const ScenarioSpec&, int threads) {
       return thread_banner(
@@ -200,18 +238,8 @@ ScenarioRegistry make_builtin_registry() {
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
-      NocSweepOptions opt;
-      opt.schemes = s.schemes;
-      opt.patterns = s.patterns;
-      opt.rates = s.rates;
-      opt.hotspot_fracs = s.hotspot_fracs;
-      opt.burst_duties = s.burst_duties;
-      opt.burst_on_mean_cycles = s.burst_on_mean_cycles;
-      opt.seeds = s.seeds;
-      opt.gating = s.gating;
-      opt.run = s.run;
       ScenarioRun r;
-      r.table = injection_sweep(ctx, opt, engine);
+      r.table = injection_sweep(ctx, s, engine);
       return r;
     };
     reg.add(std::move(sc));
@@ -221,26 +249,18 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "idle_histogram";
     sc.summary = "crossbar idle-run distribution (E9)";
-    sc.value_flags = {"sim-threads",   "partition",    "patterns",
-                      "rates",         "hotspot-fracs", "burst-duties",
-                      "burst-on-mean", "seed",         "replicates"};
-    sc.switch_flags = {"pin-threads"};
+    sc.flags = flags_of({kFault, kTelemetry},
+                        {"sim-threads", "partition", "patterns", "rates",
+                         "hotspot-fracs", "burst-duties", "burst-on-mean",
+                         "seed", "replicates", "pin-threads"});
     sc.banner = [](const ScenarioSpec&, int threads) {
       return thread_banner(
           "E9: crossbar idle-run distribution, 5x5 mesh", threads);
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
-      IdleHistogramOptions opt;
-      opt.patterns = s.patterns;
-      opt.rates = s.rates;
-      opt.hotspot_fracs = s.hotspot_fracs;
-      opt.burst_duties = s.burst_duties;
-      opt.burst_on_mean_cycles = s.burst_on_mean_cycles;
-      opt.seeds = s.seeds;
-      opt.run = s.run;
       ScenarioRun r;
-      r.table = idle_histogram(ctx, opt, engine);
+      r.table = idle_histogram(ctx, s, engine);
       return r;
     };
     reg.add(std::move(sc));
@@ -250,7 +270,7 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "corner_sweep";
     sc.summary = "temperature/corner sensitivity (E12)";
-    sc.value_flags = {"temps", "schemes"};
+    sc.flags = {"temps", "schemes"};
     sc.defaults = {{"schemes", "sc,dfc,dpc,sdpc"}};
     sc.banner = [](const ScenarioSpec&, int) {
       return std::string(
@@ -259,11 +279,8 @@ ScenarioRegistry make_builtin_registry() {
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
-      CornerSweepOptions opt;
-      opt.temps_c = s.temps_c;
-      opt.schemes = s.schemes;
       ScenarioRun r;
-      r.table = corner_sweep(ctx, opt, engine);
+      r.table = corner_sweep(ctx, s, engine);
       r.extras = [] {
         return "\nDevice-level corner check (1 um NMOS):\n" +
                corner_device_report().to_text();
@@ -277,7 +294,7 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "node_scaling";
     sc.summary = "technology-node scaling (E11)";
-    sc.value_flags = {"schemes"};
+    sc.flags = {"schemes"};
     sc.defaults = {{"schemes", "sc,dpc,sdpc"}};
     sc.banner = [](const ScenarioSpec&, int) {
       return std::string(
@@ -286,13 +303,11 @@ ScenarioRegistry make_builtin_registry() {
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
-      NodeScalingOptions opt;
-      opt.schemes = s.schemes;
       ScenarioRun r;
-      r.table = node_scaling(ctx, opt, engine);
-      r.extras = [&ctx, &engine, opt] {
+      r.table = node_scaling(ctx, s, engine);
+      r.extras = [&ctx, &engine, s] {
         return "\nActive-leakage saving vs SC, by node:\n" +
-               node_scaling_savings(ctx, opt, engine).to_text();
+               node_scaling_savings(ctx, s, engine).to_text();
       };
       return r;
     };
@@ -303,9 +318,10 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "mesh_vs_torus";
     sc.summary = "mesh vs torus topology comparison";
-    sc.value_flags = {"sim-threads", "partition", "radices", "rates",
-                      "patterns",    "schemes",   "seed"};
-    sc.switch_flags = {"no-gating", "pin-threads"};
+    sc.flags = flags_of({kFault, kTelemetry},
+                        {"sim-threads", "partition", "radices", "rates",
+                         "patterns", "schemes", "seed", "no-gating",
+                         "pin-threads"});
     sc.defaults = {{"schemes", "sdpc"}, {"patterns", "uniform,tornado"}};
     sc.validate = [](const ScenarioSpec& s) {
       if (s.schemes.size() != 1) {
@@ -322,16 +338,8 @@ ScenarioRegistry make_builtin_registry() {
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
-      MeshVsTorusOptions opt;
-      opt.radices = s.radices;
-      opt.rates = s.rates;
-      opt.patterns = s.patterns;
-      opt.scheme = s.schemes.front();
-      opt.seed = s.seed;
-      opt.gating = s.gating;
-      opt.run = s.run;
       ScenarioRun r;
-      r.table = mesh_vs_torus(ctx, opt, engine);
+      r.table = mesh_vs_torus(ctx, s, engine);
       return r;
     };
     reg.add(std::move(sc));
@@ -341,9 +349,11 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "mesh_scaling";
     sc.summary = "sharded-kernel node-count scaling";
-    sc.value_flags = {"sim-threads", "partition", "radices", "rates",
-                      "patterns",    "seed"};
-    sc.switch_flags = {"pin-threads"};
+    // The runs take the fault schedule but no telemetry: a sink would
+    // perturb the timings this scenario exists to report.
+    sc.flags = flags_of({kFault}, {"sim-threads", "partition", "radices",
+                                   "rates", "patterns", "seed",
+                                   "pin-threads"});
     sc.defaults = {{"radices", "8,16"},
                    {"sim-threads", "1,2,4"},
                    {"partition", "rows,blocks2d"},
@@ -351,6 +361,13 @@ ScenarioRegistry make_builtin_registry() {
                    {"patterns", "uniform"}};
     sc.sim_threads_as_list = true;
     sc.partition_as_list = true;
+    sc.validate = [](const ScenarioSpec& s) {
+      if (s.rates.size() != 1 || s.patterns.size() != 1) {
+        throw std::invalid_argument(
+            "mesh_scaling takes a single rate and a single pattern (its "
+            "axes are radix, partition and shard count)");
+      }
+    };
     sc.banner = [](const ScenarioSpec&, int) {
       return std::string(
           "Sharded-kernel scaling: one simulation timed per "
@@ -361,16 +378,8 @@ ScenarioRegistry make_builtin_registry() {
     sc.run = [](LainContext&, const ScenarioSpec& s, const SweepEngine&) {
       // Timed sequentially on the calling thread, outside the thread
       // budget on purpose: wall-clock fidelity beats cooperation here.
-      MeshScalingOptions opt;
-      opt.radices = s.radices;
-      opt.partitions = s.partition_list;
-      opt.shard_counts = s.sim_thread_list;
-      opt.run = s.run;
-      opt.injection_rate = s.rates.front();
-      opt.pattern = s.patterns.front();
-      opt.seed = s.seed;
       ScenarioRun r;
-      r.table = mesh_scaling(opt);
+      r.table = mesh_scaling(s);
       return r;
     };
     reg.add(std::move(sc));
@@ -380,7 +389,7 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "static_probability";
     sc.summary = "total power vs static probability (E7)";
-    sc.value_flags = {"probabilities", "schemes"};
+    sc.flags = {"probabilities", "schemes"};
     sc.banner = [](const ScenarioSpec&, int) {
       return std::string(
           "E7: total power (mW) vs static probability "
@@ -388,11 +397,8 @@ ScenarioRegistry make_builtin_registry() {
     };
     sc.run = [](LainContext& ctx, const ScenarioSpec& s,
                 const SweepEngine& engine) {
-      StaticProbabilityOptions opt;
-      opt.probabilities = s.probabilities;
-      opt.schemes = s.schemes;
       ScenarioRun r;
-      r.table = static_probability(ctx, opt, engine);
+      r.table = static_probability(ctx, s, engine);
       r.extras = [&ctx, &engine] {
         return "\nWorst-case check:\n" +
                static_probability_worst_case(ctx, engine).to_text();
@@ -467,14 +473,8 @@ ScenarioRegistry make_builtin_registry() {
 
 }  // namespace
 
-std::string flag_default(const std::string& flag) {
-  for (const FlagDefault& d : kFlagDefaults) {
-    if (flag == d.flag) return d.value;
-  }
-  return "";
-}
-
 ScenarioRegistry& ScenarioRegistry::add(Scenario scenario) {
+  for (const std::string& flag : scenario.flags) flag_decl(flag);
   scenarios_.push_back(std::move(scenario));
   return *this;
 }
@@ -491,15 +491,11 @@ std::string ScenarioRegistry::usage() const {
   for (const Scenario& sc : scenarios_) {
     out += format("  %-19s %s\n", sc.name.c_str(), sc.summary.c_str());
   }
-  out += "\nuniversal flags:\n";
-  for (const std::string& f : kUniversalValueFlags) {
-    out += format("  --%-17s %s\n", f.c_str(), help_for(f));
-  }
-  for (const std::string& f : kUniversalSwitchFlags) {
-    if (f != "help") out += format("  --%-17s %s\n", f.c_str(), help_for(f));
-  }
+  // A scenario that lists no flags accepts exactly the universal ones.
+  out += "\nuniversal flags:\n" + flag_lines(Scenario{});
   out +=
-      "\nEvery subcommand also takes its experiment's axis flags; run\n"
+      "\nEvery subcommand also takes its experiment's axis flags, and the\n"
+      "network simulations the fault and telemetry flags; run\n"
       "  lain_bench <subcommand> --help\n"
       "for the exact set, or `lain_bench --list-scenarios` for the\n"
       "one-line scenario list.\n";
@@ -515,37 +511,19 @@ std::string ScenarioRegistry::list() const {
 }
 
 std::string ScenarioRegistry::usage_for(const Scenario& scenario) const {
-  std::string out = format("usage: lain_bench %s [flags]\n  %s\n\nflags:\n",
-                           scenario.name.c_str(), scenario.summary.c_str());
-  auto flag_line = [&](const std::string& flag) {
-    out += format("  --%-17s %s\n", flag.c_str(), help_for(flag));
-  };
-  for (const std::string& f : kUniversalValueFlags) flag_line(f);
-  for (const std::string& f : scenario.value_flags) flag_line(f);
-  for (const std::string& f : kUniversalSwitchFlags) {
-    if (f == "help") continue;
-    // text_only scenarios reject the structured emitters.
-    if (scenario.text_only && (f == "csv" || f == "json")) continue;
-    flag_line(f);
-  }
-  for (const std::string& f : scenario.switch_flags) flag_line(f);
-  return out;
+  return format("usage: lain_bench %s [flags]\n  %s\n\nflags:\n",
+                scenario.name.c_str(), scenario.summary.c_str()) +
+         flag_lines(scenario);
 }
 
 std::vector<std::string> ScenarioRegistry::value_flags_for(
     const Scenario& scenario) const {
-  std::vector<std::string> flags = kUniversalValueFlags;
-  flags.insert(flags.end(), scenario.value_flags.begin(),
-               scenario.value_flags.end());
-  return flags;
+  return accepted_of_kind(scenario, kValueFlag);
 }
 
 std::vector<std::string> ScenarioRegistry::switch_flags_for(
     const Scenario& scenario) const {
-  std::vector<std::string> flags = kUniversalSwitchFlags;
-  flags.insert(flags.end(), scenario.switch_flags.begin(),
-               scenario.switch_flags.end());
-  return flags;
+  return accepted_of_kind(scenario, kSwitchFlag);
 }
 
 const ScenarioRegistry& ScenarioRegistry::builtin() {
@@ -556,29 +534,27 @@ const ScenarioRegistry& ScenarioRegistry::builtin() {
 
 ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
   ScenarioSpec s;
-  auto accepts = [&](const char* flag) {
-    return contains(sc.value_flags, flag) || contains(sc.switch_flags, flag);
+  auto accepts = [&](const char* flag) { return contains(sc.flags, flag); };
+  // A count or cycle flag: a non-negative integer, 0 where not accepted.
+  auto non_negative = [&](const char* flag) {
+    if (!accepts(flag)) return 0;
+    const int v = single_int(sc, args, flag);
+    if (v < 0) {
+      throw std::invalid_argument(std::string("--") + flag + " must be >= 0");
+    }
+    return v;
   };
 
   s.threads = single_int(sc, args, "threads");
-  // Universal streaming-telemetry flags (every scenario accepts them;
-  // scenarios without a cycle-accurate simulation just ignore them).
+  // Telemetry group.
   TelemetryOptions& t = s.run.telemetry;
-  {
-    const int window = single_int(sc, args, "metrics-window");
-    if (window < 0) {
-      throw std::invalid_argument("--metrics-window must be >= 0");
-    }
-    t.metrics_window = static_cast<noc::Cycle>(window);
-    const int trace = single_int(sc, args, "trace-flits");
-    if (trace < 0) {
-      throw std::invalid_argument("--trace-flits must be >= 0");
-    }
-    t.trace_flits = trace;
-    s.metrics_out = args.get("metrics-out", "");
-    t.abort_latency_mult = parse_flag(
-        "abort-on-saturation", flag_value(sc, args, "abort-on-saturation"),
-        [](const std::string& v) { return std::stod(v); });
+  t.metrics_window = non_negative("metrics-window");
+  t.trace_flits = non_negative("trace-flits");
+  if (accepts("metrics-out")) s.metrics_out = args.get("metrics-out", "");
+  if (accepts("abort-on-saturation")) {
+    t.abort_latency_mult =
+        parse_flag("abort-on-saturation",
+                   flag_value(sc, args, "abort-on-saturation"), parse_finite);
     if (t.abort_latency_mult < 0.0) {
       throw std::invalid_argument("--abort-on-saturation must be >= 0");
     }
@@ -588,28 +564,21 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
           "at window boundaries)");
     }
   }
-  s.progress = args.has("progress");
-  // Universal fault-injection flags (same contract as the telemetry
-  // flags above: scenarios without a cycle-accurate simulation ignore
-  // them; SimConfig::validate rejects bad combinations per-run).
-  {
-    noc::FaultSpec& f = s.run.fault;
-    f.links = single_int(sc, args, "fault-links");
-    f.routers = single_int(sc, args, "fault-routers");
-    if (f.links < 0 || f.routers < 0) {
-      throw std::invalid_argument("--fault-links/--fault-routers must be >= 0");
-    }
-    const int at = single_int(sc, args, "fault-at");
-    const int repair = single_int(sc, args, "fault-repair");
-    if (at < 0 || repair < 0) {
-      throw std::invalid_argument("--fault-at/--fault-repair must be >= 0");
-    }
-    f.at = static_cast<noc::Cycle>(at);
-    f.repair = static_cast<noc::Cycle>(repair);
-    f.seed = parse_flag(
-        "fault-seed", flag_value(sc, args, "fault-seed"),
-        [](const std::string& v) { return std::stoull(v); });
+  if (accepts("progress")) s.progress = args.has("progress");
+  // Fault group (SimConfig::validate rejects bad combinations per run).
+  noc::FaultSpec& f = s.run.fault;
+  f.links = non_negative("fault-links");
+  f.routers = non_negative("fault-routers");
+  f.at = non_negative("fault-at");
+  f.repair = non_negative("fault-repair");
+  if (accepts("fault-seed")) {
+    f.seed = parse_flag("fault-seed", flag_value(sc, args, "fault-seed"),
+                        [](const std::string& v) { return std::stoull(v); });
+  }
+  if (accepts("allow-partition")) {
     f.allow_partition = args.has("allow-partition");
+  }
+  if (accepts("abort-on-disconnect")) {
     t.abort_on_disconnect = args.has("abort-on-disconnect");
     if (t.abort_on_disconnect && t.metrics_window == 0) {
       throw std::invalid_argument(
@@ -654,7 +623,7 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
   if (accepts("burst-on-mean")) {
     s.burst_on_mean_cycles =
         parse_flag("burst-on-mean", flag_value(sc, args, "burst-on-mean"),
-                   [](const std::string& v) { return std::stod(v); });
+                   parse_finite);
   }
   if (accepts("temps")) s.temps_c = range_axis("temps");
   if (accepts("probabilities")) {

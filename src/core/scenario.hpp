@@ -1,12 +1,22 @@
 // scenario.hpp — the declarative scenario layer over the bench suite.
 //
-// A ScenarioSpec is the plain-data description of one experiment
-// invocation: which axes to expand (schemes, patterns, rates, ...),
-// how to derive seeds, and how many sweep/simulation worker lanes to
-// ask the context's ThreadBudget for.  A Scenario couples a name and
-// help text with (a) the axis flags it accepts — the CLI rejects
-// everything else, with per-scenario usage — and (b) a runner that
-// folds the spec into a ReportTable through a LainContext.
+// A ScenarioSpec (core/experiments.hpp) is the plain-data description
+// of one experiment invocation: which axes to expand (schemes,
+// patterns, rates, ...), how to derive seeds, and how many
+// sweep/simulation worker lanes to ask the context's ThreadBudget for.
+// A Scenario couples a name and help text with (a) the flags it
+// accepts — the CLI rejects everything else, with per-scenario usage —
+// and (b) a runner that folds the spec into a ReportTable through a
+// LainContext.
+//
+// Every flag is declared once, in scenario.cpp's flag table, with its
+// kind (value or switch), global default and help line.  Every
+// scenario accepts the universal flags (--threads, --out, --csv,
+// --json, --help); the rest it lists: its axis flags and, for the
+// scenarios that simulate a network, the fault group (--fault-*,
+// --allow-partition) and — except mesh_scaling, whose timed runs
+// attach no telemetry — the telemetry group (--metrics-*,
+// --trace-flits, --progress, --abort-on-*).
 //
 // The ScenarioRegistry holds the built-in scenarios (one per
 // lain_bench subcommand); the CLI auto-generates its subcommand
@@ -16,7 +26,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -31,44 +40,6 @@
 namespace lain::core {
 
 class LainContext;
-
-// Plain-data description of one experiment invocation, produced from
-// CLI flags (build_scenario_spec) or filled directly by library
-// callers.  Fields a scenario does not accept keep their defaults.
-struct ScenarioSpec {
-  int threads = 1;       // sweep worker lanes (0 = all cores)
-  // Engine options of every simulation the scenario runs: the
-  // universal --fault-* and telemetry flags, plus
-  // --sim-threads (0 = auto, 1 = serial), --partition and --pin-threads
-  // where the scenario accepts them.  Ignored by scenarios without a
-  // cycle-accurate simulation.  run.telemetry.sink is filled by the CLI
-  // driver from --metrics-out/--progress; library callers may install
-  // any MetricsSink (not owned; must outlive the run), and serve
-  // callers a cancel flag.
-  RunOptions run;
-  // mesh_scaling's axes, in place of run.sim_threads / run.partition.
-  std::vector<int> sim_thread_list{1, 2, 4};
-  std::vector<noc::PartitionStrategy> partition_list{
-      noc::PartitionStrategy::kRowBands, noc::PartitionStrategy::kBlocks2D};
-
-  std::vector<xbar::Scheme> schemes;
-  std::vector<noc::TrafficPattern> patterns;
-  std::vector<double> rates;
-  std::vector<double> hotspot_fracs{0.2};
-  std::vector<double> burst_duties{1.0};
-  double burst_on_mean_cycles = 50.0;
-  std::vector<double> temps_c;
-  std::vector<double> probabilities;  // empty = experiment default
-  std::vector<int> radices;
-
-  std::uint64_t seed = 1;
-  std::vector<std::uint64_t> seeds{1};  // expanded from seed/replicates
-  bool gating = true;
-
-  // CLI-side metrics emitters, installed by run_scenario_cli.
-  std::string metrics_out;            // --metrics-out FILE ('-' = stdout)
-  bool progress = false;              // --progress: stderr window lines
-};
 
 // What a scenario produced.  Table scenarios fill `table`; text-only
 // scenarios (table1) fill `preformatted` instead.  `extras` lazily
@@ -88,13 +59,13 @@ struct Scenario {
   std::string name;
   std::string summary;  // one line for the subcommand list
 
-  // Axis flags this scenario accepts, beyond the universal set
-  // (--threads/--csv/--json/--out/--help).  Flags not listed here are
-  // rejected with the scenario's usage text.
-  std::vector<std::string> value_flags;
-  std::vector<std::string> switch_flags;
-  // Per-flag default overrides; flags absent here use the global
-  // defaults (see flag_default()).
+  // Flags this scenario accepts beyond the universal set
+  // (--threads/--out/--csv/--json/--help), each declared in the flag
+  // table.  Flags not listed here are rejected with the scenario's
+  // usage text.
+  std::vector<std::string> flags;
+  // Per-flag default overrides; flags absent here use the flag table's
+  // global defaults.
   std::map<std::string, std::string> defaults;
   bool sim_threads_as_list = false;  // mesh_scaling: --sim-threads is an axis
   bool partition_as_list = false;    // mesh_scaling: --partition is an axis
@@ -112,6 +83,8 @@ struct Scenario {
 
 class ScenarioRegistry {
  public:
+  // Throws std::invalid_argument when the scenario lists a flag the
+  // flag table does not declare.
   ScenarioRegistry& add(Scenario scenario);
 
   const Scenario* find(const std::string& name) const;
@@ -124,7 +97,8 @@ class ScenarioRegistry {
   std::string list() const;
   std::string usage_for(const Scenario& scenario) const;
 
-  // Flag sets to construct an ArgParser with: universal + scenario.
+  // The flags a scenario accepts (universal + its own), split by kind
+  // to construct an ArgParser with.
   std::vector<std::string> value_flags_for(const Scenario& scenario) const;
   std::vector<std::string> switch_flags_for(const Scenario& scenario) const;
 
@@ -134,9 +108,6 @@ class ScenarioRegistry {
  private:
   std::vector<Scenario> scenarios_;
 };
-
-// Global default value of an axis flag ("" when the flag has none).
-std::string flag_default(const std::string& flag);
 
 // Parses the flags a scenario accepts into a ScenarioSpec, applying
 // the scenario's (then the global) defaults.  Throws

@@ -187,8 +187,14 @@ ScenarioJobSpec scenario_job_from_fields(
       registry.value_flags_for(*scenario);
   const std::vector<std::string> switch_flags =
       registry.switch_flags_for(*scenario);
+  std::vector<std::string> seen;
   for (const JsonField& f : fields) {
     if (f.key == "scenario" || contains(ignore_keys, f.key)) continue;
+    // A repeated key is ambiguous: ArgParser would keep the first.
+    if (contains(seen, f.key)) {
+      throw std::invalid_argument("duplicate \"" + f.key + "\" key");
+    }
+    seen.push_back(f.key);
     if (contains(value_flags, f.key)) {
       if (f.kind == JsonField::Kind::kBool) {
         throw std::invalid_argument("flag \"" + f.key +

@@ -65,9 +65,10 @@ ScenarioJobSpec scenario_job_from_fields(const ScenarioRegistry& registry,
 std::string to_json(const ScenarioJobSpec& job);
 
 // Parses one job line.  Throws std::invalid_argument on malformed
-// JSON, a missing/unknown scenario, an unknown flag key for that
-// scenario, or a mistyped value (switch flags must be boolean; value
-// flags string or number).  `false` for a switch means "absent".
+// JSON, a missing/unknown scenario, an unknown or repeated flag key
+// for that scenario, or a mistyped value (switch flags must be
+// boolean; value flags string or number).  `false` for a switch means
+// "absent".
 ScenarioJobSpec scenario_job_from_json(const ScenarioRegistry& registry,
                                        const std::string& line);
 
@@ -86,8 +87,10 @@ ScenarioSpec build_scenario_spec(const ScenarioRegistry& registry,
 // Batch driver behind `lain_bench --scenario-file FILE`: one job per
 // line (blank lines and '#' comments skipped), each run through
 // run_scenario_cli with `extra_argc/extra_argv` prepended (so shared
-// flags like --csv or --threads apply to every job).  Stops at the
-// first failing job and returns its exit code; 0 when all jobs ran.
+// flags like --csv or --threads apply to every job; a shared flag some
+// job's scenario does not accept fails that job with exit 2).  Stops
+// at the first failing job and returns its exit code; 0 when all jobs
+// ran.
 int run_scenario_file_cli(const ScenarioRegistry& registry,
                           const std::string& path, int extra_argc,
                           const char* const* extra_argv);

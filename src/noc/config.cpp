@@ -32,6 +32,7 @@ TrafficPattern traffic_from_name(const std::string& name) {
 }
 
 void SimConfig::validate() const {
+  // Every range check on a double is phrased so that NaN fails it.
   if (radix_x < 2 || radix_y < 2) {
     throw std::invalid_argument("mesh radix must be >= 2 in each dimension");
   }
@@ -49,7 +50,7 @@ void SimConfig::validate() const {
   if (link_latency < 1) {
     throw std::invalid_argument("link latency must be >= 1");
   }
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
+  if (!(injection_rate >= 0.0 && injection_rate <= 1.0)) {
     throw std::invalid_argument("injection rate must be in [0,1]");
   }
   if (packet_length_flits < 1) {
@@ -58,16 +59,16 @@ void SimConfig::validate() const {
   if (hotspot_node < 0 || hotspot_node >= num_nodes()) {
     throw std::invalid_argument("hotspot node outside topology");
   }
-  if (hotspot_fraction < 0.0 || hotspot_fraction > 1.0) {
+  if (!(hotspot_fraction >= 0.0 && hotspot_fraction <= 1.0)) {
     throw std::invalid_argument("hotspot fraction must be in [0,1]");
   }
   if (warmup_cycles < 0 || measure_cycles <= 0 || drain_limit_cycles < 0) {
     throw std::invalid_argument("bad phase lengths");
   }
-  if (burst_duty <= 0.0 || burst_duty > 1.0) {
+  if (!(burst_duty > 0.0 && burst_duty <= 1.0)) {
     throw std::invalid_argument("burst duty must be in (0,1]");
   }
-  if (burst_on_mean_cycles < 1.0) {
+  if (!(burst_on_mean_cycles >= 1.0)) {
     throw std::invalid_argument("burst ON dwell must be >= 1 cycle");
   }
   if (injection_rate / burst_duty > 1.0) {

@@ -333,8 +333,11 @@ OutputSlice build_output_slice(const CrossbarSpec& spec, Scheme scheme) {
     case Scheme::kDPC:
       return build_flat_slice(spec, scheme_vt_map(scheme));
     case Scheme::kSDFC:
+      // Only the near half has the short downstream path and the slack
+      // to absorb fully high-Vt drivers.
       return build_segmented_slice(spec, scheme, /*full_slack_halves=*/1);
     case Scheme::kSDPC:
+      // Precharging frees that slack in both halves (Sec 2.4).
       return build_segmented_slice(spec, scheme, /*full_slack_halves=*/2);
   }
   throw std::invalid_argument("unknown scheme");

@@ -110,7 +110,7 @@ struct InputCell {
   std::vector<circuit::NodeId> tg_enables_b;
 };
 
-// Cell builder shared by the scheme translation units.  `n_pass` is
+// Cell builder shared by the flat and segmented slices.  `n_pass` is
 // the number of grant pass transistors, `drive_scale` downsizes the
 // driver chain (segmented cells), `suffix` names the nodes/devices.
 // When `out_node` is provided the cell's driver output is homed on it
@@ -133,15 +133,16 @@ inline constexpr double kSegmentDriveScale = 1.0;
 OutputSlice build_flat_slice(const CrossbarSpec& spec, const VtMap& vt);
 
 // Assembles the segmented output slice used by SDFC/SDPC.
-// `full_slack_rows` = number of bottom rows whose cells get the
+// `full_slack_halves` = number of wire halves whose cells get the
 // full-slack Vt map (all driver devices high-Vt).
 OutputSlice build_segmented_slice(const CrossbarSpec& spec, Scheme scheme,
-                                  int full_slack_rows);
+                                  int full_slack_halves);
 
 // Input-side cell (same for flat schemes; segmented adds row TGs).
 InputCell build_input_cell(const CrossbarSpec& spec, Scheme scheme);
 
-// Dispatch: representative slice for any scheme.
+// Dispatch: representative slice for any scheme.  The one place each
+// segmented scheme's full-slack half count is chosen.
 OutputSlice build_output_slice(const CrossbarSpec& spec, Scheme scheme);
 
 }  // namespace lain::xbar

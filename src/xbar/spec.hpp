@@ -14,6 +14,9 @@
 
 #pragma once
 
+#include <cmath>
+#include <stdexcept>
+
 #include "tech/itrs.hpp"
 #include "tech/units.hpp"
 
@@ -55,7 +58,7 @@ struct CrossbarSpec {
   double temp_k = 383.0;  // 110 C junction
   DeviceSizing sizing;
 
-  // Throws std::invalid_argument when inconsistent.
+  // Throws std::invalid_argument when inconsistent or not finite.
   void validate() const;
 };
 
@@ -63,13 +66,17 @@ struct CrossbarSpec {
 CrossbarSpec table1_spec();
 
 inline void CrossbarSpec::validate() const {
+  // Every range check is phrased so that NaN fails it.
+  auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
   if (ports < 2) throw std::invalid_argument("crossbar needs >= 2 ports");
   if (flit_bits < 1) throw std::invalid_argument("flit must have >= 1 bit");
-  if (freq_hz <= 0.0) throw std::invalid_argument("frequency must be positive");
-  if (static_probability < 0.0 || static_probability > 1.0) {
+  if (!positive(freq_hz)) {
+    throw std::invalid_argument("frequency must be positive");
+  }
+  if (!(static_probability >= 0.0 && static_probability <= 1.0)) {
     throw std::invalid_argument("static probability must be in [0,1]");
   }
-  if (temp_k <= 0.0) {
+  if (!positive(temp_k)) {
     throw std::invalid_argument("temperature must be positive");
   }
   const double* widths[] = {
@@ -80,7 +87,7 @@ inline void CrossbarSpec::validate() const {
       &sizing.input_drv_wn_m, &sizing.input_drv_wp_m,
       &sizing.segment_switch_width_m};
   for (const double* w : widths) {
-    if (*w <= 0.0) {
+    if (!positive(*w)) {
       throw std::invalid_argument("device widths must be positive");
     }
   }

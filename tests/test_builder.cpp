@@ -5,12 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "xbar/dfc.hpp"
-#include "xbar/dpc.hpp"
-#include "xbar/sc.hpp"
-#include "xbar/sdfc.hpp"
-#include "xbar/sdpc.hpp"
-
 namespace lain::xbar {
 namespace {
 
@@ -19,7 +13,7 @@ using tech::VtClass;
 
 TEST(Builder, ScSliceMatchesFig1AllNominal) {
   const CrossbarSpec spec = table1_spec();
-  const OutputSlice s = build_sc_slice(spec);
+  const OutputSlice s = build_output_slice(spec, Scheme::kSC);
   // Fig 1: N1..N4 pass devices, keeper P1, sleep N5, I1+I2 drivers.
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kPassTransistor), 4u);
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kKeeper), 1u);
@@ -33,10 +27,10 @@ TEST(Builder, ScSliceMatchesFig1AllNominal) {
 }
 
 TEST(Builder, DfcStaggeredAssignment) {
-  const OutputSlice s = build_dfc_slice(table1_spec());
+  const OutputSlice s = build_output_slice(table1_spec(), Scheme::kDFC);
   // Same circuit as SC...
   EXPECT_EQ(s.nl.device_count(),
-            build_sc_slice(table1_spec()).nl.device_count());
+            build_output_slice(table1_spec(), Scheme::kSC).nl.device_count());
   // ...with the keeper, I1's NMOS and N5 high-Vt.
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kKeeper, VtClass::kHigh), 1u);
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kSleep, VtClass::kHigh), 1u);
@@ -51,7 +45,7 @@ TEST(Builder, DfcStaggeredAssignment) {
 }
 
 TEST(Builder, DpcAddsPrechargeAndHighVtPullup) {
-  const OutputSlice s = build_dpc_slice(table1_spec());
+  const OutputSlice s = build_output_slice(table1_spec(), Scheme::kDPC);
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kPrecharge), 1u);
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kPrecharge, VtClass::kHigh), 1u);
   // The precharge hides LH: I2 PMOS and the pass devices go high-Vt.
@@ -64,7 +58,7 @@ TEST(Builder, DpcAddsPrechargeAndHighVtPullup) {
 }
 
 TEST(Builder, SdfcSegmentedStructure) {
-  const OutputSlice s = build_sdfc_slice(table1_spec());
+  const OutputSlice s = build_output_slice(table1_spec(), Scheme::kSDFC);
   // Two wire halves, each with its own tri-stated crossing cell and
   // per-half sleep; one boundary transmission gate.
   ASSERT_EQ(s.cells.size(), 2u);
@@ -88,7 +82,7 @@ TEST(Builder, SdfcSegmentedStructure) {
 }
 
 TEST(Builder, SdpcDropsKeeperPrechargesSegments) {
-  const OutputSlice s = build_sdpc_slice(table1_spec());
+  const OutputSlice s = build_output_slice(table1_spec(), Scheme::kSDPC);
   // Sec 2.4: no level restoration requirement -> no keepers at all.
   EXPECT_EQ(s.nl.count_devices(DeviceRole::kKeeper), 0u);
   // Per-segment precharge on both halves.
@@ -100,9 +94,12 @@ TEST(Builder, SdpcDropsKeeperPrechargesSegments) {
 
 TEST(Builder, HighVtWidthGrowsAcrossSchemes) {
   const CrossbarSpec spec = table1_spec();
-  const double sc = build_sc_slice(spec).nl.total_width_m(VtClass::kHigh);
-  const double dfc = build_dfc_slice(spec).nl.total_width_m(VtClass::kHigh);
-  const double dpc = build_dpc_slice(spec).nl.total_width_m(VtClass::kHigh);
+  auto high_vt_width = [&](Scheme s) {
+    return build_output_slice(spec, s).nl.total_width_m(VtClass::kHigh);
+  };
+  const double sc = high_vt_width(Scheme::kSC);
+  const double dfc = high_vt_width(Scheme::kDFC);
+  const double dpc = high_vt_width(Scheme::kDPC);
   EXPECT_EQ(sc, 0.0);
   EXPECT_GT(dfc, 0.0);
   EXPECT_GT(dpc, dfc);

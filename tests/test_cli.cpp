@@ -83,6 +83,18 @@ TEST(ParseRange, RejectsMalformedSpecs) {
   EXPECT_THROW(core::parse_range("0.5:0.1:0.1"), std::invalid_argument);
   EXPECT_THROW(core::parse_range("0.1:0.5:0"), std::invalid_argument);
   EXPECT_THROW(core::parse_range(""), std::invalid_argument);
+  // Non-finite numbers and trailing junk, in both forms.
+  for (const char* spec : {"0:1:nan", "0:inf:1", "nan:1:0.1", "nan",
+                           "0.1,nan", "-inf", "0.1,inf", "0.05x",
+                           "0:1:0.5x"}) {
+    EXPECT_THROW(core::parse_range(spec), std::invalid_argument) << spec;
+  }
+  // Ranges too long to expand: 10^12 points, and 10^6 + 1.
+  EXPECT_THROW(core::parse_range("0:1e9:1e-3"), std::invalid_argument);
+  EXPECT_THROW(core::parse_range("0:1000000:1"), std::invalid_argument);
+  EXPECT_THROW(core::parse_range("-1e308:1e308:1"), std::invalid_argument);
+  // 10^6 points is the most a range may expand to.
+  EXPECT_EQ(core::parse_range("1:1000000:1").size(), 1000000u);
 }
 
 TEST(ParseSchemes, NamesAreCaseInsensitiveAndAllExpands) {

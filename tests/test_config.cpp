@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "noc/config.hpp"
@@ -10,6 +11,8 @@
 
 namespace lain {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(SimConfigValidation, AcceptsDefault) {
   noc::SimConfig cfg;
@@ -40,6 +43,11 @@ TEST(SimConfigValidation, RejectsBadFields) {
   expect_bad([](noc::SimConfig& c) { c.hotspot_fraction = 2.0; });
   expect_bad([](noc::SimConfig& c) { c.measure_cycles = 0; });
   expect_bad([](noc::SimConfig& c) { c.warmup_cycles = -1; });
+  // NaN fails every range check, not just the ones written to catch it.
+  expect_bad([](noc::SimConfig& c) { c.injection_rate = kNaN; });
+  expect_bad([](noc::SimConfig& c) { c.hotspot_fraction = kNaN; });
+  expect_bad([](noc::SimConfig& c) { c.burst_duty = kNaN; });
+  expect_bad([](noc::SimConfig& c) { c.burst_on_mean_cycles = kNaN; });
 }
 
 TEST(SimConfigValidation, VcCountBoundedByTheRouterMaskWidth) {
@@ -78,6 +86,14 @@ TEST(CrossbarSpecValidation, RejectsBadFields) {
   expect_bad([](xbar::CrossbarSpec& s) { s.sizing.precharge_width_m = 0.0; });
   expect_bad(
       [](xbar::CrossbarSpec& s) { s.sizing.segment_switch_width_m = 0.0; });
+  // NaN and infinities fail every check.
+  expect_bad([](xbar::CrossbarSpec& s) { s.freq_hz = kNaN; });
+  expect_bad([](xbar::CrossbarSpec& s) { s.static_probability = kNaN; });
+  expect_bad([](xbar::CrossbarSpec& s) { s.temp_k = kNaN; });
+  expect_bad([](xbar::CrossbarSpec& s) {
+    s.temp_k = std::numeric_limits<double>::infinity();
+  });
+  expect_bad([](xbar::CrossbarSpec& s) { s.sizing.pass_width_m = kNaN; });
 }
 
 TEST(SimConfigValidation, SegmentedSchemesNeedThreePorts) {

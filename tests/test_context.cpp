@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -51,6 +53,22 @@ TEST(CharacterizationCache, ComputesOncePerDistinctPair) {
   cache.get(spec, xbar::Scheme::kSC);
   EXPECT_EQ(cache.characterizations(), 3u);
   EXPECT_EQ(cache.size(), 3u);
+}
+
+// The cache orders keys by their fields, and a NaN field compares
+// neither less nor greater: cached, a NaN-temperature key would alias
+// every spec that differs from it only in temperature.
+TEST(CharacterizationCache, RejectsNanSpecBeforeCaching) {
+  CharacterizationCache cache;
+  xbar::CrossbarSpec nan_temp = xbar::table1_spec();
+  nan_temp.temp_k = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(cache.get(nan_temp, xbar::Scheme::kSC), std::invalid_argument);
+  EXPECT_EQ(cache.size(), 0u);
+
+  xbar::CrossbarSpec hot = xbar::table1_spec();
+  hot.temp_k = 110.0 + 273.0;
+  expect_bit_identical(xbar::characterize(hot, xbar::Scheme::kSC),
+                       cache.get(hot, xbar::Scheme::kSC));
 }
 
 TEST(CharacterizationCache, BitIdenticalToUncached) {

@@ -1,9 +1,11 @@
-// test_engine_flags.cpp — the universal engine flags, end to end
-// through the scenario registry: the kernel-choice flags (--sim-threads,
-// --partition) must leave every NoC table byte-identical, on sparse
-// traffic the kernel steps event-driven as on denser per-cycle
-// traffic, and the fault flags (--fault-*) must reach every
-// cycle-accurate scenario.
+// test_engine_flags.cpp — the engine flags of the four scenarios that
+// simulate a network, end to end through the scenario registry: the
+// kernel-choice flags (--sim-threads, --partition) must leave every NoC
+// table byte-identical, on sparse traffic the kernel steps
+// event-driven as on denser per-cycle traffic, and the fault group
+// (--fault-*) must reach every one of them.  (The circuit scenarios
+// reject these flags; ScenarioRegistry.ScenariosRejectForeignFlags
+// pins that.)
 
 #include <gtest/gtest.h>
 

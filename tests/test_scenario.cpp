@@ -21,6 +21,27 @@ ArgParser parse(const Scenario& sc, std::vector<const char*> argv) {
                    reg.value_flags_for(sc), reg.switch_flags_for(sc));
 }
 
+// lain_bench's exit code for `argv`, its usage text on stderr dropped.
+int cli_exit_code(const Scenario& sc, const std::vector<const char*>& argv) {
+  testing::internal::CaptureStderr();
+  const int rc = run_scenario_cli(ScenarioRegistry::builtin(), sc,
+                                  static_cast<int>(argv.size()), argv.data());
+  testing::internal::GetCapturedStderr();
+  return rc;
+}
+
+// The fault and the telemetry group: a valid argv led by each flag.
+const std::vector<std::vector<const char*>> kFaultFlags = {
+    {"--fault-links", "1"}, {"--fault-routers", "1"}, {"--fault-at", "10"},
+    {"--fault-seed", "2"},  {"--fault-repair", "5"},  {"--allow-partition"}};
+const std::vector<std::vector<const char*>> kTelemetryFlags = {
+    {"--metrics-window", "100"},
+    {"--metrics-out", "-"},
+    {"--trace-flits", "8"},
+    {"--progress"},
+    {"--abort-on-saturation", "2", "--metrics-window", "100"},
+    {"--abort-on-disconnect", "--metrics-window", "100"}};
+
 TEST(ScenarioRegistry, BuiltinCoversEverySubcommand) {
   const ScenarioRegistry& reg = ScenarioRegistry::builtin();
   const char* expected[] = {
@@ -68,6 +89,52 @@ TEST(ScenarioRegistry, ScenariosRejectForeignFlags) {
   EXPECT_THROW(parse(breakeven, {"--rates", "0.5"}), std::invalid_argument);
   const Scenario& table1 = *reg.find("table1");
   EXPECT_THROW(parse(table1, {"--temps", "25"}), std::invalid_argument);
+
+  // The circuit scenarios simulate no network, so they reject all
+  // twelve fault and telemetry flags, and mesh_scaling, which attaches
+  // no telemetry, the six telemetry flags.
+  std::vector<std::pair<const char*, std::vector<const char*>>> foreign;
+  for (const char* name : {"table1", "corner_sweep", "node_scaling",
+                           "static_probability", "breakeven",
+                           "segmentation"}) {
+    for (const auto& argv : kFaultFlags) foreign.emplace_back(name, argv);
+    for (const auto& argv : kTelemetryFlags) foreign.emplace_back(name, argv);
+  }
+  for (const auto& argv : kTelemetryFlags) {
+    foreign.emplace_back("mesh_scaling", argv);
+  }
+  for (const auto& [name, argv] : foreign) {
+    const Scenario& sc = *reg.find(name);
+    EXPECT_THROW(parse(sc, argv), std::invalid_argument)
+        << name << " " << argv.front();
+    EXPECT_EQ(cli_exit_code(sc, argv), 2) << name << " " << argv.front();
+  }
+  // The NoC scenarios accept the rest.
+  for (const char* name : {"injection_sweep", "idle_histogram",
+                           "mesh_vs_torus", "mesh_scaling"}) {
+    for (const auto& argv : kFaultFlags) {
+      EXPECT_NO_THROW(parse(*reg.find(name), argv)) << name << argv.front();
+    }
+  }
+  for (const char* name :
+       {"injection_sweep", "idle_histogram", "mesh_vs_torus"}) {
+    for (const auto& argv : kTelemetryFlags) {
+      EXPECT_NO_THROW(parse(*reg.find(name), argv)) << name << argv.front();
+    }
+  }
+
+  // mesh_scaling times one rate and one pattern: a second value on
+  // either axis is rejected, as a second scheme is by mesh_vs_torus.
+  const Scenario& scaling = *reg.find("mesh_scaling");
+  for (const std::vector<const char*>& argv :
+       {std::vector<const char*>{"--rates", "0.05,0.3"},
+        std::vector<const char*>{"--patterns", "uniform,tornado"}}) {
+    EXPECT_THROW(scaling.validate(build_scenario_spec(scaling,
+                                                      parse(scaling, argv))),
+                 std::invalid_argument)
+        << argv.back();
+    EXPECT_EQ(cli_exit_code(scaling, argv), 2) << argv.back();
+  }
 }
 
 TEST(ScenarioSpec, BuildAppliesLayeredDefaults) {

@@ -104,6 +104,45 @@ TEST(ScenarioJson, RejectsUnknownScenarioAndKeys) {
     EXPECT_NE(std::string(e.what()).find("corner_sweep"),
               std::string::npos);
   }
+
+  // The fault and telemetry keys, as job fields: the circuit scenarios
+  // reject all twelve, and mesh_scaling the six telemetry keys.
+  const std::vector<std::string> fault = {
+      R"("fault-links":"1")", R"("fault-routers":"1")",
+      R"("fault-at":"10")",   R"("fault-seed":"2")",
+      R"("fault-repair":"5")", R"("allow-partition":true)"};
+  const std::vector<std::string> telemetry = {
+      R"("metrics-window":"100")", R"("metrics-out":"-")",
+      R"("trace-flits":"8")",      R"("progress":true)",
+      R"("abort-on-saturation":"2")", R"("abort-on-disconnect":true)"};
+  auto job = [](const char* scenario, const std::string& field) {
+    return std::string(R"({"scenario":")") + scenario + R"(",)" + field + "}";
+  };
+  for (const char* name : {"table1", "corner_sweep", "node_scaling",
+                           "static_probability", "breakeven",
+                           "segmentation"}) {
+    for (const auto* keys : {&fault, &telemetry}) {
+      for (const std::string& field : *keys) {
+        EXPECT_THROW(scenario_job_from_json(reg(), job(name, field)),
+                     std::invalid_argument)
+            << name << " " << field;
+      }
+    }
+  }
+  for (const std::string& field : telemetry) {
+    EXPECT_THROW(scenario_job_from_json(reg(), job("mesh_scaling", field)),
+                 std::invalid_argument)
+        << field;
+  }
+  for (const std::string& field : fault) {
+    EXPECT_NO_THROW(scenario_job_from_json(reg(), job("mesh_scaling", field)))
+        << field;
+  }
+  // mesh_scaling accepts the rates key but times a single rate.
+  const ScenarioJobSpec two_rates = scenario_job_from_json(
+      reg(), job("mesh_scaling", R"("rates":"0.05,0.3")"));
+  EXPECT_THROW(build_scenario_spec(reg(), two_rates, {}),
+               std::invalid_argument);
 }
 
 TEST(ScenarioJson, RejectsMistypedValues) {
@@ -120,11 +159,18 @@ TEST(ScenarioJson, RejectsMistypedValues) {
   // scenario must be a string.
   EXPECT_THROW(scenario_job_from_json(reg(), R"({"scenario":7})"),
                std::invalid_argument);
-  // Duplicate scenario keys are ambiguous.
+  // Duplicate scenario keys are ambiguous...
   EXPECT_THROW(
       scenario_job_from_json(
           reg(),
           R"({"scenario":"corner_sweep","scenario":"corner_sweep"})"),
+      std::invalid_argument);
+  // ...and so are duplicate flag keys: the parser would run only the
+  // first value.
+  EXPECT_THROW(
+      scenario_job_from_json(
+          reg(), R"({"scenario":"corner_sweep","temps":"25","temps":"110",)"
+                 R"("schemes":"sc"})"),
       std::invalid_argument);
 }
 

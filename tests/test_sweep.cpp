@@ -168,20 +168,21 @@ TEST(SweepDeterminism, SimStatsIdenticalAcrossThreadCountsAndJobOrder) {
 // End-to-end table determinism: the rendered injection-sweep report is
 // byte-identical between 1 and 4 worker threads.
 TEST(SweepDeterminism, InjectionSweepTableIdenticalAcrossThreadCounts) {
-  core::NocSweepOptions opt;
-  opt.schemes = {xbar::Scheme::kSDPC};
-  opt.rates = {0.05, 0.1};
+  core::ScenarioSpec spec;
+  spec.schemes = {xbar::Scheme::kSDPC};
+  spec.patterns = {noc::TrafficPattern::kUniform};
+  spec.rates = {0.05, 0.1};
   core::LainContext ctx;
   const std::string t1 =
-      core::injection_sweep(ctx, opt, core::SweepEngine(1)).to_text();
+      core::injection_sweep(ctx, spec, core::SweepEngine(1)).to_text();
   const std::string t4 =
-      core::injection_sweep(ctx, opt, core::SweepEngine(4)).to_text();
+      core::injection_sweep(ctx, spec, core::SweepEngine(4)).to_text();
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t4);
   const std::string c1 =
-      core::injection_sweep(ctx, opt, core::SweepEngine(1)).to_csv();
+      core::injection_sweep(ctx, spec, core::SweepEngine(1)).to_csv();
   const std::string c4 =
-      core::injection_sweep(ctx, opt, core::SweepEngine(4)).to_csv();
+      core::injection_sweep(ctx, spec, core::SweepEngine(4)).to_csv();
   EXPECT_EQ(c1, c4);
 }
 

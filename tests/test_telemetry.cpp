@@ -2,8 +2,8 @@
 // metrics carry the same bit-identity contract as end-of-run stats
 // (serial vs 1/2/4/8 shards, both partition shapes, mesh and torus),
 // the profiling counters and flit-trace ring behave as documented,
-// the JSONL schema round-trips exactly, and the universal CLI flags
-// parse into the scenario spec.
+// the JSONL schema round-trips exactly, and the telemetry CLI flags
+// parse into the scenario spec of the scenarios that accept them.
 
 #include "core/metrics.hpp"
 
@@ -497,13 +497,16 @@ TEST(ScenarioTelemetryFlags, ParseIntoSpecAndRejectNegatives) {
   EXPECT_THROW(
       core::build_scenario_spec(sc, parse({"--trace-flits", "-1"})),
       std::invalid_argument);
-  // The flags are universal: even text-only scenarios accept them.
+  // Only the scenarios that simulate a network take them: table1
+  // rejects them instead of streaming nothing.
   const core::Scenario& table1 = *reg.find("table1");
-  EXPECT_NO_THROW(core::build_scenario_spec(
-      table1, core::ArgParser(2, std::vector<const char*>{
-                                     "--metrics-window", "100"}.data(),
-                              reg.value_flags_for(table1),
-                              reg.switch_flags_for(table1))));
+  EXPECT_THROW(core::ArgParser(2,
+                               std::vector<const char*>{"--metrics-window",
+                                                        "100"}
+                                   .data(),
+                               reg.value_flags_for(table1),
+                               reg.switch_flags_for(table1)),
+               std::invalid_argument);
 }
 
 }  // namespace
