@@ -358,6 +358,19 @@ std::vector<Bench> make_benches() {
       keep(r);
     }
   }});
+  benches.push_back({"powered_noc_sparse", [](std::int64_t n) {
+    // Its event-stepped twin: a 16x16 SDPC mesh at 0.002, where the
+    // deferred idle power flush and the arrival scan carry the run.
+    core::LainContext ctx;
+    core::NocRunSpec spec;
+    spec.scheme = xbar::Scheme::kSDPC;
+    spec.sim = core::make_sim_config(16, noc::TopologyKind::kMesh, 0.002,
+                                     noc::TrafficPattern::kUniform, 1);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const core::NocRunResult r = ctx.run_noc(spec);
+      keep(r);
+    }
+  }});
 
   return benches;
 }

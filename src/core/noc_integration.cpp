@@ -37,12 +37,11 @@ void RouterPowerHook::on_cycle(const noc::RouterEvents& ev) {
 }
 
 void RouterPowerHook::on_idle_cycles(std::int64_t n) {
-  // Replays n empty cycles through the power model in a loop: the
-  // per-cycle floating-point accumulation order (leakage terms, sleep
-  // controller state machine) is exactly the per-cycle path's, so the
-  // energy columns of an event-stepped run stay bit-identical.
-  const power::RouterCycleEvents empty{};
-  for (std::int64_t i = 0; i < n; ++i) power_.tick(empty);
+  // One batched call per account instead of n empty ticks: the
+  // accounts add the per-cycle constants an empty tick adds, once per
+  // cycle and in order, so the energy columns of an event-stepped run
+  // stay bit-identical (see RouterPower::idle_cycles).
+  power_.idle_cycles(n);
 }
 
 PoweredNoc::PoweredNoc(noc::Network& net, const NocPowerConfig& cfg)

@@ -32,8 +32,9 @@ class RouterPowerHook final : public noc::PowerHook {
                   const xbar::Characterization& chars);
   bool xbar_ready() override;
   void on_cycle(const noc::RouterEvents& ev) override;
-  // Batched idle accounting for cycle skipping: replays the per-cycle
-  // power model n times (same FP sequence — bit-identical energy).
+  // Batched idle accounting for cycle skipping: one
+  // RouterPower::idle_cycles(n) call, equal bit for bit to n
+  // on_cycle() calls with empty events.
   void on_idle_cycles(std::int64_t n) override;
   const power::RouterPower& power() const { return power_; }
 

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace lain::noc {
@@ -21,6 +22,20 @@ constexpr std::uint64_t mix_seed(std::uint64_t base, std::uint64_t stream) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+// Rng::bernoulli(p) as one integer compare, for a p fixed across many
+// draws.  next_double() scales the 53-bit integer m = next_u64() >> 11
+// by 2^-53, which is exact, so next_double() < p holds exactly when
+// m < ceil(p * 2^53).  Rng::bernoulli(BernoulliThreshold(p)) therefore
+// draws what Rng::bernoulli(p) draws, bit for bit.
+struct BernoulliThreshold {
+  explicit BernoulliThreshold(double p = 0.0)
+      : m(!(p > 0.0)  ? 0  // also NaN: next_double() < NaN is false
+          : p >= 1.0 ? std::uint64_t{1} << 53
+                     : static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))) {
+  }
+  std::uint64_t m;  // the draw succeeds when (next_u64() >> 11) < m
+};
 
 class Rng {
  public:
@@ -59,6 +74,7 @@ class Rng {
   }
 
   bool bernoulli(double p) { return next_double() < p; }
+  bool bernoulli(BernoulliThreshold t) { return (next_u64() >> 11) < t.m; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

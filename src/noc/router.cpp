@@ -86,9 +86,8 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::tick_idle_n(std::int64_t n) {
   if (n <= 0) return;
   // A deferred run of n idle cycles, flushed in one call: the event
   // counters end empty (as after n tick_idle()s), the activity tap
-  // absorbs the run in O(1) integer math, and the power hook replays
-  // its per-cycle floating-point sequence so energy accounting is
-  // bit-identical to n per-cycle calls.
+  // absorbs the run in O(1) integer math, and the power hook accounts
+  // the run in one call, bit-identical to n per-cycle calls.
   events_ = RouterEvents{};
   activity_.record_idle(n);
   if (power_hook_ != nullptr) power_hook_->on_idle_cycles(n);

@@ -73,8 +73,9 @@ class PowerHook {
   // Batched idle notification for cycle skipping: account `n`
   // consecutive event-free cycles.  The default replays on_cycle with
   // empty events n times, so any hook is bit-identical by
-  // construction; implementations may override only with a loop whose
-  // floating-point operation sequence matches exactly.
+  // construction.  An override must leave the hook exactly as that
+  // replay would, bit for bit; RouterPowerHook's batch adds each
+  // account's per-cycle constant once per cycle, in order.
   virtual void on_idle_cycles(std::int64_t n) {
     const RouterEvents empty{};
     for (std::int64_t i = 0; i < n; ++i) on_cycle(empty);
@@ -122,8 +123,8 @@ class Router {
   // Batched idle accounting for the event-stepping kernel: account n
   // consecutive idle cycles exactly as n tick_idle() calls would —
   // the crossbar activity absorbs the whole run in O(1) and the power
-  // hook gets one on_idle_cycles(n) (which replays its per-cycle
-  // floating-point sequence, so energy columns stay bit-identical).
+  // hook gets one on_idle_cycles(n), which must equal n empty
+  // on_cycle() calls bit for bit (see PowerHook::on_idle_cycles).
   // Unlike tick_idle() this is also used retroactively: the kernel
   // may defer a sleeping router's accounting and flush it here just
   // before the next full tick().  n == 0 is a no-op.

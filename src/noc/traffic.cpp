@@ -67,52 +67,61 @@ TrafficGenerator::TrafficGenerator(const SimConfig& cfg) : cfg_(cfg) {
   }
   modulated_ = cfg.burst_duty < 1.0;
   // ON-state rate scaled to preserve the long-run average.
-  packet_rate_ =
-      cfg.injection_rate / cfg.packet_length_flits / cfg.burst_duty;
+  inject_ = BernoulliThreshold(cfg.injection_rate / cfg.packet_length_flits /
+                               cfg.burst_duty);
   on_.assign(static_cast<size_t>(cfg.num_nodes()), 1);
   arrivals_.assign(static_cast<size_t>(cfg.num_nodes()), NodeArrival{});
   // Geometric dwell times: mean ON dwell = burst_on_mean_cycles, and
   // the OFF dwell follows from the duty cycle.
-  p_off_ = 1.0 / cfg.burst_on_mean_cycles;
+  turn_off_ = BernoulliThreshold(1.0 / cfg.burst_on_mean_cycles);
   const double off_mean =
       cfg.burst_on_mean_cycles * (1.0 - cfg.burst_duty) / cfg.burst_duty;
-  p_on_ = off_mean > 0.0 ? 1.0 / off_mean : 1.0;
+  turn_on_ = BernoulliThreshold(off_mean > 0.0 ? 1.0 / off_mean : 1.0);
 }
 
 bool TrafficGenerator::is_on(NodeId src) const {
   return on_.at(static_cast<size_t>(src)) != 0;
 }
 
-NodeId TrafficGenerator::draw_once(NodeId src) {
-  Rng& rng = rngs_[static_cast<size_t>(src)];
-  if (modulated_) {
-    bool state = on_[static_cast<size_t>(src)] != 0;
-    if (state ? rng.bernoulli(p_off_) : rng.bernoulli(p_on_)) {
-      state = !state;
-      on_[static_cast<size_t>(src)] = state ? 1 : 0;
-    }
-    if (!state) return kInvalidNode;
-  }
-  if (!rng.bernoulli(packet_rate_)) return kInvalidNode;
-  NodeId dst = pattern_destination(cfg_.pattern, src, cfg_, rng);
+bool TrafficGenerator::injects(Rng& rng, bool& on) const {
+  if (modulated_ && rng.bernoulli(on ? turn_off_ : turn_on_)) on = !on;
+  return on && rng.bernoulli(inject_);
+}
+
+NodeId TrafficGenerator::maybe_generate(NodeId src) {
+  const auto i = static_cast<size_t>(src);
+  Rng& rng = rngs_.at(i);
+  bool on = on_[i] != 0;
+  const bool inject = injects(rng, on);
+  on_[i] = on ? 1 : 0;
+  if (!inject) return kInvalidNode;
+  const NodeId dst = pattern_destination(cfg_.pattern, src, cfg_, rng);
   if (dst == src) return kInvalidNode;  // no self traffic
   return dst;
 }
 
-NodeId TrafficGenerator::maybe_generate(NodeId src) {
-  (void)rngs_.at(static_cast<size_t>(src));  // bounds check once
-  return draw_once(src);
-}
-
 Cycle TrafficGenerator::next_arrival(NodeId src, Cycle horizon) {
-  NodeArrival& a = arrivals_.at(static_cast<size_t>(src));
+  const auto i = static_cast<size_t>(src);
+  NodeArrival& a = arrivals_.at(i);
   if (a.pending_cycle != kNoArrival) {
     return a.pending_cycle < horizon ? a.pending_cycle : kNoArrival;
   }
   while (a.clock < horizon) {
-    const Cycle cycle = a.clock++;
-    const NodeId dst = draw_once(src);
-    if (dst != kInvalidNode) {
+    // The scan runs on copies, so the stream stays in registers; the
+    // node's state is written back once, where the scan stops.
+    Rng rng = rngs_[i];
+    bool on = on_[i] != 0;
+    Cycle cycle = a.clock;
+    while (cycle < horizon && !injects(rng, on)) ++cycle;
+    rngs_[i] = rng;
+    on_[i] = on ? 1 : 0;
+    if (cycle == horizon) {
+      a.clock = horizon;
+      return kNoArrival;
+    }
+    a.clock = cycle + 1;
+    const NodeId dst = pattern_destination(cfg_.pattern, src, cfg_, rngs_[i]);
+    if (dst != src) {  // a self-addressed packet is dropped: scan on
       a.pending_cycle = cycle;
       a.pending_dst = dst;
       return cycle;

@@ -43,20 +43,23 @@ class TrafficGenerator {
 
   // --- Event-driven interface (cycle skipping) -------------------------
   //
-  // next_arrival / take_arrival replay the exact per-cycle draw
-  // sequence of maybe_generate against the same per-node stream, so a
-  // kernel that polls arrivals instead of cycles consumes RNG state
-  // bit-identically to one that calls maybe_generate every cycle.
-  // Each node keeps its own traffic clock; the two interfaces must not
-  // be mixed on the same node within one run.
+  // next_arrival / take_arrival make the exact per-cycle draws of
+  // maybe_generate against the same per-node stream, so a kernel that
+  // polls arrivals instead of cycles consumes RNG state bit-identically
+  // to one that calls maybe_generate every cycle.  Each node keeps its
+  // own traffic clock; the two interfaces must not be mixed on the
+  // same node within one run.
 
   // Cycle of node `src`'s next packet arrival at or after its current
   // traffic clock, scanning no further than `horizon` (exclusive) —
   // the kernel passes the injection stop cycle, which also caps RNG
   // consumption at exactly what per-cycle polling would have drawn.
-  // Returns the arrival cycle and caches the destination, or
-  // kNoArrival when no packet arrives before `horizon`.  Idempotent
-  // until take_arrival(src).
+  // The scan keeps the node's stream and burst state in locals and
+  // writes them back once it stops; every burst flip and injection
+  // draw is one integer compare (BernoulliThreshold).  Returns the
+  // arrival cycle and caches the destination, or kNoArrival when no
+  // packet arrives before `horizon`.  Idempotent until
+  // take_arrival(src).
   static constexpr Cycle kNoArrival = std::numeric_limits<Cycle>::max();
   Cycle next_arrival(NodeId src, Cycle horizon);
 
@@ -66,9 +69,10 @@ class TrafficGenerator {
   NodeId take_arrival(NodeId src);
 
  private:
-  // One per-cycle draw for `src` (burst flip + injection Bernoulli +
-  // pattern draws); kInvalidNode when that cycle injects nothing.
-  NodeId draw_once(NodeId src);
+  // One cycle's burst flip and injection draw on a node's stream and
+  // burst state; true when that cycle injects, the destination being
+  // drawn next.  maybe_generate and the arrival scan both draw here.
+  bool injects(Rng& rng, bool& on) const;
 
   // Per-node event-driven state: the next cycle whose draw has not
   // happened yet, and the cached pending arrival (if any).
@@ -80,14 +84,14 @@ class TrafficGenerator {
 
   SimConfig cfg_;
   std::vector<Rng> rngs_;  // per-node streams
-  double packet_rate_;  // packets / node / cycle in the ON state
+  BernoulliThreshold inject_;  // packets / node / cycle in the ON state
   bool modulated_;
   // Per-node burst state.  uint8_t, not vector<bool>: adjacent nodes
   // may be toggled by different shards concurrently, so each node
   // needs its own addressable byte.
   std::vector<std::uint8_t> on_;
-  double p_off_;          // P[ON -> OFF] per cycle
-  double p_on_;           // P[OFF -> ON] per cycle
+  BernoulliThreshold turn_off_;  // P[ON -> OFF] per cycle
+  BernoulliThreshold turn_on_;   // P[OFF -> ON] per cycle
   // Event-driven per-node arrival state (same sharding story as on_:
   // each node's entry is touched only by the shard that owns it).
   std::vector<NodeArrival> arrivals_;

@@ -63,6 +63,13 @@ ActivityState CrossbarPower::tick(int active_outputs) {
   return st;
 }
 
+void CrossbarPower::idle_cycles(std::int64_t n) {
+  if (n <= 0) return;
+  // tick(0) never reports kActive, so only the controller accounts.
+  cycles_ += n;
+  controller_.idle_cycles(n);
+}
+
 double CrossbarPower::average_power_w() const {
   if (cycles_ == 0) return 0.0;
   return total_energy_j() * spec_.freq_hz / static_cast<double>(cycles_);

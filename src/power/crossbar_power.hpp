@@ -30,6 +30,10 @@ class CrossbarPower {
   // traversal (wakeup latency).
   ActivityState tick(int active_outputs);
 
+  // Advances n cycles with no traversal, leaving every field exactly
+  // as n tick(0) calls would (see SleepController::idle_cycles).
+  void idle_cycles(std::int64_t n);
+
   bool can_traverse() const {
     return !controller_.is_gated() || controller_.wake_stall() == 0;
   }

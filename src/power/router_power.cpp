@@ -8,20 +8,40 @@ RouterPower::RouterPower(const RouterPowerConfig& cfg,
       xbar_(cfg.xbar_spec, xbar_chars, cfg.enable_gating),
       buffer_model_(characterize_buffer(cfg.xbar_spec, cfg.buffer)),
       arbiter_model_(characterize_arbiter(cfg.xbar_spec, cfg.xbar_spec.ports)),
-      link_model_(characterize_link(cfg.xbar_spec, cfg.link)) {}
+      link_model_(characterize_link(cfg.xbar_spec, cfg.link)),
+      cycle_s_(1.0 / cfg.xbar_spec.freq_hz),
+      buffer_leak_j_(cfg.xbar_spec.ports * buffer_model_.leakage_w * cycle_s_),
+      arbiter_leak_j_(arbiter_model_.leakage_w * cycle_s_),
+      link_leak_j_(cfg.xbar_spec.ports * link_model_.leakage_w * cycle_s_) {}
 
 ActivityState RouterPower::tick(const RouterCycleEvents& ev) {
   ++cycles_;
-  const double cycle_s = 1.0 / cfg_.xbar_spec.freq_hz;
   buffer_energy_j_ += ev.buffer_writes * buffer_model_.write_energy_j +
                       ev.buffer_reads * buffer_model_.read_energy_j +
-                      cfg_.xbar_spec.ports * buffer_model_.leakage_w * cycle_s;
+                      buffer_leak_j_;
   arbiter_energy_j_ +=
       ev.arbitrations * arbiter_model_.energy_per_arbitration_j +
-      arbiter_model_.leakage_w * cycle_s;
-  link_energy_j_ += ev.link_flits * link_model_.energy_per_flit_j +
-                    cfg_.xbar_spec.ports * link_model_.leakage_w * cycle_s;
+      arbiter_leak_j_;
+  link_energy_j_ +=
+      ev.link_flits * link_model_.energy_per_flit_j + link_leak_j_;
   return xbar_.tick(ev.xbar_traversals);
+}
+
+void RouterPower::idle_cycles(std::int64_t n) {
+  if (n <= 0) return;
+  cycles_ += n;
+  double buffer = buffer_energy_j_;
+  double arbiter = arbiter_energy_j_;
+  double link = link_energy_j_;
+  for (std::int64_t i = 0; i < n; ++i) {
+    buffer += buffer_leak_j_;
+    arbiter += arbiter_leak_j_;
+    link += link_leak_j_;
+  }
+  buffer_energy_j_ = buffer;
+  arbiter_energy_j_ = arbiter;
+  link_energy_j_ = link;
+  xbar_.idle_cycles(n);
 }
 
 double RouterPower::total_energy_j() const {

@@ -42,6 +42,14 @@ class RouterPower {
   // state (standby gating may stall traversals — see CrossbarPower).
   ActivityState tick(const RouterCycleEvents& ev);
 
+  // Integrates n event-free cycles, leaving every field exactly as n
+  // tick(RouterCycleEvents{}) calls would.  An event-free tick adds
+  // (0 * E + ...) + L to each account, where L is the leakage term
+  // below; for finite event energies E that sum is L bit for bit, so
+  // the batch adds L once per cycle, in order (n * L would round
+  // differently), and the crossbar batches its own accounts.
+  void idle_cycles(std::int64_t n);
+
   bool xbar_ready() const { return xbar_.can_traverse(); }
 
   const CrossbarPower& crossbar() const { return xbar_; }
@@ -59,6 +67,12 @@ class RouterPower {
   BufferPowerModel buffer_model_;
   ArbiterPowerModel arbiter_model_;
   LinkPowerModel link_model_;
+  // Per-cycle leakage terms, computed once; tick() and idle_cycles()
+  // both read them, so the two paths add the same bits.
+  double cycle_s_;
+  double buffer_leak_j_;   // ports * buffer leakage * cycle_s_
+  double arbiter_leak_j_;  // arbiter leakage * cycle_s_
+  double link_leak_j_;     // ports * link leakage * cycle_s_
   double buffer_energy_j_ = 0.0;
   double arbiter_energy_j_ = 0.0;
   double link_energy_j_ = 0.0;

@@ -14,7 +14,11 @@ int GatedBlockCosts::min_idle_cycles() const {
 
 SleepController::SleepController(const SleepPolicy& policy,
                                  const GatedBlockCosts& costs)
-    : policy_(policy), costs_(costs) {
+    : policy_(policy),
+      costs_(costs),
+      cycle_s_(1.0 / costs.freq_hz),
+      idle_leak_j_(costs.idle_power_w * cycle_s_),
+      standby_leak_j_(costs.standby_power_w * cycle_s_) {
   if (policy.idle_threshold_cycles < 1) {
     throw std::invalid_argument("idle threshold must be >= 1");
   }
@@ -28,15 +32,14 @@ SleepController::SleepController(const SleepPolicy& policy,
 
 ActivityState SleepController::tick(bool demand) {
   ++cycles_;
-  const double cycle_s = 1.0 / costs_.freq_hz;
   // A never-gated block leaks idle power whenever it is not in use;
   // while in use its power is billed by the dynamic model, so the
   // reference tracks idle leakage only.
-  if (!demand) ungated_reference_j_ += costs_.idle_power_w * cycle_s;
+  if (!demand) ungated_reference_j_ += idle_leak_j_;
 
   if (gated_) {
     ++standby_cycles_;
-    leakage_energy_j_ += costs_.standby_power_w * cycle_s;
+    leakage_energy_j_ += standby_leak_j_;
     if (demand) {
       if (wake_stall_ == 0) wake_stall_ = policy_.wakeup_latency_cycles;
       --wake_stall_;
@@ -57,7 +60,7 @@ ActivityState SleepController::tick(bool demand) {
   }
 
   ++idle_run_;
-  leakage_energy_j_ += costs_.idle_power_w * cycle_s;
+  leakage_energy_j_ += idle_leak_j_;
   if (policy_.enabled && idle_run_ >= policy_.idle_threshold_cycles) {
     gated_ = true;
     idle_run_ = 0;
@@ -65,6 +68,42 @@ ActivityState SleepController::tick(bool demand) {
     ++transitions_;
   }
   return ActivityState::kIdle;
+}
+
+void SleepController::idle_cycles(std::int64_t n) {
+  if (n <= 0) return;
+  cycles_ += n;
+  // Cycles spent ungated: until the run reaches the threshold (the
+  // gating cycle itself is still an idle one), or all n with the
+  // policy off.  A gated block stays gated, and a wake in progress
+  // holds its stall count: only demand advances it.
+  std::int64_t idle = 0;
+  if (!gated_) {
+    idle = n;
+    if (policy_.enabled) {
+      idle = std::min(n, policy_.idle_threshold_cycles - idle_run_);
+    }
+    idle_run_ += idle;
+    if (policy_.enabled && idle_run_ >= policy_.idle_threshold_cycles) {
+      gated_ = true;
+      idle_run_ = 0;
+      transition_energy_j_ += costs_.entry_energy_j;
+      ++transitions_;
+    }
+  }
+  standby_cycles_ += n - idle;
+  double reference = ungated_reference_j_;
+  double leakage = leakage_energy_j_;
+  for (std::int64_t i = 0; i < idle; ++i) {
+    reference += idle_leak_j_;
+    leakage += idle_leak_j_;
+  }
+  for (std::int64_t i = idle; i < n; ++i) {
+    reference += idle_leak_j_;
+    leakage += standby_leak_j_;
+  }
+  ungated_reference_j_ = reference;
+  leakage_energy_j_ = leakage;
 }
 
 SleepPolicy breakeven_policy(const GatedBlockCosts& costs,

@@ -49,6 +49,14 @@ class SleepController {
   // (the caller observes kStandby for those cycles and must stall).
   ActivityState tick(bool demand);
 
+  // Advances n cycles without demand, leaving every field exactly as
+  // n tick(false) calls would.  The state machine moves in closed
+  // form: idle cycles until the run reaches the threshold, the gating
+  // transition, then standby.  Each energy accumulator adds the same
+  // per-cycle constant tick() adds, once per cycle and in order, so
+  // the sums are bit-identical (n * constant would round differently).
+  void idle_cycles(std::int64_t n);
+
   bool is_gated() const { return gated_; }
   // Remaining wake-up stall cycles (0 when ready).
   int wake_stall() const { return wake_stall_; }
@@ -73,8 +81,14 @@ class SleepController {
  private:
   SleepPolicy policy_;
   GatedBlockCosts costs_;
+  // Per-cycle constants, computed once; tick() and idle_cycles() both
+  // read them, so the two paths add the same bits.
+  double cycle_s_;
+  double idle_leak_j_;     // idle_power_w * cycle_s_
+  double standby_leak_j_;  // standby_power_w * cycle_s_
   bool gated_ = false;
-  int idle_run_ = 0;
+  // 64-bit: with the policy off an idle run never resets.
+  std::int64_t idle_run_ = 0;
   int wake_stall_ = 0;
   std::int64_t cycles_ = 0;
   std::int64_t standby_cycles_ = 0;

@@ -11,7 +11,10 @@
 //       is reserved up front; packet sourcing, which legitimately
 //       grows the source queue, stays outside the measured region),
 //   (e) on the channel exchange phase (fixed-ring pipes; the whole
-//       tick_channels sweep must not touch the heap).
+//       tick_channels sweep must not touch the heap),
+//   (f) on the powered idle path: deferred idle spans flushed through
+//       tick_idle_n into the SDPC power hooks' batched accounting,
+//       across the gating threshold, plus tick_idle.
 //
 // Everything here is single-threaded and deterministic, so a pass is
 // a proof, not a sample.  Registered as the `noalloc_router_hot_path`
@@ -22,6 +25,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/experiments.hpp"
+#include "core/noc_integration.hpp"
 #include "noc/topology.hpp"
 
 namespace {
@@ -131,16 +136,51 @@ void probe_saturated() {
   }
 }
 
+// (f): an idle 5x5 fabric whose routers carry SDPC power hooks with
+// gating on.  Each router takes tick_idle_n spans of 1 to 4096 cycles,
+// each followed by a tick_idle, so the batched accounting runs from
+// the ungated state through the gating transition and on in standby.
+// Characterization and hook construction stay outside the region.
+void probe_powered_idle() {
+  SimConfig cfg;
+  Network net(cfg);
+  const lain::core::PoweredNoc powered(
+      net, lain::core::default_noc_power(lain::xbar::Scheme::kSDPC));
+  std::int64_t cycles = 0;
+  const std::int64_t before = g_allocs;
+  for (std::int64_t span = 1; span <= 4096; span += span < 8 ? 1 : span) {
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      net.router(n).tick_idle_n(span);
+      net.router(n).tick_idle();
+    }
+    cycles += span + 1;
+  }
+  check("powered idle spans (tick_idle_n, tick_idle)", g_allocs - before,
+        cycles);
+  // Sanity: the spans crossed the gating threshold on every router.
+  const std::int64_t router_cycles = cycles * net.num_nodes();
+  if (powered.total_cycles() != router_cycles ||
+      powered.standby_cycles() <= 0 ||
+      powered.standby_cycles() >= router_cycles) {
+    std::printf("probe error: no gating transition (%lld of %lld standby)\n",
+                static_cast<long long>(powered.standby_cycles()),
+                static_cast<long long>(router_cycles));
+    ++failures;
+  }
+}
+
 }  // namespace
 
 int main() {
   probe_idle();
   probe_saturated();
+  probe_powered_idle();
   if (failures) {
     std::printf("%d probe(s) FAILED: a LAIN_NO_ALLOC region allocated\n",
                 failures);
     return 1;
   }
-  std::printf("router, NIC and channel hot paths are allocation-free\n");
+  std::printf(
+      "router, NIC, channel and powered idle paths are allocation-free\n");
   return 0;
 }

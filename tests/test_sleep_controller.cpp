@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 namespace lain::power {
 namespace {
 
@@ -111,6 +116,87 @@ TEST(SleepController, UngatedReferenceTracksIdleOnly) {
   c.tick(false);  // idle: 10 pJ
   c.tick(false);
   EXPECT_NEAR(c.ungated_reference_j(), 20e-12, 1e-18);
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+void expect_same_controller(const SleepController& a,
+                            const SleepController& b) {
+  EXPECT_EQ(bits(a.leakage_energy_j()), bits(b.leakage_energy_j()));
+  EXPECT_EQ(bits(a.transition_energy_j()), bits(b.transition_energy_j()));
+  EXPECT_EQ(bits(a.ungated_reference_j()), bits(b.ungated_reference_j()));
+  EXPECT_EQ(a.cycles(), b.cycles());
+  EXPECT_EQ(a.standby_cycles(), b.standby_cycles());
+  EXPECT_EQ(a.transitions(), b.transitions());
+  EXPECT_EQ(a.is_gated(), b.is_gated());
+  EXPECT_EQ(a.wake_stall(), b.wake_stall());
+}
+
+// idle_cycles(n) against n tick(false) calls from every start state a
+// tick(true)/tick(false) prefix reaches: ungated at each idle run
+// below the threshold, gated, and gated with a wake in progress.
+// Costs whose per-cycle terms are not exact binary fractions, so a
+// batch that multiplied instead of adding would show in the bits.
+TEST(SleepController, IdleCyclesEqualPerCycleTicks) {
+  const GatedBlockCosts c = costs(10.3e-3, 2.1e-3, 5.3e-12, 7.1e-12, 1.3e9);
+  for (const int threshold : {1, 2, 5}) {
+    for (const bool enabled : {true, false}) {
+      for (const int latency : {1, 2}) {
+        SleepPolicy p;
+        p.idle_threshold_cycles = threshold;
+        p.wakeup_latency_cycles = latency;
+        p.enabled = enabled;
+        std::vector<std::vector<bool>> prefixes;
+        for (int run = 0; run < threshold; ++run) {
+          std::vector<bool> ungated{true};
+          ungated.insert(ungated.end(), static_cast<size_t>(run), false);
+          prefixes.push_back(ungated);
+        }
+        if (enabled) {
+          std::vector<bool> gated{true};
+          gated.insert(gated.end(), static_cast<size_t>(threshold), false);
+          prefixes.push_back(gated);
+          if (latency == 2) {
+            gated.push_back(true);  // the wake takes two demand cycles
+            prefixes.push_back(gated);
+          }
+        }
+        for (const std::vector<bool>& prefix : prefixes) {
+          SleepController start(p, c);
+          for (const bool demand : prefix) start.tick(demand);
+          if (prefix.size() > static_cast<size_t>(threshold)) {
+            ASSERT_TRUE(start.is_gated());
+            ASSERT_EQ(start.wake_stall(), prefix.back() ? 1 : 0);
+          } else {
+            ASSERT_FALSE(start.is_gated());
+          }
+          for (const std::int64_t n :
+               {std::int64_t{0}, std::int64_t{1},
+                std::int64_t{threshold - 1}, std::int64_t{threshold},
+                std::int64_t{threshold + 1}, std::int64_t{1000}}) {
+            SCOPED_TRACE("threshold " + std::to_string(threshold) +
+                         (enabled ? " on" : " off") + " latency " +
+                         std::to_string(latency) + " prefix " +
+                         std::to_string(prefix.size()) + " n " +
+                         std::to_string(n));
+            SleepController batched = start;
+            SleepController stepped = start;
+            batched.idle_cycles(n);
+            for (std::int64_t i = 0; i < n; ++i) stepped.tick(false);
+            expect_same_controller(batched, stepped);
+            for (int i = 0; i < latency + 2; ++i) {
+              EXPECT_EQ(batched.tick(true), stepped.tick(true));
+            }
+            expect_same_controller(batched, stepped);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
