@@ -6,12 +6,26 @@
 // can thrash.
 
 #include <cstdio>
+#include <vector>
 
 #include "core/leakage_aware.hpp"
 #include "noc/sim.hpp"
 #include "power/sleep_controller.hpp"
 
 using namespace lain;
+
+// Records the crossbar demand of the router it is set on, one entry
+// per router cycle.  A noc::PowerHook sees its router's events at the
+// end of every cycle — the seam the power accounts use — and this one
+// never stalls traversal.
+class DemandTrace final : public noc::PowerHook {
+ public:
+  bool xbar_ready() override { return true; }
+  void on_cycle(const noc::RouterEvents& ev) override {
+    demand.push_back(ev.demand);
+  }
+  std::vector<bool> demand;
+};
 
 int main() {
   core::LainContext ctx;
@@ -23,26 +37,17 @@ int main() {
               scheme_name(scheme).data(), c.min_idle_cycles);
 
   // Record one router's crossbar demand trace from a real simulation.
-  // Observers are per-shard slices: only the shard owning the center
-  // router gets one, and it appends to its own trace inside the shard
-  // phase (on the serial engine that single shard is the whole mesh).
   noc::SimConfig cfg =
       core::default_mesh_config(0.12, noc::TrafficPattern::kUniform);
   noc::Simulation sim(cfg);
-  std::vector<bool> demand;
   constexpr noc::NodeId kCenter = 12;
-  sim.set_observer([&demand](int, const noc::ShardPlan& shard)
-                       -> std::unique_ptr<noc::ObserverSlice> {
-    if (!shard.owns(kCenter)) return nullptr;
-    return noc::make_observer_slice(
-        [&demand](noc::Cycle, noc::Network& net, const noc::ShardPlan&) {
-          demand.push_back(net.router(kCenter).last_events().demand);
-        });
-  });
+  DemandTrace trace;
+  sim.network().router(kCenter).set_power_hook(&trace);
   sim.run();
+  const std::vector<bool>& demand = trace.demand;
   std::printf("trace: %zu cycles from the center router, %.1f%% busy\n\n",
               demand.size(),
-              100.0 * sim.network().router(12).activity().utilization());
+              100.0 * sim.network().router(kCenter).activity().utilization());
 
   power::GatedBlockCosts costs{c.idle_leakage_w, c.standby_leakage_w,
                                c.sleep_entry_energy_j, c.wakeup_energy_j,

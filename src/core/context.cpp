@@ -45,9 +45,9 @@ std::unique_ptr<noc::SimKernel> make_kernel(noc::SimConfig cfg,
 
 // Attaches the run's telemetry per TelemetryOptions: with a sink, a
 // full MetricsStreamer (manifest + windows + trace + summary); with
-// only a window, the kernel-side window machinery (so observer
-// slices still flush at boundaries).  Returns the streamer so the
-// caller can finish() it.
+// only a window, the kernel-side window machinery (so the cancel and
+// saturation controls still act at boundaries).  Returns the streamer
+// so the caller can finish() it.
 std::optional<telemetry::MetricsStreamer> attach_telemetry(
     noc::SimKernel& kernel, PoweredNoc* power, const noc::SimConfig& cfg,
     const std::string& scheme, bool gating, const TelemetryOptions& t) {

@@ -66,7 +66,8 @@ struct NocRunResult {
 // Streaming-telemetry attachment for a run.  With a sink the run
 // emits the full record stream (manifest, windows, flit trace,
 // summary — see core/metrics.hpp); without one a nonzero
-// metrics_window still flushes observer slices at window boundaries.
+// metrics_window still closes windows, the boundaries at which the
+// cancel and saturation controls act.
 // None of it changes the simulation: the stats stay bit-identical
 // with telemetry on, off, or compiled out.
 struct TelemetryOptions {

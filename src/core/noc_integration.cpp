@@ -3,28 +3,14 @@
 #include <stdexcept>
 
 namespace lain::core {
-namespace {
-
-power::RouterPowerConfig router_cfg(const NocPowerConfig& cfg) {
-  power::RouterPowerConfig rc;
-  rc.xbar_spec = cfg.xbar_spec;
-  rc.scheme = cfg.scheme;
-  rc.buffer = cfg.buffer;
-  rc.link = cfg.link;
-  rc.enable_gating = cfg.enable_gating;
-  return rc;
-}
-
-}  // namespace
 
 RouterPowerHook::RouterPowerHook(const NocPowerConfig& cfg,
                                  const xbar::Characterization& chars)
-    : power_(router_cfg(cfg), chars), gating_(cfg.enable_gating) {}
+    : power_(cfg, chars) {}
 
-bool RouterPowerHook::xbar_ready() {
-  if (!gating_) return true;
-  return power_.xbar_ready();
-}
+// With gating off the sleep controller never gates, so the crossbar
+// can always traverse.
+bool RouterPowerHook::xbar_ready() { return power_.xbar_ready(); }
 
 void RouterPowerHook::on_cycle(const noc::RouterEvents& ev) {
   power::RouterCycleEvents pe;
@@ -43,9 +29,6 @@ void RouterPowerHook::on_idle_cycles(std::int64_t n) {
   // stay bit-identical (see RouterPower::idle_cycles).
   power_.idle_cycles(n);
 }
-
-PoweredNoc::PoweredNoc(noc::Network& net, const NocPowerConfig& cfg)
-    : PoweredNoc(net, cfg, xbar::characterize(cfg.xbar_spec, cfg.scheme)) {}
 
 PoweredNoc::PoweredNoc(noc::Network& net, const NocPowerConfig& cfg,
                        const xbar::Characterization& chars)

@@ -17,13 +17,10 @@
 
 namespace lain::core {
 
-struct NocPowerConfig {
-  xbar::CrossbarSpec xbar_spec;   // ports must equal noc::kNumPorts
-  xbar::Scheme scheme = xbar::Scheme::kSC;
-  power::BufferParams buffer;
-  power::LinkParams link;
-  bool enable_gating = true;      // false: never enter standby
-};
+// Every router's power account is configured alike.  xbar_spec.ports
+// must equal noc::kNumPorts; enable_gating = false never enters
+// standby.
+using NocPowerConfig = power::RouterPowerConfig;
 
 // Per-router hook bridging noc::Router events to power::RouterPower.
 class RouterPowerHook final : public noc::PowerHook {
@@ -40,7 +37,6 @@ class RouterPowerHook final : public noc::PowerHook {
 
  private:
   power::RouterPower power_;
-  bool gating_;
 };
 
 // Fabric-wide power integration: owns one hook per router.  Works
@@ -50,16 +46,10 @@ class RouterPowerHook final : public noc::PowerHook {
 // accounts stay deterministic at any shard count.
 class PoweredNoc {
  public:
-  // Characterizes cfg's (spec, scheme) itself.  Prefer the
-  // three-argument overload with LainContext::characterization() so
-  // repeated runs share one cached characterization.
-  explicit PoweredNoc(noc::Network& net, const NocPowerConfig& cfg);
-  // Uses a precomputed characterization (copied) instead of
-  // recomputing it — the constructor the session API goes through.
+  // `chars` is the characterization of cfg's (spec, scheme), copied;
+  // LainContext::characterization() lets repeated runs share one.
   PoweredNoc(noc::Network& net, const NocPowerConfig& cfg,
              const xbar::Characterization& chars);
-  PoweredNoc(noc::Simulation& sim, const NocPowerConfig& cfg)
-      : PoweredNoc(sim.network(), cfg) {}
 
   const RouterPowerHook& hook(noc::NodeId n) const {
     return *hooks_.at(static_cast<size_t>(n));

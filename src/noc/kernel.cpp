@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <tuple>
 
 #include "core/contracts.hpp"
@@ -28,9 +27,7 @@ struct ArrivalOrder {
   }
 };
 
-// One ejection, recorded into a stats slice.  Factored so the
-// windowed path records the identical sample set into the window
-// slice that the end-of-run path records into the shard slice.
+// One ejection, recorded into a stats slice.
 void record_ejection(SimStats& st, const Nic::Ejection& e,
                      int packet_length_flits) {
   ++st.packets_ejected;
@@ -41,28 +38,14 @@ void record_ejection(SimStats& st, const Nic::Ejection& e,
   st.latency_hist.add(e.ejected - e.created);
 }
 
-using SliceFn = std::function<void(Cycle, Network&, const ShardPlan&)>;
-
-class FunctionSlice final : public ObserverSlice {
- public:
-  explicit FunctionSlice(SliceFn fn) : fn_(std::move(fn)) {}
-  void on_cycle(Cycle now, Network& net, const ShardPlan& shard) override {
-    fn_(now, net, shard);
-  }
-
- private:
-  SliceFn fn_;
-};
-
 }  // namespace
 
-std::unique_ptr<ObserverSlice> make_observer_slice(
-    std::function<void(Cycle, Network&, const ShardPlan&)> fn) {
-  return std::make_unique<FunctionSlice>(std::move(fn));
-}
-
 SimKernel::SimKernel(const SimConfig& cfg)
-    : cfg_(cfg), net_(cfg), gen_(cfg) {
+    : event_mode_(cfg.injection_rate <= kEventSteppingMaxRate &&
+                  cfg.enable_idle_fastpath),
+      cfg_(cfg),
+      net_(cfg),
+      gen_(cfg) {
   measure_start_ = cfg.warmup_cycles;
   measure_end_ = cfg.warmup_cycles + cfg.measure_cycles;
   packet_seq_.assign(static_cast<size_t>(cfg.num_nodes()), 0);
@@ -87,33 +70,6 @@ void SimKernel::init_partition(PartitionStrategy strategy, int num_shards) {
   // built with LAIN_RACECHECK).
   net_.rc_tag_shards(plan_.shard_of);
   prepare_event_state();
-  if (observer_factory_) make_observer_slices();
-}
-
-void SimKernel::set_observer(ObserverFactory factory) {
-  if (factory && event_mode_latched_ && event_mode_) {
-    // An observer's on_cycle contract is every-cycle; a kernel that
-    // already skipped cycles cannot honor it retroactively, and its
-    // traffic state (pre-drawn arrivals) is not replayable by the
-    // per-cycle path.  Attach observers before the first step.
-    throw std::logic_error(
-        "set_observer: kernel already stepped event-driven; attach "
-        "observers before the first step (they force per-cycle stepping)");
-  }
-  observer_factory_ = std::move(factory);
-  make_observer_slices();
-}
-
-bool SimKernel::use_event_mode() {
-  // Latched at the first step: mixing event-driven and per-cycle
-  // stepping mid-run would desynchronize the pre-drawn arrival state
-  // from the per-cycle polling the slow path performs.
-  if (!event_mode_latched_) {
-    event_mode_latched_ = true;
-    event_mode_ = cfg_.injection_rate <= kEventSteppingMaxRate &&
-                  cfg_.enable_idle_fastpath && !observer_factory_;
-  }
-  return event_mode_;
 }
 
 void SimKernel::prepare_event_state() {
@@ -263,6 +219,53 @@ LAIN_HOT_PATH LAIN_NO_ALLOC Cycle SimKernel::shard_horizon(
   return h;
 }
 
+LAIN_HOT_PATH LAIN_NO_ALLOC bool SimKernel::source_packet(Shard& sh, NodeId n,
+                                                        NodeId dst) {
+  const bool counted = tracked(now_);
+  if (fault_ != nullptr &&
+      (!fault_->node_alive(n) || !fault_->dst_reachable(n, dst))) {
+    if (counted) {
+      update_stats(sh, [](SimStats& st) { ++st.packets_unreachable_dropped; });
+    }
+    return false;
+  }
+  const PacketId id = (static_cast<PacketId>(n) << 32) |
+                      packet_seq_[static_cast<size_t>(n)]++;
+  net_.nic(n).source_packet(dst, now_, id);
+  if (tracing_) sh.trace.push({now_, id, n, FlitTraceKind::kInject, -1});
+  if (counted) {
+    ++sh.tracked_pending;
+    const int len = cfg_.packet_length_flits;
+    update_stats(sh, [len](SimStats& st) {
+      ++st.packets_injected;
+      st.flits_injected += len;
+    });
+  }
+  return true;
+}
+
+LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::record_completion(
+    Shard& sh, NodeId n, const Nic::Ejection& e) {
+  if (tracing_) sh.trace.push({now_, e.packet, n, FlitTraceKind::kEject, -1});
+  if (!tracked(e.created)) return;
+  --sh.tracked_pending;
+  const int len = cfg_.packet_length_flits;
+  update_stats(sh, [&e, len](SimStats& st) { record_ejection(st, e, len); });
+}
+
+LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::tick_router_full(Shard& sh,
+                                                             NodeId n) {
+  Router& r = net_.router(n);
+  Cycle& from = idle_from_[static_cast<std::size_t>(n)];
+  if (from < now_) {
+    r.tick_idle_n(now_ - from);
+    sh.idle_fast_ticks += now_ - from;
+  }
+  from = now_ + 1;
+  r.tick();
+  mark_dirty_links(sh, n);
+}
+
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
     std::size_t shard_index) {
   contracts::PhaseScope rc_scope(contracts::Phase::component,
@@ -275,7 +278,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
   // order means same-cycle arrivals source in ascending node order,
   // matching the per-cycle injection loop.
   if (injecting_) {
-    const bool in_window = now_ >= measure_start_ && now_ < measure_end_;
     while (sh.arrival_count > 0 && sh.arrivals[0].first <= now_) {
       assert(sh.arrivals[0].first == now_ &&
              "arrival heap fell behind the clock");
@@ -285,34 +287,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
           ArrivalOrder{});
       --sh.arrival_count;
       const NodeId n = sh.arrivals[sh.arrival_count].second;
-      const NodeId dst = gen_.take_arrival(n);
-      // Fault gate (after the RNG draw, so the traffic stream is
-      // unchanged): a packet whose source is dead or whose
-      // destination is unreachable is dropped at the source.
-      if (fault_ != nullptr &&
-          (!fault_->node_alive(n) || !fault_->dst_reachable(n, dst))) {
-        if (in_window) {
-          ++sh.stats.packets_unreachable_dropped;
-          if (windowed_) ++sh.window_stats.packets_unreachable_dropped;
-        }
-      } else {
-        const PacketId id = (static_cast<PacketId>(n) << 32) |
-                            packet_seq_[static_cast<size_t>(n)]++;
-        net_.nic(n).source_packet(dst, now_, id);
-        if (tracing_) {
-          sh.trace.push({now_, id, n, FlitTraceKind::kInject, -1});
-        }
-        if (in_window) {
-          ++sh.stats.packets_injected;
-          sh.stats.flits_injected += cfg_.packet_length_flits;
-          ++sh.tracked_pending;
-          if (windowed_) {
-            ++sh.window_stats.packets_injected;
-            sh.window_stats.flits_injected += cfg_.packet_length_flits;
-          }
-        }
-        wake_nic(sh, n);
-      }
+      if (source_packet(sh, n, gen_.take_arrival(n))) wake_nic(sh, n);
       const Cycle next = gen_.next_arrival(n, arrival_limit_);
       if (next != TrafficGenerator::kNoArrival) {
         sh.arrivals[sh.arrival_count++] = {next, n};
@@ -338,17 +313,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
     nic.tick(now_);
     mark_dirty_links(sh, n);
     for (const Nic::Ejection& e : nic.completions()) {
-      if (tracing_) {
-        sh.trace.push({now_, e.packet, n, FlitTraceKind::kEject, -1});
-      }
-      const bool tracked =
-          e.created >= measure_start_ && e.created < measure_end_;
-      if (!tracked) continue;
-      --sh.tracked_pending;
-      record_ejection(sh.stats, e, cfg_.packet_length_flits);
-      if (windowed_) {
-        record_ejection(sh.window_stats, e, cfg_.packet_length_flits);
-      }
+      record_completion(sh, n, e);
     }
     if (nic.quiescent()) {
       nic_active_flag_[static_cast<std::size_t>(n)] = 0;
@@ -367,16 +332,8 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
   std::size_t router_kept = 0;
   for (std::size_t i = 0; i < routers_this_cycle; ++i) {
     const NodeId n = sh.active_routers[i];
-    Router& r = net_.router(n);
-    Cycle& from = idle_from_[static_cast<std::size_t>(n)];
-    if (from < now_) {
-      r.tick_idle_n(now_ - from);
-      sh.idle_fast_ticks += now_ - from;
-    }
-    from = now_ + 1;
-    r.tick();
-    mark_dirty_links(sh, n);
-    if (r.quiescent()) {
+    tick_router_full(sh, n);
+    if (net_.router(n).quiescent()) {
       router_active_flag_[static_cast<std::size_t>(n)] = 0;
     } else {
       sh.active_routers[router_kept++] = n;
@@ -392,14 +349,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
     if (router_active_flag_[static_cast<std::size_t>(p)] != 0) continue;
     Router& r = net_.router(p);
     if (r.quiescent()) continue;
-    Cycle& from = idle_from_[static_cast<std::size_t>(p)];
-    if (from < now_) {
-      r.tick_idle_n(now_ - from);
-      sh.idle_fast_ticks += now_ - from;
-    }
-    from = now_ + 1;
-    r.tick();
-    mark_dirty_links(sh, p);
+    tick_router_full(sh, p);
     if (!r.quiescent()) wake_router(sh, p);
   }
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
@@ -498,22 +448,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::flush_deferred_idle(Cycle upto) {
   }
 }
 
-void SimKernel::make_observer_slices() {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].observer =
-        observer_factory_
-            ? observer_factory_(static_cast<int>(s), plan_.shards[s])
-            : nullptr;
-  }
-}
-
-void SimKernel::for_each_observer(
-    const std::function<void(int, ObserverSlice&)>& fn) const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].observer) fn(static_cast<int>(s), *shards_[s].observer);
-  }
-}
-
 void SimKernel::step_shard_components(std::size_t shard_index) {
   // Marks this thread as stepping `shard_index`'s component phase;
   // covers the serial engine (shard 0 inline) and every sharded
@@ -528,36 +462,9 @@ void SimKernel::step_shard_components(std::size_t shard_index) {
   // (which have no cycle argument) record it.
   if (tracing_) sh.trace.set_cycle(now_);
   if (injecting_) {
-    const bool in_window = now_ >= measure_start_ && now_ < measure_end_;
     for (NodeId n : sp.nodes) {
       const NodeId dst = gen_.maybe_generate(n);
-      if (dst == kInvalidNode) continue;
-      // Fault gate (after the RNG draw, so the traffic stream is
-      // unchanged): a packet whose source is dead or whose destination
-      // is unreachable is dropped at the source.
-      if (fault_ != nullptr &&
-          (!fault_->node_alive(n) || !fault_->dst_reachable(n, dst))) {
-        if (in_window) {
-          ++sh.stats.packets_unreachable_dropped;
-          if (windowed_) ++sh.window_stats.packets_unreachable_dropped;
-        }
-        continue;
-      }
-      const PacketId id = (static_cast<PacketId>(n) << 32) |
-                          packet_seq_[static_cast<size_t>(n)]++;
-      net_.nic(n).source_packet(dst, now_, id);
-      if (tracing_) {
-        sh.trace.push({now_, id, n, FlitTraceKind::kInject, -1});
-      }
-      if (in_window) {
-        ++sh.stats.packets_injected;
-        sh.stats.flits_injected += cfg_.packet_length_flits;
-        ++sh.tracked_pending;
-        if (windowed_) {
-          ++sh.window_stats.packets_injected;
-          sh.window_stats.flits_injected += cfg_.packet_length_flits;
-        }
-      }
+      if (dst != kInvalidNode) source_packet(sh, n, dst);
     }
   }
   for (NodeId n : sp.nodes) net_.nic(n).tick(now_);
@@ -585,23 +492,9 @@ void SimKernel::step_shard_components(std::size_t shard_index) {
   // because every event lands in exactly one shard.
   for (NodeId n : sp.nodes) {
     for (const Nic::Ejection& e : net_.nic(n).completions()) {
-      if (tracing_) {
-        sh.trace.push({now_, e.packet, n, FlitTraceKind::kEject, -1});
-      }
-      const bool tracked =
-          e.created >= measure_start_ && e.created < measure_end_;
-      if (!tracked) continue;
-      --sh.tracked_pending;
-      record_ejection(sh.stats, e, cfg_.packet_length_flits);
-      if (windowed_) {
-        record_ejection(sh.window_stats, e, cfg_.packet_length_flits);
-      }
+      record_completion(sh, n, e);
     }
   }
-  // The observer slice sees the shard post-tick, pre-exchange — the
-  // same point in the cycle the old global hook observed, but scoped
-  // to this shard and running inside its (parallel) phase.
-  if (sh.observer) sh.observer->on_cycle(now_, net_, sp);
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
                        component_calls, 1);
   // idle_fast_ticks is already a running per-shard total; mirror it
@@ -694,8 +587,6 @@ SimKernel::MetricsWindow SimKernel::flush_window(Cycle end) {
   w.stats.num_nodes = cfg_.num_nodes();
   w.stats.measured_cycles = end - window_begin_;
   window_begin_ = end;
-  for_each_observer(
-      [end](int, ObserverSlice& slice) { slice.on_window_flush(end); });
   if (window_cb_) window_cb_(w);
   return w;
 }
@@ -724,23 +615,20 @@ void SimKernel::process_fault_cycle() {
   // lost packet counts its full length — conservation then holds
   // exactly: flits_injected == flits_ejected + flits_lost + (len *
   // tracked_pending) at any stop-the-world point.  All columns gate on
-  // `created` in the measurement window, like record_ejection.
+  // `created` in the measurement window, like record_completion.
   for (const LostPacket& lp : out.lost) {
-    if (lp.created < measure_start_ || lp.created >= measure_end_) continue;
+    if (!tracked(lp.created)) continue;
     Shard& sh = shard_of_node(lp.src);
-    ++sh.stats.packets_lost;
-    sh.stats.flits_lost += len;
-    if (windowed_) {
-      ++sh.window_stats.packets_lost;
-      sh.window_stats.flits_lost += len;
-    }
-    if (!lp.retransmit) {
-      // Abandoned outright (source dead or destination unreachable):
-      // the packet leaves the tracked set so drain can complete.
-      ++sh.stats.packets_unreachable_dropped;
-      if (windowed_) ++sh.window_stats.packets_unreachable_dropped;
-      --sh.tracked_pending;
-    }
+    // A packet not retransmitted is abandoned outright (source dead or
+    // destination unreachable): it leaves the tracked set so drain can
+    // complete.
+    const bool abandoned = !lp.retransmit;
+    update_stats(sh, [len, abandoned](SimStats& st) {
+      ++st.packets_lost;
+      st.flits_lost += len;
+      if (abandoned) ++st.packets_unreachable_dropped;
+    });
+    if (abandoned) --sh.tracked_pending;
   }
   // Retransmissions firing now re-enter at the source NIC with the
   // original creation stamp (end-to-end latency spans every attempt)
@@ -750,21 +638,17 @@ void SimKernel::process_fault_cycle() {
     net_.nic(r.src).source_packet(r.dst, now_, r.packet, r.created);
     Shard& sh = shard_of_node(r.src);
     if (event_mode_) wake_nic(sh, r.src);
-    if (r.created < measure_start_ || r.created >= measure_end_) continue;
-    ++sh.stats.packets_retransmitted;
-    ++sh.stats.packets_injected;
-    sh.stats.flits_injected += len;
-    if (windowed_) {
-      ++sh.window_stats.packets_retransmitted;
-      ++sh.window_stats.packets_injected;
-      sh.window_stats.flits_injected += len;
-    }
+    if (!tracked(r.created)) continue;
+    update_stats(sh, [len](SimStats& st) {
+      ++st.packets_retransmitted;
+      ++st.packets_injected;
+      st.flits_injected += len;
+    });
   }
   for (const RetxDue& r : out.abandoned_now) {
-    if (r.created < measure_start_ || r.created >= measure_end_) continue;
+    if (!tracked(r.created)) continue;
     Shard& sh = shard_of_node(r.src);
-    ++sh.stats.packets_unreachable_dropped;
-    if (windowed_) ++sh.window_stats.packets_unreachable_dropped;
+    update_stats(sh, [](SimStats& st) { ++st.packets_unreachable_dropped; });
     --sh.tracked_pending;
   }
   if (out.reconfigured && event_mode_) {
@@ -810,8 +694,7 @@ SimStats SimKernel::collect_stats() {
 SimStats SimKernel::run() {
   const Cycle inject_until = measure_end_;
   const Cycle hard_limit = measure_end_ + cfg_.drain_limit_cycles;
-  const bool event = use_event_mode();
-  if (event) {
+  if (event_mode_) {
     // Pin the arrival-scan bound to the injection stop: next_arrival
     // consumes exactly the RNG draws per-cycle polling would, and a
     // node whose pattern never generates cannot stall the scan.
@@ -829,7 +712,7 @@ SimStats SimKernel::run() {
     // so the step already sees the post-fault fabric (same cycle on
     // every engine — bit-identity holds degraded too).
     if (fault_ != nullptr && fault_->due(now_)) process_fault_cycle();
-    if (event) {
+    if (event_mode_) {
       Cycle cap = hard_limit;
       if (injecting_ && inject_until < cap) cap = inject_until;
       if (next_window_end < cap) cap = next_window_end;

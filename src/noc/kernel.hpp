@@ -3,20 +3,19 @@
 // SimKernel owns everything every NoC engine needs but none should
 // duplicate: the fabric (Network + TrafficGenerator), the partition
 // plan and per-shard measurement state, the warmup / measurement /
-// drain phase machine, per-node packet numbering and the per-shard
-// observer slices.  ShardedSimulation implements step() (the serial
-// Simulation is its one-shard case) and expresses a cycle through the
-// same two helpers for every shard:
+// drain phase machine and per-node packet numbering.
+// ShardedSimulation implements step() (the serial Simulation is its
+// one-shard case) and expresses a cycle through the same two helpers
+// for every shard:
 //
 //   step_shard_components()  traffic + NIC/router ticks + completion
-//                            collection + observer slice for one
-//                            shard's tile set,
+//                            collection for one shard's tile set,
 //   step_shard_channels()    the exchange phase: advance the shard's
 //                            channels, making this cycle's sends
 //                            visible next cycle.
 //
-// or through their event-stepping twins, which the kernel picks for
-// sparse traffic (see kEventSteppingMaxRate).
+// or through their event-stepping twins, which the kernel picks at
+// construction for sparse traffic (see kEventSteppingMaxRate).
 //
 // Because component ticks only read channel items sent in earlier
 // cycles (latency >= 1) and only write staging slots, every shard's
@@ -47,42 +46,9 @@ class Collector;
 
 namespace lain::noc {
 
-// One shard's per-cycle observer.  The kernel calls on_cycle() at the
-// end of that shard's component phase every cycle — concurrently with
-// other shards' slices, on whichever thread steps the shard — so a
-// slice must touch only state reachable from its shard's nodes plus
-// its own members.  Each shard owns its slice exclusively; fold the
-// slices into an aggregate after the run with for_each_observer()
-// (the merge step, on the calling thread).
-class ObserverSlice {
- public:
-  virtual ~ObserverSlice() = default;
-  virtual void on_cycle(Cycle now, Network& net, const ShardPlan& shard) = 0;
-  // Window-boundary flush.  When the kernel runs with a metrics
-  // window (set_metrics_window) every slice is told each time a
-  // window closes — on the calling thread, between steps, never
-  // concurrently with on_cycle — so long-running observers can emit
-  // and reset instead of accumulating unbounded state.  `boundary` is
-  // the first cycle of the *next* window.  Default: no-op.
-  virtual void on_window_flush(Cycle boundary) { (void)boundary; }
-};
-
-// Creates the slice for one shard (may return nullptr for shards the
-// observer does not care about).  Invoked once per shard, on the
-// calling thread, when the observer is set.
-using ObserverFactory =
-    std::function<std::unique_ptr<ObserverSlice>(int shard_index,
-                                                 const ShardPlan& shard)>;
-
-// Functional adapter: wraps a per-cycle callable into a slice.  The
-// callable is bound by the same contract as ObserverSlice::on_cycle.
-std::unique_ptr<ObserverSlice> make_observer_slice(
-    std::function<void(Cycle, Network&, const ShardPlan&)> fn);
-
-// One shard's runtime state: its private measurement slice (merged
-// exactly at the end of the run) and its observer slice.  The static
-// side — tile set and exchange-phase links — lives in the kernel's
-// PartitionPlan.
+// One shard's runtime state: its private measurement slice, merged
+// exactly at the end of the run.  The static side — tile set and
+// exchange-phase links — lives in the kernel's PartitionPlan.
 struct Shard {
   SimStats stats;
   // The current metrics window's slice of the same events (only
@@ -101,7 +67,6 @@ struct Shard {
   // Opt-in bounded flit-trace ring (SimKernel::enable_flit_trace).
   // Written only inside this shard's component phase.
   FlitTraceRing trace;
-  std::unique_ptr<ObserverSlice> observer;
 
   // --- Event-stepping state -------------------------------------------
   // All vectors are sized once in SimKernel::prepare_event_state() and
@@ -169,10 +134,10 @@ class SimKernel {
   virtual void step() = 0;
   Cycle now() const { return now_; }
 
-  // The kernel picks its own stepping at the first step: event-driven
-  // when cfg.injection_rate is at most this, no observer is attached
-  // and cfg.enable_idle_fastpath is on; per-cycle otherwise.  Both
-  // are bit-identical in every output, so the choice is pure speed.
+  // The kernel fixes its stepping at construction: event-driven when
+  // cfg.injection_rate is at most this and cfg.enable_idle_fastpath is
+  // on; per-cycle otherwise.  Both are bit-identical in every output,
+  // so the choice is pure speed.
   // Event / per-cycle wall time of a whole unpowered uniform mesh run
   // (1000 warmup + 4000 measured cycles, construction included, auto
   // partition), fastest of 5 interleaved repetitions (of 11 for 4
@@ -198,8 +163,8 @@ class SimKernel {
   // event stepping slightly more.
   static constexpr double kEventSteppingMaxRate = 0.005;
 
-  // Whether the kernel steps event-driven (false before the first
-  // step, which latches the choice).
+  // Whether the kernel steps event-driven (a function of the config
+  // alone, so the same before and after the first step).
   bool event_stepping() const { return event_mode_; }
 
   bool saturated() const { return saturated_; }
@@ -238,10 +203,9 @@ class SimKernel {
 
   // Enables windowed metrics: every `window_cycles` cycles (starting
   // at the measurement window's first cycle) the per-shard window
-  // slices are merged on the calling thread and handed to `cb`, and
-  // every observer slice gets on_window_flush().  A final partial
-  // window is flushed when the run loop ends.  window_cycles == 0
-  // disables.  Call before run().
+  // slices are merged on the calling thread and handed to `cb`.  A
+  // final partial window is flushed when the run loop ends.
+  // window_cycles == 0 disables.  Call before run().
   void set_metrics_window(Cycle window_cycles, WindowCallback cb = nullptr);
   Cycle metrics_window_cycles() const { return window_cycles_; }
 
@@ -306,17 +270,6 @@ class SimKernel {
   // Events lost to ring overwrites, summed over shards.
   std::int64_t flit_trace_dropped() const;
 
-  // Installs a per-shard observer (nullptr factory clears it).  The
-  // factory runs once per shard immediately; slices then run inside
-  // the shard phases — in parallel on the sharded engine, with no
-  // driver-thread serial section.
-  void set_observer(ObserverFactory factory);
-  // The merge step: visits every live slice on the calling thread
-  // (shard index, slice).  Call after run()/between steps, never
-  // while a step is in flight.
-  void for_each_observer(
-      const std::function<void(int, ObserverSlice&)>& fn) const;
-
  protected:
   explicit SimKernel(const SimConfig& cfg);
 
@@ -325,9 +278,9 @@ class SimKernel {
   void init_partition(PartitionStrategy strategy, int num_shards);
 
   // Component phase for one shard: generate traffic, tick NICs and
-  // routers, collect completions, run the shard's observer slice.
-  // Touches only the shard's nodes and node-local generator state;
-  // safe to run concurrently with other shards' component phases.
+  // routers, collect completions.  Touches only the shard's nodes and
+  // node-local generator state; safe to run concurrently with other
+  // shards' component phases.
   // Routers that pass the quiescence predicate are stepped on the
   // O(1) idle fast path (bit-identical results; see Router::tick_idle
   // and cfg.enable_idle_fastpath).
@@ -348,9 +301,9 @@ class SimKernel {
   void process_fault_cycle();
 
   // Closes the current metrics window at `end`: merges + resets every
-  // shard's window slice (in shard order, on the calling thread),
-  // flushes observer slices, invokes the window callback.  Returns
-  // the merged window so the run loop can consult the control hook.
+  // shard's window slice (in shard order, on the calling thread) and
+  // invokes the window callback.  Returns the merged window so the
+  // run loop can consult the control hook.
   MetricsWindow flush_window(Cycle end);
 
   // --- Event-stepping machinery --------------------------------------
@@ -367,10 +320,6 @@ class SimKernel {
   // which keeps every power column and idle histogram bit-identical
   // to per-cycle stepping.
 
-  // Whether this step should take the event-driven path (the rule at
-  // kEventSteppingMaxRate).  Latched on first use; observers force the
-  // per-cycle path (their on_cycle contract is every-cycle).
-  bool use_event_mode();
   // Sizes the per-shard event state; called from init_partition.
   void prepare_event_state();
   // This shard's proposed horizon: now_ when it has any work this
@@ -406,8 +355,9 @@ class SimKernel {
   Cycle arrival_limit_ = 0;
   bool arrival_limit_final_ = false;
   std::int64_t skipped_cycles_ = 0;
-  bool event_mode_latched_ = false;
-  bool event_mode_ = false;
+  // Event-driven stepping (the rule at kEventSteppingMaxRate), fixed
+  // at construction.
+  const bool event_mode_;
 
   // Per-node event bookkeeping (indexed by node; each entry touched
   // only by its owning shard's phases or the calling thread between
@@ -468,7 +418,32 @@ class SimKernel {
   telemetry::Collector* telemetry_ = nullptr;
 
  private:
-  void make_observer_slices();
+  // --- Steps the component phases share ------------------------------
+  // Whether a packet created at `created` is tracked (created in the
+  // measurement window).
+  bool tracked(Cycle created) const {
+    return created >= measure_start_ && created < measure_end_;
+  }
+  // Applies `update` to the shard's end-of-run stats and, under a
+  // metrics window, to its window slice: every counted event lands in
+  // both.
+  template <typename Update>
+  void update_stats(Shard& sh, Update&& update) {
+    update(sh.stats);
+    if (windowed_) update(sh.window_stats);
+  }
+  // Sources one generated packet at node n (after its RNG draw, so the
+  // traffic stream is the same whether or not it enters the fabric):
+  // drops it at the source when faults made it undeliverable, else
+  // numbers it, queues it at the NIC and counts it.  Returns whether
+  // the NIC got the packet.
+  bool source_packet(Shard& sh, NodeId n, NodeId dst);
+  // Traces one completion at node n and, when the packet was created in
+  // the measurement window, records its ejection.
+  void record_completion(Shard& sh, NodeId n, const Nic::Ejection& e);
+  // Event phase: settles router n's deferred idle span, then runs its
+  // full pipeline for now_.
+  void tick_router_full(Shard& sh, NodeId n);
   // Exchange-phase wake-ups (same shard as the admission by
   // construction; see LinkWake::credit_cross).
   void wake_nic(Shard& sh, NodeId n) {
@@ -491,8 +466,6 @@ class SimKernel {
       }
     }
   }
-
-  ObserverFactory observer_factory_;
 };
 
 }  // namespace lain::noc

@@ -115,10 +115,6 @@ PartitionPlan blocks2d(const Network& net, int num_shards) {
 
 }  // namespace
 
-bool ShardPlan::owns(NodeId n) const {
-  return std::binary_search(nodes.begin(), nodes.end(), n);
-}
-
 const char* partition_name(PartitionStrategy s) {
   switch (s) {
     case PartitionStrategy::kRowBands: return "rows";

@@ -55,8 +55,6 @@ struct ShardPlan {
   std::vector<NodeId> nodes;  // ascending
   std::vector<int> links;
   int boundary_links = 0;
-
-  bool owns(NodeId n) const;
 };
 
 struct PartitionPlan {

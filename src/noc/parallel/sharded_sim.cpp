@@ -161,7 +161,7 @@ void ShardedSimulation::rethrow_any_error() {
 }
 
 LAIN_HOT_PATH void ShardedSimulation::step() {
-  if (use_event_mode()) maintain_arrival_limit();
+  if (event_mode_) maintain_arrival_limit();
   start_workers();
   cross(start_barrier_.get(), 0);
   const Cycle skipped = step_participant(0);

@@ -5,12 +5,11 @@
 // and steps every shard through the same cycle under a two-phase
 // barrier:
 //
-//   phase 1 (components)  each shard generates traffic for its tiles,
-//                         ticks its NICs and routers and runs its
-//                         observer slice.  Channel sends only write
-//                         producer-side staging slots, so shards
-//                         never race — even on links that cross a
-//                         shard boundary.
+//   phase 1 (components)  each shard generates traffic for its tiles
+//                         and ticks its NICs and routers.  Channel
+//                         sends only write producer-side staging
+//                         slots, so shards never race — even on links
+//                         that cross a shard boundary.
 //   barrier
 //   phase 2 (exchange)    each shard advances the links whose
 //                         consumer it owns, publishing this cycle's

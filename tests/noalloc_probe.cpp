@@ -28,6 +28,7 @@
 #include "core/experiments.hpp"
 #include "core/noc_integration.hpp"
 #include "noc/topology.hpp"
+#include "xbar/characterize.hpp"
 
 namespace {
 
@@ -144,8 +145,10 @@ void probe_saturated() {
 void probe_powered_idle() {
   SimConfig cfg;
   Network net(cfg);
+  const lain::core::NocPowerConfig pcfg =
+      lain::core::default_noc_power(lain::xbar::Scheme::kSDPC);
   const lain::core::PoweredNoc powered(
-      net, lain::core::default_noc_power(lain::xbar::Scheme::kSDPC));
+      net, pcfg, lain::xbar::characterize(pcfg.xbar_spec, pcfg.scheme));
   std::int64_t cycles = 0;
   const std::int64_t before = g_allocs;
   for (std::int64_t span = 1; span <= 4096; span += span < 8 ? 1 : span) {

@@ -129,41 +129,31 @@ TEST(IdleFastPath, BitIdenticalToForcedSlowPathAllEnginesAndTopologies) {
   expect_identical_on_every_engine({"dense", kDense, 1.0, false});
 }
 
-// Runs `sim` per-cycle with the idle fast path on: an observer forces
-// per-cycle stepping whatever the rate.
-void run_per_cycle(Simulation& sim) {
-  sim.set_observer([](int, const ShardPlan&) {
-    return make_observer_slice([](Cycle, Network&, const ShardPlan&) {});
-  });
-  sim.run();
-  EXPECT_FALSE(sim.event_stepping());
-}
-
 TEST(CycleSkip, KernelStepsEventDrivenOnlyAtOrBelowTheConstant) {
-  // The rule itself: event stepping (and so skipped cycles) at or
-  // below the constant on serial and sharded runs; none just above
-  // it, none with an observer attached, none on the reference path.
+  // The rule itself, fixed at construction: event stepping (and so
+  // skipped cycles) at or below the constant on serial and sharded
+  // runs; none just above it, none on the reference path.
   const double above = std::nextafter(kSparse, 1.0);
-  auto skipped = [](const SimConfig& cfg, int shards) {
+  auto skipped = [](const SimConfig& cfg, int shards, bool event) {
     ShardedOptions o;
     o.shards = shards;
     o.partition = PartitionStrategy::kBlocks2D;
     ShardedSimulation sim(cfg, o);
+    EXPECT_EQ(sim.event_stepping(), event);
     sim.run();
+    EXPECT_EQ(sim.event_stepping(), event);
     EXPECT_EQ(sim.event_stepping(), sim.skipped_cycles() > 0);
     return sim.skipped_cycles();
   };
   for (int shards : {1, 4}) {
     SCOPED_TRACE(shards);
-    EXPECT_GT(skipped(low_rate(TopologyKind::kMesh, kSparse), shards), 0);
-    EXPECT_EQ(skipped(low_rate(TopologyKind::kMesh, above), shards), 0);
-    EXPECT_EQ(
-        skipped(reference_of(low_rate(TopologyKind::kMesh, kSparse)), shards),
-        0);
+    EXPECT_GT(skipped(low_rate(TopologyKind::kMesh, kSparse), shards, true),
+              0);
+    EXPECT_EQ(skipped(low_rate(TopologyKind::kMesh, above), shards, false), 0);
+    EXPECT_EQ(skipped(reference_of(low_rate(TopologyKind::kMesh, kSparse)),
+                      shards, false),
+              0);
   }
-  Simulation observed(low_rate(TopologyKind::kMesh, kSparse));
-  run_per_cycle(observed);
-  EXPECT_EQ(observed.skipped_cycles(), 0);
 }
 
 TEST(CycleSkip, ActuallySkipsOnSparseTraffic) {
@@ -186,17 +176,35 @@ TEST(CycleSkip, ActuallySkipsOnSparseTraffic) {
 
 TEST(CycleSkip, DeferredIdleAccountingMatchesPerCycle) {
   // idle_fast_ticks counts every deferred-idle router cycle as it is
-  // flushed; after a full run its total must equal the idle fast
-  // path's per-cycle count (both equal total idle router cycles).
-  const SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
-  Simulation fast(cfg);
-  run_per_cycle(fast);
+  // flushed; after a full run its total must equal the number of
+  // router-cycles that begin quiescent.  The reference run counts
+  // those: a one-cycle metrics window (warmup 0, so windows tile the
+  // run from cycle 0) sums the routers' quiescence at every boundary,
+  // i.e. at the start of every cycle after the first.
+  SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
+  cfg.warmup_cycles = 0;
+  Simulation reference(reference_of(cfg));
+  std::vector<std::pair<Cycle, std::int64_t>> boundaries;
+  reference.set_metrics_window(1, [&](const SimKernel::MetricsWindow& w) {
+    std::int64_t q = 0;
+    for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+      if (reference.network().router(n).quiescent()) ++q;
+    }
+    boundaries.emplace_back(w.end, q);
+  });
+  reference.run();
+  ASSERT_FALSE(boundaries.empty());
+  ASSERT_EQ(boundaries.back().first, reference.now());
+  boundaries.pop_back();  // the run's end begins no cycle
+  std::int64_t quiescent = cfg.num_nodes();  // cycle 0: every router
+  for (const auto& b : boundaries) quiescent += b.second;
+
   Simulation skipping(cfg);
   skipping.run();
   EXPECT_TRUE(skipping.event_stepping());
-  EXPECT_EQ(fast.now(), skipping.now());
+  EXPECT_EQ(reference.now(), skipping.now());
   EXPECT_GT(skipping.idle_fast_ticks(), 0);
-  EXPECT_EQ(fast.idle_fast_ticks(), skipping.idle_fast_ticks());
+  EXPECT_EQ(skipping.idle_fast_ticks(), quiescent);
 }
 
 TEST(CycleSkip, PatternsWithSilentNodesIdentical) {
@@ -392,31 +400,6 @@ TEST(CycleSkip, SaturationAndDrainBehaviorUnchanged) {
     EXPECT_TRUE(chosen.saturated());
     EXPECT_EQ(slow.now(), chosen.now());
   }
-}
-
-TEST(CycleSkip, ObserversForcePerCycleStepping) {
-  // Observers have an every-cycle contract: with one attached the
-  // kernel must quietly run per-cycle (identical results, no skips);
-  // attaching one after event stepping began is a logic error.
-  const SimConfig cfg = low_rate(TopologyKind::kMesh, kSparse);
-  Simulation sim(cfg);
-  std::int64_t observed_cycles = 0;
-  sim.set_observer([&observed_cycles](int, const ShardPlan&) {
-    return make_observer_slice(
-        [&observed_cycles](Cycle, Network&, const ShardPlan&) {
-          ++observed_cycles;
-        });
-  });
-  sim.run();
-  EXPECT_EQ(sim.skipped_cycles(), 0);
-  EXPECT_EQ(observed_cycles, static_cast<std::int64_t>(sim.now()));
-
-  Simulation late(cfg);
-  late.step();
-  EXPECT_THROW(late.set_observer([](int, const ShardPlan&) {
-    return make_observer_slice([](Cycle, Network&, const ShardPlan&) {});
-  }),
-               std::logic_error);
 }
 
 TEST(CycleSkip, FlitTraceIdenticalAcrossModes) {

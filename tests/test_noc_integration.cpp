@@ -73,7 +73,9 @@ TEST(NocIntegration, PortMismatchThrows) {
                                           noc::TrafficPattern::kUniform));
   NocPowerConfig cfg = default_noc_power(xbar::Scheme::kSC);
   cfg.xbar_spec.ports = 7;
-  EXPECT_THROW(PoweredNoc(sim, cfg), std::invalid_argument);
+  const xbar::Characterization chars =
+      xbar::characterize(cfg.xbar_spec, cfg.scheme);
+  EXPECT_THROW(PoweredNoc(sim.network(), cfg, chars), std::invalid_argument);
 }
 
 TEST(NocIntegration, IdleHistogramHasLongRunsAtLowLoad) {

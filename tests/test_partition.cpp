@@ -32,7 +32,6 @@ void expect_exact_cover(const Network& net, const PartitionPlan& plan) {
     for (NodeId n : sh.nodes) {
       EXPECT_TRUE(nodes.insert(n).second) << "node " << n << " double-owned";
       EXPECT_EQ(plan.shard_of[static_cast<std::size_t>(n)], sh.index);
-      EXPECT_TRUE(sh.owns(n));
     }
     for (int li : sh.links) {
       EXPECT_TRUE(links.insert(li).second) << "link " << li << " double-owned";

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "core/context.hpp"
@@ -125,65 +126,54 @@ TEST(ShardedSim, SaturationDecisionMatchesSerial) {
   expect_bit_identical(a, b);
 }
 
-// Observer slices run inside the shard phases: every shard's slice
-// sees every cycle, the tile sets partition the fabric, and worker
-// shards observe on worker threads — there is no driver-thread serial
-// section any more.
-TEST(ShardedSim, ObserverSlicesRunInsideShardPhases) {
+// Every shard steps its own routers on its own thread: shard 0 on the
+// calling thread, shards 1..3 each on a worker of their own, every
+// cycle on the same one.  A PowerHook on each router sees the thread
+// that ticks it (per-cycle stepping: every router ticks every cycle).
+TEST(ShardedSim, WorkerShardsStepOnWorkerThreads) {
   SimConfig cfg = mesh8(0.05);
   cfg.warmup_cycles = 10;
   cfg.measure_cycles = 50;
   ShardedSimulation sim(cfg, opts(4, PartitionStrategy::kBlocks2D));
+  ASSERT_FALSE(sim.event_stepping());
 
-  struct CountSlice final : ObserverSlice {
-    Cycle cycles = 0;
-    std::int64_t node_visits = 0;
+  struct ThreadTap final : PowerHook {
+    Cycle ticks = 0;
     std::thread::id thread;
-    void on_cycle(Cycle, Network&, const ShardPlan& shard) override {
-      ++cycles;
-      node_visits += static_cast<std::int64_t>(shard.nodes.size());
-      thread = std::this_thread::get_id();
+    bool one_thread = true;
+    bool xbar_ready() override { return true; }
+    void on_cycle(const RouterEvents&) override {
+      const std::thread::id self = std::this_thread::get_id();
+      if (ticks++ == 0) {
+        thread = self;
+      } else if (self != thread) {
+        one_thread = false;
+      }
     }
   };
-  sim.set_observer([](int, const ShardPlan&) {
-    return std::make_unique<CountSlice>();
-  });
+  std::vector<ThreadTap> taps(static_cast<std::size_t>(cfg.num_nodes()));
+  for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+    sim.network().router(n).set_power_hook(&taps[static_cast<std::size_t>(n)]);
+  }
   sim.run();
 
-  // The merge step: fold the slices on the calling thread.
-  const std::thread::id driver = std::this_thread::get_id();
-  std::int64_t visits = 0;
-  int slices = 0;
-  int off_driver = 0;
-  sim.for_each_observer([&](int shard, ObserverSlice& slice) {
-    const auto& c = static_cast<const CountSlice&>(slice);
-    EXPECT_EQ(c.cycles, sim.now()) << "shard " << shard;
-    visits += c.node_visits;
-    ++slices;
-    if (c.thread != driver) ++off_driver;
-  });
-  EXPECT_EQ(slices, 4);
-  EXPECT_EQ(visits, static_cast<std::int64_t>(cfg.num_nodes()) * sim.now());
-  // Shard 0 runs on the driver; shards 1..3 must have observed on
-  // their own worker threads.
-  EXPECT_EQ(off_driver, 3);
-}
-
-TEST(ShardedSim, ObserverFactoryMayDeclineShards) {
-  SimConfig cfg = mesh8(0.05);
-  cfg.warmup_cycles = 10;
-  cfg.measure_cycles = 40;
-  ShardedSimulation sim(cfg, opts(4, PartitionStrategy::kRowBands));
-  constexpr NodeId kTarget = 27;
-  Cycle observed = 0;
-  sim.set_observer(
-      [&](int, const ShardPlan& shard) -> std::unique_ptr<ObserverSlice> {
-        if (!shard.owns(kTarget)) return nullptr;
-        return make_observer_slice(
-            [&observed](Cycle, Network&, const ShardPlan&) { ++observed; });
-      });
-  sim.run();
-  EXPECT_EQ(observed, sim.now());  // exactly one shard owns the target
+  const PartitionPlan& plan = sim.partition();
+  ASSERT_EQ(plan.num_shards(), 4);
+  std::vector<std::thread::id> shard_thread;
+  for (const ShardPlan& sh : plan.shards) {
+    ASSERT_FALSE(sh.nodes.empty());
+    shard_thread.push_back(taps[static_cast<std::size_t>(sh.nodes[0])].thread);
+    for (NodeId n : sh.nodes) {
+      const ThreadTap& tap = taps[static_cast<std::size_t>(n)];
+      EXPECT_EQ(tap.ticks, sim.now()) << "router " << n;
+      EXPECT_TRUE(tap.one_thread) << "router " << n;
+      EXPECT_EQ(tap.thread, shard_thread.back()) << "router " << n;
+    }
+  }
+  EXPECT_EQ(shard_thread[0], std::this_thread::get_id());
+  const std::set<std::thread::id> threads(shard_thread.begin(),
+                                          shard_thread.end());
+  EXPECT_EQ(threads.size(), 4u);
 }
 
 TEST(ShardedSim, AutoShardsPolicy) {

@@ -111,27 +111,5 @@ INSTANTIATE_TEST_SUITE_P(
                       TrafficPattern::kTornado, TrafficPattern::kNeighbor),
     [](const auto& info) { return traffic_name(info.param); });
 
-TEST(Sim, ObserverSeesEveryCycle) {
-  SimConfig cfg = quick(0.1);
-  cfg.warmup_cycles = 10;
-  cfg.measure_cycles = 50;
-  Simulation sim(cfg);
-  // The serial engine is one whole-fabric shard, so the factory runs
-  // once and the single slice sees every cycle.
-  Cycle observed = 0;
-  int slices = 0;
-  sim.set_observer([&](int, const ShardPlan& shard) {
-    ++slices;
-    EXPECT_EQ(shard.nodes.size(),
-              static_cast<std::size_t>(cfg.num_nodes()));
-    return make_observer_slice(
-        [&observed](Cycle, Network&, const ShardPlan&) { ++observed; });
-  });
-  sim.run();
-  EXPECT_EQ(slices, 1);
-  EXPECT_GE(observed, 60);
-  EXPECT_EQ(observed, sim.now());
-}
-
 }  // namespace
 }  // namespace lain::noc

@@ -165,40 +165,6 @@ TEST(WindowedMetrics, WindowsTileTheRunAndConserveEventCounts) {
   EXPECT_EQ(samples, total.packet_latency.count());
 }
 
-TEST(WindowedMetrics, ObserverSlicesSeeEveryWindowFlush) {
-  struct FlushSlice final : noc::ObserverSlice {
-    int* flushes;
-    std::vector<Cycle>* boundaries;
-    void on_cycle(Cycle, noc::Network&, const noc::ShardPlan&) override {}
-    void on_window_flush(Cycle boundary) override {
-      ++*flushes;
-      boundaries->push_back(boundary);
-    }
-  };
-  SimConfig cfg = mesh8(0.05);
-  cfg.warmup_cycles = 50;
-  cfg.measure_cycles = 400;
-  ShardedOptions o;
-  o.shards = 4;
-  o.partition = PartitionStrategy::kBlocks2D;
-  ShardedSimulation sim(cfg, o);
-  int flushes = 0;
-  std::vector<Cycle> boundaries;
-  sim.set_observer([&](int, const noc::ShardPlan&) {
-    auto slice = std::make_unique<FlushSlice>();
-    slice->flushes = &flushes;
-    slice->boundaries = &boundaries;
-    return slice;
-  });
-  const std::vector<SimKernel::MetricsWindow> windows =
-      run_windowed(sim, 100);
-  // Every one of the 4 slices is flushed once per closed window, on
-  // the calling thread, with the window's end cycle.
-  EXPECT_EQ(flushes, static_cast<int>(4 * windows.size()));
-  ASSERT_GE(boundaries.size(), 4u);
-  EXPECT_EQ(boundaries[0], windows[0].end);
-}
-
 // The power columns stream as per-window deltas of the cumulative
 // fixed-order sums, so they inherit the bit-identity contract too.
 TEST(WindowedMetrics, PowerColumnsBitIdenticalSerialVsSharded) {
