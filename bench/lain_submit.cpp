@@ -27,15 +27,18 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cli.hpp"
-#include "core/metrics.hpp"
-#include "serve/proto.hpp"
+#include "core/json.hpp"
 #include "serve/socket.hpp"
 
 namespace {
+
+using lain::core::json_field;
+using lain::core::JsonLine;
 
 constexpr const char* kUsage =
     "usage: lain_submit --socket PATH [--job JSON]\n"
@@ -44,21 +47,25 @@ constexpr const char* kUsage =
     "                   [--stats] [--shutdown]\n";
 
 // Wraps one wire-format job object into a submit frame by splicing
-// the type key after the opening brace.
+// the type key after the opening brace.  The job's own keys go to the
+// daemon as written: it validates them, and rejects a job that
+// repeats the type key.
 std::string submit_frame(const std::string& job_line) {
   const std::size_t open = job_line.find('{');
   if (open == std::string::npos) {
     throw std::invalid_argument("job is not a JSON object: " + job_line);
   }
+  std::string frame = JsonLine().str("type", "submit").done();
   std::size_t rest = open + 1;
   while (rest < job_line.size() &&
          (job_line[rest] == ' ' || job_line[rest] == '\t')) {
     ++rest;
   }
   if (rest < job_line.size() && job_line[rest] == '}') {
-    return "{\"type\":\"submit\"}";  // daemon rejects it with the reason
+    return frame;  // daemon rejects it with the reason
   }
-  return "{\"type\":\"submit\"," + job_line.substr(open + 1);
+  frame.back() = ',';
+  return frame + job_line.substr(open + 1);
 }
 
 // Prints every incoming frame until each of the `pending` submissions
@@ -72,25 +79,19 @@ int drain_jobs(lain::serve::Client& client, int pending, bool* failed) {
   int running = 0;           // accepted jobs without done yet
   while ((unanswered > 0 || running > 0) && client.read_line(&line)) {
     std::puts(line.c_str());
-    std::string type;
-    if (!lain::telemetry::json_string_field(line, "type", &type)) continue;
+    const std::optional<std::string> type = json_field(line, "type");
     if (type == "error") {
       *failed = true;
       // Only job-LESS error frames answer a submit; an error frame
       // carrying a job id belongs to an already-accepted job (its
       // done frame still follows).
-      std::string job_id;
-      if (!lain::telemetry::json_string_field(line, "job", &job_id) &&
-          unanswered > 0) {
-        --unanswered;
-      }
+      if (!json_field(line, "job") && unanswered > 0) --unanswered;
     } else if (type == "accepted") {
       --unanswered;
       ++running;
     } else if (type == "done") {
       --running;
-      std::string state;
-      lain::telemetry::json_string_field(line, "state", &state);
+      const std::optional<std::string> state = json_field(line, "state");
       if (state == "failed" || state == "canceled") *failed = true;
     }
   }
@@ -160,24 +161,21 @@ int run(int argc, char** argv) {
   }
 
   if (!cancel_id.empty()) {
-    client.send_line("{\"type\":\"cancel\",\"job\":\"" + cancel_id + "\"}");
+    client.send_line(
+        JsonLine().str("type", "cancel").str("job", cancel_id).done());
     if (client.read_line(&line)) std::puts(line.c_str());
   }
   if (args.has("stats")) {
-    client.send_line("{\"type\":\"status\"}");
+    client.send_line(JsonLine().str("type", "status").done());
     if (client.read_line(&line)) std::puts(line.c_str());
   }
   if (args.has("shutdown")) {
-    client.send_line("{\"type\":\"shutdown\"}");
+    client.send_line(JsonLine().str("type", "shutdown").done());
     // Wait for the ack so the daemon committed to exiting before we
     // return (the smoke test relies on this ordering).
     while (client.read_line(&line)) {
       std::puts(line.c_str());
-      std::string type;
-      if (lain::telemetry::json_string_field(line, "type", &type) &&
-          type == "bye") {
-        break;
-      }
+      if (json_field(line, "type") == "bye") break;
     }
   }
   return failed ? 1 : 0;

@@ -46,23 +46,19 @@ std::unique_ptr<noc::SimKernel> make_kernel(noc::SimConfig cfg,
 // Attaches the run's telemetry per TelemetryOptions: with a sink, a
 // full MetricsStreamer (manifest + windows + trace + summary); with
 // only a window, the kernel-side window machinery (so the cancel and
-// saturation controls still act at boundaries).  Returns the streamer
+// saturation controls still act at boundaries).  Without a sink
+// nothing reads a flit trace, so none is kept.  Returns the streamer
 // so the caller can finish() it.
 std::optional<telemetry::MetricsStreamer> attach_telemetry(
     noc::SimKernel& kernel, PoweredNoc* power, const noc::SimConfig& cfg,
     const std::string& scheme, bool gating, const TelemetryOptions& t) {
-  telemetry::StreamOptions opt;
-  opt.window_cycles = t.metrics_window;
-  opt.trace_flits = t.trace_flits;
   if (t.sink != nullptr) {
     return std::optional<telemetry::MetricsStreamer>(
-        std::in_place, kernel, power, t.sink, opt,
-        telemetry::make_manifest(cfg, kernel, scheme, gating, opt));
+        std::in_place, kernel, power, t.sink,
+        telemetry::make_manifest(cfg, kernel, scheme, gating,
+                                 t.metrics_window, t.trace_flits));
   }
   if (t.metrics_window > 0) kernel.set_metrics_window(t.metrics_window);
-  if (t.trace_flits > 0) {
-    kernel.enable_flit_trace(static_cast<std::size_t>(t.trace_flits));
-  }
   return std::nullopt;
 }
 

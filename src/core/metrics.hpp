@@ -17,12 +17,18 @@
 //                    counters (lain::telemetry::Collector) and the
 //                    characterization-cache hit counters.
 //
+// The records carry the kernel's own structs (SimConfig, the
+// MetricsWindow, SimStats, PhaseCounters) rather than copies of their
+// fields: each JSONL column is derived and named once, in its record's
+// to_json, so a new column is a struct field plus one to_json line.
+//
 // Sinks: JsonlSink writes one JSON object per line (the documented
-// schema; see README "Observability"), ProgressSink prints a human
-// one-liner per window on stderr, MemorySink captures records for
-// tests, MultiSink fans out to several.  The JSONL schema round-trips
-// doubles exactly (%.17g) so downstream tools can diff runs
-// bit-for-bit — the same contract the windowed stats themselves obey.
+// schema; see README "Observability") through the core/json.hpp codec,
+// ProgressSink prints a human one-liner per window on stderr,
+// MemorySink captures records for tests, MultiSink fans out to
+// several.  The JSONL schema round-trips doubles exactly (%.17g) so
+// downstream tools can diff runs bit-for-bit — the same contract the
+// windowed stats themselves obey.
 //
 // MetricsStreamer is the glue: attach it to a kernel (and optionally
 // a PoweredNoc) before run(), call finish() after, and every record
@@ -47,57 +53,29 @@ namespace lain::telemetry {
 
 // ---------------------------------------------------------------- records
 
-// Run identity, emitted once before any window.
+// Run identity, emitted once before any window: the kernel's config
+// plus what the run resolved around it.
 struct RunManifest {
   std::string run;        // unique-within-process run id ("run-3")
   std::string git_rev;    // `git describe --always --dirty`, or ""
   std::string scheme;     // crossbar scheme name, "" for unpowered runs
   bool gating = false;
-  std::string topology;   // "mesh" | "torus"
-  int radix_x = 0;
-  int radix_y = 0;
-  int vcs = 0;
-  int vc_depth_flits = 0;
-  int link_latency = 0;
-  std::string pattern;
-  double injection_rate = 0.0;
-  int packet_length_flits = 0;
-  double hotspot_fraction = 0.0;
-  double burst_duty = 1.0;
-  std::uint64_t seed = 0;
-  noc::Cycle warmup_cycles = 0;
-  noc::Cycle measure_cycles = 0;
-  noc::Cycle drain_limit_cycles = 0;
+  noc::SimConfig sim;
   int shards = 1;
-  std::string partition;  // resolved partition_name()
+  noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;
   int boundary_links = 0;
-  noc::Cycle window_cycles = 0;
-  std::int64_t trace_flits = 0;  // per-shard ring capacity
+  noc::Cycle window_cycles = 0;  // 0: no window records
+  std::int64_t trace_flits = 0;  // per-shard ring capacity; 0: no trace
 };
 
-// One closed metrics window.  The SimStats-derived columns are bit-
+// One closed metrics window.  The window's stats columns are bit-
 // identical at any shard count; the power columns are per-window
 // deltas of the cumulative PoweredNoc accounts (zero when the run has
 // no power model attached); flits_in_flight is the live occupancy
 // sampled at the window boundary.
 struct WindowRecord {
   std::string run;
-  std::int64_t index = 0;
-  noc::Cycle begin = 0;
-  noc::Cycle end = 0;
-  std::int64_t packets_injected = 0;
-  std::int64_t packets_ejected = 0;
-  std::int64_t flits_injected = 0;
-  std::int64_t flits_ejected = 0;
-  double latency_mean = 0.0;
-  double latency_min = 0.0;
-  double latency_max = 0.0;
-  std::int64_t latency_count = 0;
-  std::int64_t latency_p50 = 0;
-  std::int64_t latency_p95 = 0;
-  double network_latency_mean = 0.0;
-  double hops_mean = 0.0;
-  double throughput = 0.0;  // flits / node / cycle over the window
+  noc::SimKernel::MetricsWindow window;
   int flits_in_flight = 0;
   // Power deltas over this window (all zero without a power model).
   double total_energy_j = 0.0;
@@ -109,14 +87,10 @@ struct WindowRecord {
   double realized_saving_j = 0.0;
   // Kernel observability (not part of the determinism contract).
   std::int64_t idle_fast_ticks = 0;
-  // Degradation columns (fault injection).  Serialized only when
-  // `fault_columns` is set — a faults-off run's JSONL stream stays
-  // byte-identical to pre-fault builds.
+  // Degradation columns (fault injection) from the window's stats.
+  // Serialized only when `fault_columns` is set — a faults-off run's
+  // JSONL stream stays byte-identical to pre-fault builds.
   bool fault_columns = false;
-  std::int64_t packets_lost = 0;
-  std::int64_t flits_lost = 0;
-  std::int64_t packets_retransmitted = 0;
-  std::int64_t packets_unreachable_dropped = 0;
 };
 
 // End-of-run totals + host profiling counters.
@@ -135,35 +109,22 @@ struct RunSummary {
   bool canceled = false;
   bool aborted_saturated = false;
   std::int64_t windows = 0;
-  std::int64_t packets_injected = 0;
-  std::int64_t packets_ejected = 0;
-  std::int64_t flits_injected = 0;
-  std::int64_t flits_ejected = 0;
-  double latency_mean = 0.0;
-  double throughput = 0.0;
+  noc::SimStats stats;  // the value kernel.run() returned
   // lain::telemetry::Collector totals (all zero when LAIN_TELEMETRY=0
   // or no collector was attached).
-  std::int64_t component_ns = 0;
-  std::int64_t exchange_ns = 0;
-  std::int64_t barrier_ns = 0;
-  std::int64_t component_calls = 0;
-  std::int64_t exchange_calls = 0;
-  std::int64_t channel_ticks = 0;
-  std::int64_t idle_fast_ticks = 0;
+  PhaseCounters counters;
+  std::int64_t idle_fast_ticks = 0;  // SimKernel::idle_fast_ticks()
   // LainContext characterization-cache counters.
   std::uint64_t cache_lookups = 0;
   std::uint64_t cache_hits = 0;
   // Flit-trace accounting.
   std::int64_t trace_events = 0;
   std::int64_t trace_dropped = 0;
-  // Degradation totals (fault injection).  Serialized only when
-  // `fault_columns` is set, like the window columns.
+  // Degradation totals (fault injection), the stats' loss counters
+  // plus these.  Serialized only when `fault_columns` is set, like the
+  // window columns.
   bool fault_columns = false;
   bool aborted_disconnected = false;
-  std::int64_t packets_lost = 0;
-  std::int64_t flits_lost = 0;
-  std::int64_t packets_retransmitted = 0;
-  std::int64_t packets_unreachable_dropped = 0;
   std::int64_t unreachable_pairs = 0;
 };
 
@@ -270,29 +231,16 @@ class MultiSink final : public MetricsSink {
 
 // ------------------------------------------------------------- JSON codec
 
-// One-line JSON encodings ("type" discriminator first; doubles as
-// %.17g so values round-trip exactly).
+// One-line JSON encodings through core::JsonLine ("type" discriminator
+// first; doubles as %.17g so values round-trip exactly).  Each column
+// is named here and nowhere else.
 std::string to_json(const RunManifest& m);
 std::string to_json(const WindowRecord& w);
 std::string to_json(const FaultRecord& f);
 std::string to_json(const FlitRecord& f);
 std::string to_json(const RunSummary& s);
 
-// Minimal field extractors for the flat one-line objects above (no
-// nesting, no escapes beyond \" in values) — enough for the schema
-// round-trip tests and shell-side smoke checks.  Return false when
-// the key is absent.
-bool json_number_field(const std::string& line, const std::string& key,
-                       double* out);
-bool json_string_field(const std::string& line, const std::string& key,
-                       std::string* out);
-
 // --------------------------------------------------------------- streamer
-
-struct StreamOptions {
-  noc::Cycle window_cycles = 0;  // 0: no window records
-  std::int64_t trace_flits = 0;  // per-shard ring capacity; 0: no trace
-};
 
 // `git describe --always --dirty` of the working tree, "" when
 // unavailable (not a checkout, no git binary).  Computed once per
@@ -304,19 +252,20 @@ std::string git_describe();
 RunManifest make_manifest(const noc::SimConfig& cfg,
                           const noc::SimKernel& kernel,
                           const std::string& scheme, bool gating,
-                          const StreamOptions& opt);
+                          noc::Cycle window_cycles,
+                          std::int64_t trace_flits);
 
 // Streams one kernel run onto a sink.  Construct after the kernel
 // (and power model, if any) exist and before run(); call finish()
 // once after run().  The constructor emits the manifest, installs the
-// window callback, attaches the profiling collector and sizes the
-// flit-trace rings; window records then flow during run() from the
-// calling thread.
+// window callback the manifest's window_cycles asks for, attaches the
+// profiling collector and sizes the flit-trace rings to its
+// trace_flits; window records then flow during run() from the calling
+// thread.
 class MetricsStreamer {
  public:
   MetricsStreamer(noc::SimKernel& kernel, core::PoweredNoc* power,
-                  MetricsSink* sink, const StreamOptions& opt,
-                  RunManifest manifest);
+                  MetricsSink* sink, RunManifest manifest);
   ~MetricsStreamer();
   MetricsStreamer(const MetricsStreamer&) = delete;
   MetricsStreamer& operator=(const MetricsStreamer&) = delete;
@@ -326,8 +275,6 @@ class MetricsStreamer {
   // the LainContext (pass zeros when there is none).
   void finish(const noc::SimStats& stats, bool saturated,
               std::uint64_t cache_lookups = 0, std::uint64_t cache_hits = 0);
-
-  Collector& collector() { return collector_; }
 
  private:
   struct PowerSnapshot {
@@ -341,7 +288,6 @@ class MetricsStreamer {
   noc::SimKernel& kernel_;
   core::PoweredNoc* power_;
   MetricsSink* sink_;
-  StreamOptions opt_;
   RunManifest manifest_;
   Collector collector_;
   PowerSnapshot prev_power_;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/json.hpp"
+
 namespace lain::core {
 
 namespace {
@@ -19,29 +21,6 @@ std::string csv_double(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 std::string csv_escape(const std::string& s) {
@@ -148,11 +127,11 @@ std::string ReportTable::to_json() const {
     const auto& row = rows_[r];
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c) out += ", ";
-      out += json_escape(columns_[c].header);
+      out += json_string(columns_[c].header);
       out += ": ";
       // Numeric cells reuse the CSV form: full precision, and %.9g
       // output is always a valid JSON number.
-      out += row[c].numeric ? row[c].csv : json_escape(row[c].text);
+      out += row[c].numeric ? row[c].csv : json_string(row[c].text);
     }
     out += '}';
   }

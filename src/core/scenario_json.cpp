@@ -1,7 +1,6 @@
 #include "core/scenario_json.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -14,163 +13,25 @@ bool contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-// Minimal strict parser for the flat one-line job objects.  Values
-// keep their raw spelling: strings are unescaped, numbers kept
-// verbatim, so a job re-encoded with to_json() is byte-identical.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(const std::string& s) : s_(s) {}
-
-  std::vector<JsonField> parse_object() {
-    std::vector<JsonField> fields;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++i_;
-      finish();
-      return fields;
-    }
-    while (true) {
-      skip_ws();
-      JsonField f;
-      f.key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      parse_value(&f);
-      fields.push_back(std::move(f));
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++i_;
-        continue;
-      }
-      if (c == '}') {
-        ++i_;
-        break;
-      }
-      fail("expected ',' or '}'");
-    }
-    finish();
-    return fields;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("bad job JSON at byte " +
-                                std::to_string(i_) + ": " + why);
-  }
-  char peek() const { return i_ < s_.size() ? s_[i_] : '\0'; }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++i_;
-  }
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[i_]))) {
-      ++i_;
-    }
-  }
-  void finish() {
-    skip_ws();
-    if (i_ != s_.size()) fail("trailing content after object");
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (i_ >= s_.size()) fail("unterminated string");
-      char c = s_[i_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (i_ >= s_.size()) fail("dangling escape");
-        c = s_[i_++];
-        if (c != '"' && c != '\\') fail("unsupported escape");
-      }
-      out += c;
-    }
-  }
-
-  void parse_value(JsonField* f) {
-    const char c = peek();
-    if (c == '"') {
-      f->kind = JsonField::Kind::kString;
-      f->text = parse_string();
-      return;
-    }
-    if (s_.compare(i_, 4, "true") == 0) {
-      i_ += 4;
-      f->kind = JsonField::Kind::kBool;
-      f->text = "true";
-      return;
-    }
-    if (s_.compare(i_, 5, "false") == 0) {
-      i_ += 5;
-      f->kind = JsonField::Kind::kBool;
-      f->text = "false";
-      return;
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      const std::size_t start = i_;
-      while (i_ < s_.size() &&
-             (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
-              s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' ||
-              s_[i_] == 'e' || s_[i_] == 'E')) {
-        ++i_;
-      }
-      f->kind = JsonField::Kind::kNumber;
-      f->text = s_.substr(start, i_ - start);
-      return;
-    }
-    fail("expected string, number or boolean value");
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
-
-std::string escaped(const std::string& v) {
-  std::string out;
-  for (char c : v) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
-std::vector<JsonField> parse_flat_json_object(const std::string& line) {
-  return FlatJsonParser(line).parse_object();
-}
-
 std::string to_json(const ScenarioJobSpec& job) {
-  std::string out = "{\"scenario\":\"" + escaped(job.scenario) + "\"";
-  for (const auto& [flag, value] : job.values) {
-    out += ",\"" + escaped(flag) + "\":\"" + escaped(value) + "\"";
-  }
-  for (const std::string& flag : job.switches) {
-    out += ",\"" + escaped(flag) + "\":true";
-  }
-  out += "}";
-  return out;
+  JsonLine line;
+  line.str("scenario", job.scenario);
+  for (const auto& [flag, value] : job.values) line.str(flag, value);
+  for (const std::string& flag : job.switches) line.boolean(flag, true);
+  return line.done();
 }
 
 ScenarioJobSpec scenario_job_from_fields(
     const ScenarioRegistry& registry, const std::vector<JsonField>& fields,
     const std::vector<std::string>& ignore_keys) {
   ScenarioJobSpec job;
-  for (const JsonField& f : fields) {
-    if (f.key != "scenario") continue;
-    if (f.kind != JsonField::Kind::kString) {
+  if (const JsonField* f = find_field(fields, "scenario")) {
+    if (f->kind != JsonField::Kind::kString) {
       throw std::invalid_argument("\"scenario\" must be a string");
     }
-    if (!job.scenario.empty()) {
-      throw std::invalid_argument("duplicate \"scenario\" key");
-    }
-    job.scenario = f.text;
+    job.scenario = f->text;
   }
   if (job.scenario.empty()) {
     throw std::invalid_argument("job is missing the \"scenario\" key");
@@ -187,14 +48,8 @@ ScenarioJobSpec scenario_job_from_fields(
       registry.value_flags_for(*scenario);
   const std::vector<std::string> switch_flags =
       registry.switch_flags_for(*scenario);
-  std::vector<std::string> seen;
   for (const JsonField& f : fields) {
     if (f.key == "scenario" || contains(ignore_keys, f.key)) continue;
-    // A repeated key is ambiguous: ArgParser would keep the first.
-    if (contains(seen, f.key)) {
-      throw std::invalid_argument("duplicate \"" + f.key + "\" key");
-    }
-    seen.push_back(f.key);
     if (contains(value_flags, f.key)) {
       if (f.kind == JsonField::Kind::kBool) {
         throw std::invalid_argument("flag \"" + f.key +

@@ -8,11 +8,13 @@
 //
 // where every key besides "scenario" is one of that scenario's flags:
 // value flags carry a string (or bare number), switch flags carry
-// true.  Parsing is strict — an unknown key is rejected with the
-// scenario's flag list, mirroring the registry CLI's foreign-flag
-// exit-2 behavior — and conversion to a ScenarioSpec goes through the
-// very same ArgParser + build_scenario_spec path as the CLI, so the
-// wire format cannot drift from the flags.
+// true.  Lines are read and written by the core/json.hpp codec.
+// Parsing is strict — a repeated key is malformed JSON, and an
+// unknown key is rejected with the scenario's flag list, mirroring
+// the registry CLI's foreign-flag exit-2 behavior — and conversion to
+// a ScenarioSpec goes through the very same ArgParser +
+// build_scenario_spec path as the CLI, so the wire format cannot
+// drift from the flags.
 //
 // Consumers: `lain_bench --scenario-file FILE` (one job per line,
 // batch) and the lain_serve daemon (one job per submit frame).
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/json.hpp"
 #include "core/scenario.hpp"
 
 namespace lain::core {
@@ -34,22 +37,6 @@ struct ScenarioJobSpec {
   std::vector<std::pair<std::string, std::string>> values;
   std::vector<std::string> switches;
 };
-
-// One field of a flat one-line JSON object.  Strings are unescaped;
-// numbers keep their raw spelling (so re-encoding round-trips bytes);
-// booleans are "true"/"false".
-struct JsonField {
-  enum class Kind { kString, kNumber, kBool };
-  std::string key;
-  Kind kind = Kind::kString;
-  std::string text;
-};
-
-// Strict parser for the flat one-line objects the wire format uses:
-// string, number and boolean values only (no nesting, no null).
-// Throws std::invalid_argument on anything else, including trailing
-// content.  Fields come back in wire order, duplicates preserved.
-std::vector<JsonField> parse_flat_json_object(const std::string& line);
 
 // Builds a job from already-parsed fields, ignoring `ignore_keys`
 // (protocol envelope keys like "type").  Same strictness as
@@ -65,10 +52,10 @@ ScenarioJobSpec scenario_job_from_fields(const ScenarioRegistry& registry,
 std::string to_json(const ScenarioJobSpec& job);
 
 // Parses one job line.  Throws std::invalid_argument on malformed
-// JSON, a missing/unknown scenario, an unknown or repeated flag key
-// for that scenario, or a mistyped value (switch flags must be
-// boolean; value flags string or number).  `false` for a switch means
-// "absent".
+// JSON (a repeated key included), a missing/unknown scenario, an
+// unknown flag key for that scenario, or a mistyped value (switch
+// flags must be boolean; value flags string or number).  `false` for
+// a switch means "absent".
 ScenarioJobSpec scenario_job_from_json(const ScenarioRegistry& registry,
                                        const std::string& line);
 

@@ -44,8 +44,7 @@ struct alignas(64) PhaseCounters {
   std::int64_t barrier_ns = 0;     // time parked on the spin barriers
   std::int64_t component_calls = 0;
   std::int64_t exchange_calls = 0;
-  std::int64_t channel_ticks = 0;     // link-channel advances performed
-  std::int64_t idle_fast_ticks = 0;   // router ticks on the O(1) idle path
+  std::int64_t channel_ticks = 0;  // link-channel advances performed
 
   void merge(const PhaseCounters& o) {
     component_ns += o.component_ns;
@@ -54,7 +53,6 @@ struct alignas(64) PhaseCounters {
     component_calls += o.component_calls;
     exchange_calls += o.exchange_calls;
     channel_ticks += o.channel_ticks;
-    idle_fast_ticks += o.idle_fast_ticks;
   }
 };
 
@@ -129,12 +127,6 @@ class ScopedNs {
     if ((collector) != nullptr) (collector)->at(shard).field += (delta); \
   } while (0)
 
-// collector->at(shard).field = value (running totals kept elsewhere).
-#define LAIN_TELEMETRY_SET(collector, shard, field, value)              \
-  do {                                                                  \
-    if ((collector) != nullptr) (collector)->at(shard).field = (value); \
-  } while (0)
-
 #else  // !LAIN_TELEMETRY — every hook compiles away.
 
 class ScopedNs {
@@ -146,7 +138,6 @@ class ScopedNs {
 
 #define LAIN_TELEMETRY_SCOPE(collector, shard, field) ((void)0)
 #define LAIN_TELEMETRY_COUNT(collector, shard, field, delta) ((void)0)
-#define LAIN_TELEMETRY_SET(collector, shard, field, value) ((void)0)
 
 #endif  // LAIN_TELEMETRY
 

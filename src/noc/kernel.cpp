@@ -354,8 +354,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
   }
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
                        component_calls, 1);
-  LAIN_TELEMETRY_SET(telemetry_, static_cast<int>(shard_index),
-                     idle_fast_ticks, sh.idle_fast_ticks);
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
@@ -497,10 +495,6 @@ void SimKernel::step_shard_components(std::size_t shard_index) {
   }
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
                        component_calls, 1);
-  // idle_fast_ticks is already a running per-shard total; mirror it
-  // rather than re-counting.
-  LAIN_TELEMETRY_SET(telemetry_, static_cast<int>(shard_index),
-                     idle_fast_ticks, sh.idle_fast_ticks);
 }
 
 void SimKernel::step_shard_channels(std::size_t shard_index) {

@@ -1,29 +1,10 @@
 #include "serve/proto.hpp"
 
+#include "core/json.hpp"
+
 namespace lain::serve {
 
-namespace {
-
-// \" and \\ escapes plus newline flattening: a frame is one line by
-// construction, whatever an exception message contains.
-std::string escaped(const std::string& v) {
-  std::string out;
-  for (char c : v) {
-    if (c == '\n' || c == '\r') {
-      out += ' ';
-      continue;
-    }
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-std::string str_field(const char* key, const std::string& v) {
-  return std::string("\"") + key + "\":\"" + escaped(v) + "\"";
-}
-
-}  // namespace
+using core::JsonLine;
 
 const char* job_state_name(JobState s) {
   switch (s) {
@@ -50,50 +31,61 @@ const char* job_state_name(JobState s) {
 std::string accepted_frame(const std::string& job,
                            const std::string& scenario,
                            std::int64_t queue_depth) {
-  return "{\"type\":\"accepted\"," + str_field("job", job) + "," +
-         str_field("scenario", scenario) +
-         ",\"queue_depth\":" + std::to_string(queue_depth) + "}";
+  return JsonLine()
+      .str("type", "accepted")
+      .str("job", job)
+      .str("scenario", scenario)
+      .num("queue_depth", queue_depth)
+      .done();
 }
 
 std::string started_frame(const std::string& job, const std::string& run) {
-  return "{\"type\":\"started\"," + str_field("job", job) + "," +
-         str_field("run", run) + "}";
+  return JsonLine()
+      .str("type", "started")
+      .str("job", job)
+      .str("run", run)
+      .done();
 }
 
 std::string done_frame(const std::string& job, JobState state,
                        const std::string& error) {
-  std::string out = "{\"type\":\"done\"," + str_field("job", job) + "," +
-                    str_field("state", job_state_name(state));
-  if (!error.empty()) out += "," + str_field("error", error);
-  return out + "}";
+  JsonLine line;
+  line.str("type", "done").str("job", job).str("state", job_state_name(state));
+  if (!error.empty()) line.str("error", error);
+  return line.done();
 }
 
 std::string status_frame(const std::string& job, JobState state) {
-  return "{\"type\":\"status\"," + str_field("job", job) + "," +
-         str_field("state", job_state_name(state)) + "}";
+  return JsonLine()
+      .str("type", "status")
+      .str("job", job)
+      .str("state", job_state_name(state))
+      .done();
 }
 
 std::string stats_frame(const ServiceStats& s) {
-  return "{\"type\":\"stats\",\"jobs_accepted\":" +
-         std::to_string(s.jobs_accepted) +
-         ",\"jobs_running\":" + std::to_string(s.jobs_running) +
-         ",\"jobs_finished\":" + std::to_string(s.jobs_finished) +
-         ",\"queue_depth\":" + std::to_string(s.queue_depth) +
-         ",\"workers\":" + std::to_string(s.workers) +
-         ",\"budget_total\":" + std::to_string(s.budget_total) +
-         ",\"budget_in_use\":" + std::to_string(s.budget_in_use) +
-         ",\"cache_lookups\":" + std::to_string(s.cache_lookups) +
-         ",\"cache_characterizations\":" +
-         std::to_string(s.cache_characterizations) +
-         ",\"cache_hits\":" + std::to_string(s.cache_hits) + "}";
+  return JsonLine()
+      .str("type", "stats")
+      .num("jobs_accepted", s.jobs_accepted)
+      .num("jobs_running", s.jobs_running)
+      .num("jobs_finished", s.jobs_finished)
+      .num("queue_depth", s.queue_depth)
+      .num("workers", s.workers)
+      .num("budget_total", s.budget_total)
+      .num("budget_in_use", s.budget_in_use)
+      .num("cache_lookups", s.cache_lookups)
+      .num("cache_characterizations", s.cache_characterizations)
+      .num("cache_hits", s.cache_hits)
+      .done();
 }
 
 std::string error_frame(const std::string& message, const std::string& job) {
-  std::string out = "{\"type\":\"error\"," + str_field("message", message);
-  if (!job.empty()) out += "," + str_field("job", job);
-  return out + "}";
+  JsonLine line;
+  line.str("type", "error").str("message", message);
+  if (!job.empty()) line.str("job", job);
+  return line.done();
 }
 
-std::string bye_frame() { return "{\"type\":\"bye\"}"; }
+std::string bye_frame() { return JsonLine().str("type", "bye").done(); }
 
 }  // namespace lain::serve

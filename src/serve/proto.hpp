@@ -33,9 +33,11 @@
 //       errors as submit answers
 //   {"type":"bye"}               shutdown acknowledged
 //
-// Frame builders only — no I/O here.  Strings are escaped like the
-// telemetry codec (\" and \\); error text is flattened to one line so
-// a frame can never span lines.
+// Frame builders only — no I/O here.  Frames are written and read by
+// the core/json.hpp codec, so every string follows its one rule (\"
+// and \\ escaped, bytes below 0x20 written as spaces) and a frame can
+// never span lines, whatever an error message holds.  A request with
+// a repeated key is malformed and answered with an error frame.
 
 #pragma once
 

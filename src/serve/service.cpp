@@ -225,8 +225,8 @@ void SweepService::handle_line(const std::string& line,
   std::string type;
   try {
     fields = core::parse_flat_json_object(line);
-    for (const core::JsonField& f : fields) {
-      if (f.key == "type") type = f.text;
+    if (const core::JsonField* f = core::find_field(fields, "type")) {
+      type = f->text;
     }
     if (type.empty()) {
       throw std::invalid_argument("request is missing the \"type\" key");
@@ -236,10 +236,8 @@ void SweepService::handle_line(const std::string& line,
     return;
   }
 
-  std::string job_id;
-  for (const core::JsonField& f : fields) {
-    if (f.key == "job") job_id = f.text;
-  }
+  const core::JsonField* job = core::find_field(fields, "job");
+  const std::string job_id = job != nullptr ? job->text : "";
 
   if (type == "submit") {
     handle_submit(fields, out);

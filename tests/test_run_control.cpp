@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/json.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
 
@@ -60,14 +61,12 @@ TEST(SaturationGuard, AbortsASaturatingRun) {
   // The run stopped at a window boundary well before the configured
   // measurement ended.
   ASSERT_FALSE(sink.windows.empty());
-  EXPECT_LT(sink.windows.back().end,
+  EXPECT_LT(sink.windows.back().window.end,
             spec.sim.warmup_cycles + spec.sim.measure_cycles);
   // The summary is well-formed JSON and says aborted_saturated.
-  double aborted = 0.0;
-  ASSERT_TRUE(telemetry::json_number_field(
-      telemetry::to_json(sink.summaries[0]), "aborted_saturated",
-      &aborted));
-  EXPECT_EQ(aborted, 1.0);
+  EXPECT_EQ(json_field(telemetry::to_json(sink.summaries[0]),
+                       "aborted_saturated"),
+            "true");
 }
 
 TEST(SaturationGuard, NonFiringGuardIsBitIdentical) {

@@ -62,6 +62,8 @@ TEST(ScenarioJson, RejectsMalformedJson) {
                std::invalid_argument);
   EXPECT_THROW(parse_flat_json_object("{\"a\" \"b\"}"),
                std::invalid_argument);
+  EXPECT_THROW(parse_flat_json_object("{\"a\":1,\"a\":2}"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioJson, RoundTripsBytes) {

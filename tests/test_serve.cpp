@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/json.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario_json.hpp"
 #include "serve/socket.hpp"
@@ -39,16 +40,12 @@ std::string temp_socket(const char* tag) {
   return "/tmp/lain_" + std::to_string(::getpid()) + "_" + tag + ".s";
 }
 
-std::string frame_type(const std::string& line) {
-  std::string type;
-  telemetry::json_string_field(line, "type", &type);
-  return type;
+std::string frame_field(const std::string& line, const char* key) {
+  return core::json_field(line, key).value_or("");
 }
 
-std::string frame_field(const std::string& line, const char* key) {
-  std::string v;
-  telemetry::json_string_field(line, key, &v);
-  return v;
+std::string frame_type(const std::string& line) {
+  return frame_field(line, "type");
 }
 
 // Reads frames until one of type `stop_type` arrives; returns every
@@ -185,16 +182,13 @@ TEST(SweepService, StreamedWindowsBitIdenticalToBatch) {
   // ns counters are wall clock, so the whole record is not comparable
   // bit-for-bit).
   ASSERT_EQ(sink.summaries.size(), 1u);
+  const std::string batch_summary = telemetry::to_json(sink.summaries[0]);
   for (const char* key : {"cycles", "windows", "packets_injected",
                           "packets_ejected", "latency_mean",
                           "throughput"}) {
-    double batch = 0.0, served = 0.0;
-    ASSERT_TRUE(telemetry::json_number_field(
-        telemetry::to_json(sink.summaries[0]), key, &batch))
-        << key;
-    ASSERT_TRUE(telemetry::json_number_field(served_summary, key, &served))
-        << key;
-    EXPECT_EQ(batch, served) << key;
+    const std::string batch = frame_field(batch_summary, key);
+    ASSERT_FALSE(batch.empty()) << key;
+    EXPECT_EQ(batch, frame_field(served_summary, key)) << key;
   }
 }
 
@@ -319,6 +313,17 @@ TEST(SweepService, RejectsBadSubmitsAndRequests) {
   client.send_line("{\"type\":\"cancel\",\"job\":\"job-999\"}");
   ASSERT_TRUE(client.read_line(&line));
   EXPECT_EQ(frame_type(line), "error");
+
+  // A repeated key is malformed: a job that carries its own type key
+  // must not turn the submit into another request.
+  client.send_line(
+      "{\"type\":\"submit\",\"type\":\"shutdown\","
+      "\"scenario\":\"table1\"}");
+  ASSERT_TRUE(client.read_line(&line));
+  EXPECT_EQ(frame_type(line), "error");
+  EXPECT_NE(frame_field(line, "message").find("repeated key"),
+            std::string::npos)
+      << line;
 
   // And the service is still healthy afterwards.
   client.send_line("{\"type\":\"status\"}");
@@ -471,7 +476,7 @@ TEST(WholeLineWriters, JsonlSinkConcurrentRunsNeverTearLines) {
         for (int i = 0; i < kRecords; ++i) {
           telemetry::WindowRecord w;
           w.run = "run-t" + std::to_string(t);
-          w.index = i;
+          w.window.index = i;
           sink.on_window(w);
         }
       });
@@ -526,8 +531,8 @@ TEST(WholeLineWriters, FrameWriterConcurrentWritersNeverTearLines) {
     for (int t = 0; t < kThreads; ++t) {
       writers.emplace_back([&writer, t] {
         for (int i = 0; i < kLines; ++i) {
-          writer.write_line("{\"writer\":" + std::to_string(t) +
-                            ",\"seq\":" + std::to_string(i) + "}");
+          writer.write_line(
+              core::JsonLine().num("writer", t).num("seq", i).done());
         }
       });
     }
@@ -548,14 +553,14 @@ TEST(WholeLineWriters, FrameWriterConcurrentWritersNeverTearLines) {
     const std::string line = received.substr(pos, nl - pos);
     pos = nl + 1;
     ++total;
-    double writer_id = -1.0, seq = -1.0;
-    ASSERT_TRUE(telemetry::json_number_field(line, "writer", &writer_id))
-        << line;
-    ASSERT_TRUE(telemetry::json_number_field(line, "seq", &seq)) << line;
-    const int t = static_cast<int>(writer_id);
+    const std::string writer_id = frame_field(line, "writer");
+    const std::string seq = frame_field(line, "seq");
+    ASSERT_FALSE(writer_id.empty()) << line;
+    ASSERT_FALSE(seq.empty()) << line;
+    const int t = std::stoi(writer_id);
     ASSERT_GE(t, 0);
     ASSERT_LT(t, kThreads);
-    EXPECT_EQ(static_cast<int>(seq), next_seq[t]) << line;
+    EXPECT_EQ(std::stoi(seq), next_seq[t]) << line;
     ++next_seq[t];
   }
   EXPECT_EQ(total, kThreads * kLines);

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/context.hpp"
 #include "core/experiments.hpp"
+#include "core/json.hpp"
 #include "core/scenario.hpp"
 #include "core/telemetry.hpp"
 #include "noc/parallel/sharded_sim.hpp"
@@ -25,6 +27,7 @@
 namespace lain {
 namespace {
 
+using core::json_field;
 using core::NocRunSpec;
 using core::ScenarioRegistry;
 using noc::Cycle;
@@ -195,30 +198,27 @@ TEST(WindowedMetrics, PowerColumnsBitIdenticalSerialVsSharded) {
   ASSERT_GE(serial_sink.windows.size(), 2u);
   ASSERT_EQ(serial_sink.windows.size(), sharded_sink.windows.size());
   for (std::size_t i = 0; i < serial_sink.windows.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
     const telemetry::WindowRecord& a = serial_sink.windows[i];
     const telemetry::WindowRecord& b = sharded_sink.windows[i];
-    EXPECT_EQ(a.begin, b.begin) << "window " << i;
-    EXPECT_EQ(a.end, b.end) << "window " << i;
-    EXPECT_EQ(a.packets_ejected, b.packets_ejected) << "window " << i;
-    EXPECT_EQ(a.latency_mean, b.latency_mean) << "window " << i;
-    EXPECT_EQ(a.latency_p50, b.latency_p50) << "window " << i;
-    EXPECT_EQ(a.latency_p95, b.latency_p95) << "window " << i;
-    EXPECT_EQ(a.throughput, b.throughput) << "window " << i;
-    EXPECT_EQ(a.flits_in_flight, b.flits_in_flight) << "window " << i;
+    EXPECT_EQ(a.window.begin, b.window.begin);
+    EXPECT_EQ(a.window.end, b.window.end);
+    expect_stats_bit_identical(a.window.stats, b.window.stats);
+    EXPECT_EQ(a.flits_in_flight, b.flits_in_flight);
     // Exact double equality on the energy deltas.
-    EXPECT_EQ(a.total_energy_j, b.total_energy_j) << "window " << i;
-    EXPECT_EQ(a.xbar_energy_j, b.xbar_energy_j) << "window " << i;
-    EXPECT_EQ(a.buffer_energy_j, b.buffer_energy_j) << "window " << i;
-    EXPECT_EQ(a.arbiter_energy_j, b.arbiter_energy_j) << "window " << i;
-    EXPECT_EQ(a.link_energy_j, b.link_energy_j) << "window " << i;
-    EXPECT_EQ(a.standby_cycles, b.standby_cycles) << "window " << i;
-    EXPECT_EQ(a.realized_saving_j, b.realized_saving_j) << "window " << i;
+    EXPECT_EQ(a.total_energy_j, b.total_energy_j);
+    EXPECT_EQ(a.xbar_energy_j, b.xbar_energy_j);
+    EXPECT_EQ(a.buffer_energy_j, b.buffer_energy_j);
+    EXPECT_EQ(a.arbiter_energy_j, b.arbiter_energy_j);
+    EXPECT_EQ(a.link_energy_j, b.link_energy_j);
+    EXPECT_EQ(a.standby_cycles, b.standby_cycles);
+    EXPECT_EQ(a.realized_saving_j, b.realized_saving_j);
   }
   // The windows saw real traffic and real energy.
   std::int64_t ejected = 0;
   double energy = 0.0;
   for (const telemetry::WindowRecord& w : serial_sink.windows) {
-    ejected += w.packets_ejected;
+    ejected += w.window.stats.packets_ejected;
     energy += w.total_energy_j;
   }
   EXPECT_GT(ejected, 0);
@@ -327,48 +327,57 @@ TEST(TelemetryCounters, AttachedCollectorDoesNotPerturbStats) {
 TEST(JsonSchema, WindowRecordRoundTripsDoublesExactly) {
   telemetry::WindowRecord w;
   w.run = "run-42";
-  w.index = 3;
-  w.begin = 600;
-  w.end = 800;
-  w.packets_ejected = 123;
-  w.latency_mean = 1.0 / 3.0;          // not representable in decimal
-  w.latency_p95 = 97;
-  w.throughput = 0.1 + 0.2;            // classic rounding trap
-  w.total_energy_j = 3.141592653589793e-9;
+  w.window.index = 3;
+  w.window.begin = 600;
+  w.window.end = 800;
+  SimStats& st = w.window.stats;
+  st.packets_ejected = 3;
+  for (const std::int64_t latency : {2, 97, 97}) {
+    st.packet_latency.add(static_cast<double>(latency));
+    st.latency_hist.add(latency);
+  }
+  st.flits_ejected = 1;
+  st.num_nodes = 7;
+  st.measured_cycles = 200;
+  w.total_energy_j = 0.1 + 0.2;  // classic rounding trap
   const std::string line = telemetry::to_json(w);
   EXPECT_NE(line.find("\"type\":\"window\""), std::string::npos);
-  std::string type, run;
-  double index = 0, mean = 0, thr = 0, energy = 0, p95 = 0;
-  ASSERT_TRUE(telemetry::json_string_field(line, "type", &type));
-  ASSERT_TRUE(telemetry::json_string_field(line, "run", &run));
-  ASSERT_TRUE(telemetry::json_number_field(line, "index", &index));
-  ASSERT_TRUE(telemetry::json_number_field(line, "latency_mean", &mean));
-  ASSERT_TRUE(telemetry::json_number_field(line, "latency_p95", &p95));
-  ASSERT_TRUE(telemetry::json_number_field(line, "throughput", &thr));
-  ASSERT_TRUE(telemetry::json_number_field(line, "total_energy_j", &energy));
-  EXPECT_EQ(type, "window");
-  EXPECT_EQ(run, "run-42");
-  EXPECT_EQ(index, 3.0);
-  EXPECT_EQ(p95, 97.0);
+  EXPECT_EQ(json_field(line, "type"), "window");
+  EXPECT_EQ(json_field(line, "run"), "run-42");
+  EXPECT_EQ(json_field(line, "index"), "3");
+  EXPECT_EQ(json_field(line, "packets_ejected"), "3");
+  EXPECT_EQ(json_field(line, "latency_p95"), "97");
   // %.17g emission + strtod parse: exact round-trip, not approximate.
-  EXPECT_EQ(mean, w.latency_mean);
-  EXPECT_EQ(thr, w.throughput);
-  EXPECT_EQ(energy, w.total_energy_j);
-  EXPECT_FALSE(telemetry::json_number_field(line, "no_such_key", &index));
+  // The mean (196/3) and throughput (1/1400) are not representable in
+  // decimal.
+  const auto number = [&line](const char* key) {
+    const std::optional<std::string> text = json_field(line, key);
+    EXPECT_TRUE(text.has_value()) << key;
+    return text ? std::stod(*text) : -1.0;
+  };
+  EXPECT_EQ(number("latency_mean"), st.packet_latency.mean());
+  EXPECT_EQ(number("throughput"), st.throughput_flits_per_node_cycle());
+  EXPECT_EQ(number("total_energy_j"), w.total_energy_j);
+  EXPECT_FALSE(json_field(line, "no_such_key").has_value());
 }
 
 TEST(JsonSchema, ManifestAndSummaryAndFlitEncode) {
   telemetry::RunManifest m;
   m.run = "run-0";
-  m.scheme = "SDPC";
-  m.topology = "torus";
-  m.pattern = "with \"quotes\" and \\slashes\\";
+  m.scheme = "with \"quotes\" and \\slashes\\\tand\na control byte";
+  m.sim.topology = noc::TopologyKind::kTorus;
+  m.sim.pattern = noc::TrafficPattern::kTranspose;
   m.shards = 4;
   const std::string mj = telemetry::to_json(m);
   EXPECT_NE(mj.find("\"type\":\"manifest\""), std::string::npos);
-  std::string pattern;
-  ASSERT_TRUE(telemetry::json_string_field(mj, "pattern", &pattern));
-  EXPECT_EQ(pattern, m.pattern);  // escaping round-trips
+  // Quotes and backslashes round-trip; control bytes become spaces, so
+  // the record stays on one line.
+  EXPECT_EQ(mj.find('\n'), std::string::npos);
+  EXPECT_EQ(json_field(mj, "scheme"),
+            "with \"quotes\" and \\slashes\\ and a control byte");
+  EXPECT_EQ(json_field(mj, "topology"), "torus");
+  EXPECT_EQ(json_field(mj, "pattern"), "transpose");
+  EXPECT_EQ(json_field(mj, "shards"), "4");
 
   telemetry::RunSummary s;
   s.run = "run-0";
@@ -376,9 +385,8 @@ TEST(JsonSchema, ManifestAndSummaryAndFlitEncode) {
   s.windows = 9;
   const std::string sj = telemetry::to_json(s);
   EXPECT_NE(sj.find("\"type\":\"summary\""), std::string::npos);
-  double saturated = 0;
-  ASSERT_TRUE(telemetry::json_number_field(sj, "saturated", &saturated));
-  EXPECT_EQ(saturated, 1.0);
+  EXPECT_EQ(json_field(sj, "saturated"), "true");
+  EXPECT_EQ(json_field(sj, "windows"), "9");
 
   telemetry::FlitRecord f;
   f.run = "run-0";
@@ -386,9 +394,7 @@ TEST(JsonSchema, ManifestAndSummaryAndFlitEncode) {
   f.event.kind = FlitTraceKind::kEject;
   const std::string fj = telemetry::to_json(f);
   EXPECT_NE(fj.find("\"type\":\"flit\""), std::string::npos);
-  std::string kind;
-  ASSERT_TRUE(telemetry::json_string_field(fj, "kind", &kind));
-  EXPECT_EQ(kind, "eject");
+  EXPECT_EQ(json_field(fj, "kind"), "eject");
 }
 
 TEST(JsonSchema, SummaryRecordsTheKernelsStepping) {
@@ -404,17 +410,43 @@ TEST(JsonSchema, SummaryRecordsTheKernelsStepping) {
     ctx.run_noc(spec);
     ASSERT_EQ(sink.summaries.size(), 1u);
     const std::string line = telemetry::to_json(sink.summaries[0]);
-    std::string stepping;
-    double skipped = -1.0;
-    ASSERT_TRUE(telemetry::json_string_field(line, "stepping", &stepping));
-    ASSERT_TRUE(
-        telemetry::json_number_field(line, "skipped_cycles", &skipped));
+    const std::optional<std::string> skipped =
+        json_field(line, "skipped_cycles");
+    ASSERT_TRUE(skipped.has_value());
     if (rate <= SimKernel::kEventSteppingMaxRate) {
-      EXPECT_EQ(stepping, "event");
-      EXPECT_GT(skipped, 0.0);
+      EXPECT_EQ(json_field(line, "stepping"), "event");
+      EXPECT_GT(std::stoll(*skipped), 0);
     } else {
-      EXPECT_EQ(stepping, "per_cycle");
-      EXPECT_EQ(skipped, 0.0);
+      EXPECT_EQ(json_field(line, "stepping"), "per_cycle");
+      EXPECT_EQ(*skipped, "0");
+    }
+  }
+}
+
+TEST(JsonSchema, SummaryIdleFastTicksEqualTheWindowSum) {
+  // The summary reports the kernel's own idle-fast-path count, which
+  // under event stepping includes the idle spans settled at window
+  // boundaries and at the end of the run: the windows' deltas sum to
+  // it at any window size, on both sides of the stepping threshold.
+  core::LainContext ctx;
+  for (const double rate : {0.002, 0.05}) {
+    for (const Cycle window : {Cycle{250}, Cycle{100000}}) {
+      SCOPED_TRACE("rate " + std::to_string(rate) + " window " +
+                   std::to_string(window));
+      telemetry::MemorySink sink;
+      NocRunSpec spec;
+      spec.sim = mesh8(rate);
+      spec.telemetry.metrics_window = window;
+      spec.telemetry.sink = &sink;
+      ctx.run_noc(spec);
+      ASSERT_EQ(sink.summaries.size(), 1u);
+      ASSERT_FALSE(sink.windows.empty());
+      std::int64_t sum = 0;
+      for (const telemetry::WindowRecord& w : sink.windows) {
+        sum += w.idle_fast_ticks;
+      }
+      EXPECT_GT(sum, 0);
+      EXPECT_EQ(sink.summaries[0].idle_fast_ticks, sum);
     }
   }
 }
@@ -428,11 +460,11 @@ TEST(JsonSchema, MemoryAndMultiSinkFanOut) {
   fan.add(nullptr);  // ignored
   EXPECT_EQ(fan.size(), 2u);
   telemetry::WindowRecord w;
-  w.index = 5;
+  w.window.index = 5;
   fan.on_window(w);
   ASSERT_EQ(a.windows.size(), 1u);
   ASSERT_EQ(b.windows.size(), 1u);
-  EXPECT_EQ(a.windows[0].index, 5);
+  EXPECT_EQ(a.windows[0].window.index, 5);
 }
 
 TEST(ScenarioTelemetryFlags, ParseIntoSpecAndRejectNegatives) {

@@ -40,6 +40,10 @@ contract markers in src/core/contracts.hpp:
                  the horizon negotiation stays allocation-free in
                  steady state — a drive-by "cleaner" rewrite to
                  priority_queue would reintroduce per-event churn.
+  json-literal   no string literal spelling a JSON key (\"key\":)
+                 outside src/core/json.cpp: every JSON line LAIN
+                 writes goes through core::JsonLine, so the string
+                 rule and the number formats live in one codec.
 
 Suppress a single finding with a `LAIN_LINT_ALLOW(<rule>): why`
 comment on the offending line or up to three lines above it.
@@ -119,6 +123,11 @@ DETERMINISM_EXEMPT = {
         "only, never fed into a simulation)",
 }
 
+# A JSON key as C++ source spells it inside a string literal: \"key\":
+JSON_KEY_RE = re.compile(r'\\"[^"\\\n]+\\":')
+# The one file allowed to spell JSON (the codec itself).
+JSON_CODEC = "src/core/json.cpp"
+
 ALLOW_RE = re.compile(r"LAIN_LINT_ALLOW\(([a-z-]+)\)")
 # An allow comment covers its own line and the three lines below it
 # (multi-line comments sit above the statement they suppress).
@@ -132,16 +141,19 @@ KEYWORD_SKIP = (
 )
 
 
+# Comments, string literals and character literals, in source order.
+TOKEN_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'',
+    re.DOTALL)
+
+
 def strip_comments_and_strings(text):
     """Blank out comments and literals, preserving offsets/newlines."""
-    pattern = re.compile(
-        r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'',
-        re.DOTALL)
 
     def blank(m):
         return re.sub(r"[^\n]", " ", m.group(0))
 
-    return pattern.sub(blank, text)
+    return TOKEN_RE.sub(blank, text)
 
 
 def allow_lines(raw_text):
@@ -256,6 +268,26 @@ def check_determinism(path, rel, stripped, allowed):
     return findings
 
 
+def check_json_literals(path, rel, raw, allowed):
+    """json-literal: JSON is spelled only by the codec in JSON_CODEC."""
+    if str(rel).replace("\\", "/") == JSON_CODEC:
+        return []
+    findings = []
+    waived = allowed.get("json-literal", set())
+    for m in TOKEN_RE.finditer(raw):
+        literal = m.group(0)
+        if not literal.startswith('"') or not JSON_KEY_RE.search(literal):
+            continue
+        ln = line_of(raw, m.start())
+        if ln in waived:
+            continue
+        findings.append(
+            "%s:%d: [json-literal] JSON key spelled in a string literal "
+            "outside %s (build the line with core::JsonLine)" %
+            (path, ln, JSON_CODEC))
+    return findings
+
+
 def classify_brace(stripped, pos):
     """What kind of scope does the '{' at pos open?"""
     look = stripped[max(0, pos - 240):pos]
@@ -345,6 +377,7 @@ def lint_file(path, rel):
     findings += check_event_queue(path, stripped, allowed)
     findings += check_determinism(path, rel, stripped, allowed)
     findings += check_mutable_globals(path, stripped, allowed)
+    findings += check_json_literals(path, rel, raw, allowed)
     return findings
 
 
@@ -368,6 +401,7 @@ def self_test():
         "fixture_telemetry.cpp": "[telemetry-hook]",
         "fixture_serve.cpp": "[telemetry-hook]",
         "fixture_eventqueue.cpp": "[event-queue]",
+        "fixture_json.cpp": "[json-literal]",
     }
     failures = []
     for name, tag in sorted(expect.items()):
