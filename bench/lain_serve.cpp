@@ -14,10 +14,12 @@
 // clipped to what the budget has).  --abort-on-saturation installs a
 // daemon-wide default saturation guard for jobs that stream windows
 // without picking one themselves.  The daemon exits 0 on a clean
-// shutdown frame.
+// shutdown frame and 2 on a usage error (no socket, a malformed
+// number).
 
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "core/cli.hpp"
@@ -59,9 +61,14 @@ int run(int argc, char** argv) {
   }
   lain::serve::ServeOptions opt;
   opt.socket_path = args.get("socket", "");
-  opt.workers = args.get_int("workers", 0);
-  opt.abort_latency_mult = args.get_double("abort-on-saturation", 0.0);
-  opt.job_timeout_s = args.get_double("job-timeout-s", 0.0);
+  try {
+    opt.workers = args.get_int("workers", 0);
+    opt.abort_latency_mult = args.get_double("abort-on-saturation", 0.0);
+    opt.job_timeout_s = args.get_double("job-timeout-s", 0.0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "lain_serve: %s\n\n%s", e.what(), kUsage);
+    return 2;
+  }
   if (opt.socket_path.empty()) {
     std::fprintf(stderr, "lain_serve: --socket PATH is required\n\n%s",
                  kUsage);

@@ -28,6 +28,7 @@
 #include <exception>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -139,8 +140,15 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  const int retries = args.get_int("retry", 0);
-  const int backoff_ms = args.get_int("backoff-ms", 100);
+  int retries = 0;
+  int backoff_ms = 0;
+  try {
+    retries = args.get_int("retry", 0);
+    backoff_ms = args.get_int("backoff-ms", 100);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "lain_submit: %s\n%s", e.what(), kUsage);
+    return 2;
+  }
   if (retries < 0 || backoff_ms < 1) {
     std::fprintf(stderr,
                  "lain_submit: --retry must be >= 0 and --backoff-ms "

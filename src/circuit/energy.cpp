@@ -4,21 +4,6 @@
 
 namespace lain::circuit {
 
-double transition_energy_j(double cap_f, double vdd_v) {
-  if (cap_f < 0.0 || vdd_v < 0.0) {
-    throw std::invalid_argument("negative capacitance or voltage");
-  }
-  return cap_f * vdd_v * vdd_v;
-}
-
-double dynamic_power_w(double cap_f, double vdd_v, double freq_hz,
-                       double alpha01) {
-  if (freq_hz < 0.0 || alpha01 < 0.0) {
-    throw std::invalid_argument("negative frequency or activity");
-  }
-  return transition_energy_j(cap_f, vdd_v) * freq_hz * alpha01;
-}
-
 double random_alpha01(double static_probability) {
   if (static_probability < 0.0 || static_probability > 1.0) {
     throw std::invalid_argument("static probability must be in [0,1]");

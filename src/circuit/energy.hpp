@@ -1,10 +1,12 @@
-// energy.hpp — switched-capacitance dynamic energy/power.
+// energy.hpp — switching-activity factors for dynamic energy.
 //
-// Conventions:
+// Conventions (xbar/characterize.cpp and power/link_power.cpp apply
+// them):
 //   * one 0->1 transition of node capacitance C draws C*Vdd^2 from the
 //     supply (half stored, half dissipated); the matching 1->0
 //     dissipates the stored half.  Energy *per full toggle pair* is
-//     therefore C*Vdd^2, and we bill it on the 0->1 edge.
+//     therefore C*Vdd^2, and it is billed on the 0->1 edge, so a
+//     node's dynamic power is C*Vdd^2 * f * alpha01.
 //   * `alpha01` is the expected number of 0->1 transitions per clock
 //     cycle of the node.  For random data with static probability p
 //     (P[bit = 1] = p), alpha01 = p*(1-p) per cycle.
@@ -12,13 +14,6 @@
 #pragma once
 
 namespace lain::circuit {
-
-// Energy drawn from the supply by one 0->1 transition (J).
-double transition_energy_j(double cap_f, double vdd_v);
-
-// Average dynamic power of a node (W).
-double dynamic_power_w(double cap_f, double vdd_v, double freq_hz,
-                       double alpha01);
 
 // 0->1 transition probability per cycle of an uncorrelated random bit
 // stream with static probability p.

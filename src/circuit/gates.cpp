@@ -1,62 +1,8 @@
 #include "circuit/gates.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace lain::circuit {
-
-double Inverter::input_cap_f(const tech::DeviceModel& m) const {
-  return m.gate_cap_f(pull_up) + m.gate_cap_f(pull_down);
-}
-
-double Inverter::output_cap_f(const tech::DeviceModel& m) const {
-  return m.drain_cap_f(pull_up) + m.drain_cap_f(pull_down);
-}
-
-double Inverter::pull_up_r_ohm(const tech::DeviceModel& m) const {
-  return m.eff_resistance_ohm(pull_up);
-}
-
-double Inverter::pull_down_r_ohm(const tech::DeviceModel& m) const {
-  return m.eff_resistance_ohm(pull_down);
-}
-
-Inverter make_inverter(double wn_m, double wp_m, tech::VtClass vt_n,
-                       tech::VtClass vt_p) {
-  if (wn_m <= 0.0 || wp_m <= 0.0) {
-    throw std::invalid_argument("inverter widths must be positive");
-  }
-  Inverter inv;
-  inv.pull_up = tech::Mosfet{tech::DeviceType::kPmos, vt_p, wp_m};
-  inv.pull_down = tech::Mosfet{tech::DeviceType::kNmos, vt_n, wn_m};
-  return inv;
-}
-
-std::vector<Inverter> size_buffer_chain(const tech::DeviceModel& m,
-                                        double cin_f, double cload_f,
-                                        int stages, double beta) {
-  if (stages < 1) throw std::invalid_argument("stages must be >= 1");
-  if (cin_f <= 0.0 || cload_f <= 0.0) {
-    throw std::invalid_argument("caps must be positive");
-  }
-  // Per-width input cap of a beta-ratioed inverter.
-  const tech::Mosfet unit_n{tech::DeviceType::kNmos, tech::VtClass::kNominal,
-                            1e-6};
-  const tech::Mosfet unit_p{tech::DeviceType::kPmos, tech::VtClass::kNominal,
-                            1e-6};
-  const double c_per_wn =
-      (m.gate_cap_f(unit_n) + beta * m.gate_cap_f(unit_p)) / 1e-6;
-  const double wn_first = cin_f / c_per_wn;
-  const double ratio = std::pow(cload_f / cin_f, 1.0 / stages);
-  std::vector<Inverter> chain;
-  chain.reserve(static_cast<size_t>(stages));
-  double wn = wn_first;
-  for (int i = 0; i < stages; ++i) {
-    wn *= ratio;
-    chain.push_back(make_inverter(wn, beta * wn));
-  }
-  return chain;
-}
 
 double keeper_contention_slowdown(double i_driver_a, double i_keeper_a) {
   if (i_driver_a <= 0.0) throw std::domain_error("driver has no current");

@@ -1,42 +1,18 @@
-// gates.hpp — gate-level building blocks.
+// gates.hpp — gate-level helpers.
 //
 // The crossbar schemes are assembled from a handful of primitives that
 // appear in Figs 1-3: NMOS pass transistors (grant mux), CMOS
 // inverters (driver chains I1/I2), a feedback keeper (P1), a sleep
-// footer (N5), and a precharge pFET.  This module provides sized,
-// Vt-annotated instances plus the small analytic helpers the delay
-// model composes (effective resistances, input/output caps, keeper
-// contention, pass-gate degraded swing).
+// footer (N5), and a precharge pFET.  The builder (xbar/builder.hpp)
+// assembles them into netlists; this module provides the two analytic
+// helpers the delay model (xbar/characterize.cpp) composes on top:
+// keeper contention and the pass gate's degraded swing.
 
 #pragma once
-
-#include <vector>
 
 #include "tech/mosfet.hpp"
 
 namespace lain::circuit {
-
-// A CMOS inverter with independently chosen widths and Vt classes.
-struct Inverter {
-  tech::Mosfet pull_up;    // PMOS
-  tech::Mosfet pull_down;  // NMOS
-
-  double input_cap_f(const tech::DeviceModel& m) const;
-  double output_cap_f(const tech::DeviceModel& m) const;  // self-loading
-  double pull_up_r_ohm(const tech::DeviceModel& m) const;
-  double pull_down_r_ohm(const tech::DeviceModel& m) const;
-};
-
-Inverter make_inverter(double wn_m, double wp_m,
-                       tech::VtClass vt_n = tech::VtClass::kNominal,
-                       tech::VtClass vt_p = tech::VtClass::kNominal);
-
-// Logical-effort style buffer chain sizing: returns `stages` inverters
-// with geometrically increasing drive from `cin_f` toward `cload_f`.
-// beta = PMOS/NMOS width ratio.
-std::vector<Inverter> size_buffer_chain(const tech::DeviceModel& m,
-                                        double cin_f, double cload_f,
-                                        int stages, double beta = 1.8);
 
 // Ratioed-fight slowdown of a transition that must overpower a keeper:
 // the driver sees its current reduced by the keeper's, so

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/context.hpp"
-#include "core/design_point.hpp"
 #include "core/experiments.hpp"
 #include "noc/parallel/sharded_sim.hpp"
 #include "power/sleep_controller.hpp"
@@ -51,7 +50,24 @@ std::vector<xbar::Characterization> characterize_grid(
   });
 }
 
+// `schemes` at the paper's design point, in order.
+std::vector<xbar::Characterization> at_paper_point(
+    LainContext& ctx, const SweepEngine& engine,
+    const std::vector<xbar::Scheme>& schemes) {
+  return characterize_grid(ctx, engine, 1, schemes,
+                           [](xbar::CrossbarSpec&, std::size_t) {});
+}
+
+std::vector<xbar::Scheme> every_scheme() {
+  const auto all = xbar::all_schemes();
+  return std::vector<xbar::Scheme>(all.begin(), all.end());
+}
+
 }  // namespace
+
+Table1 measured_table1(LainContext& ctx, const SweepEngine& engine) {
+  return make_table1(at_paper_point(ctx, engine, every_scheme()));
+}
 
 ReportTable injection_sweep(LainContext& ctx, const ScenarioSpec& spec,
                             const SweepEngine& engine) {
@@ -481,8 +497,7 @@ ReportTable static_probability_worst_case(LainContext& ctx,
                                           const SweepEngine& engine) {
   std::vector<double> ps;
   for (double p = 0.05; p <= 0.96; p += 0.05) ps.push_back(p);
-  const auto all = xbar::all_schemes();
-  const std::vector<xbar::Scheme> schemes(all.begin(), all.end());
+  const std::vector<xbar::Scheme> schemes = every_scheme();
   const std::vector<xbar::Characterization> chars = characterize_grid(
       ctx, engine, ps.size(), schemes,
       [&](xbar::CrossbarSpec& spec, std::size_t axis) {
@@ -509,11 +524,9 @@ ReportTable static_probability_worst_case(LainContext& ctx,
 }
 
 ReportTable breakeven_table(LainContext& ctx, const SweepEngine& engine) {
-  const auto all = xbar::all_schemes();
-  const std::vector<xbar::Scheme> schemes(all.begin(), all.end());
   const double f = xbar::table1_spec().freq_hz;
-  const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, 1, schemes, [](xbar::CrossbarSpec&, std::size_t) {});
+  const std::vector<xbar::Characterization> chars =
+      at_paper_point(ctx, engine, every_scheme());
 
   ReportTable t;
   t.add_column("scheme", 6, Align::kLeft)
@@ -532,15 +545,14 @@ ReportTable breakeven_table(LainContext& ctx, const SweepEngine& engine) {
 
 ReportTable breakeven_net_energy(LainContext& ctx, const SweepEngine& engine,
                                  int max_idle) {
-  const auto all = xbar::all_schemes();
-  const std::vector<xbar::Scheme> schemes(all.begin(), all.end());
   const double f = xbar::table1_spec().freq_hz;
-  const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, 1, schemes, [](xbar::CrossbarSpec&, std::size_t) {});
+  const std::vector<xbar::Characterization> chars =
+      at_paper_point(ctx, engine, every_scheme());
 
   ReportTable t;
   t.add_column("N", 6, Align::kLeft);
-  for (xbar::Scheme s : schemes) t.add_column(scheme_str(s), 10);
+  for (const xbar::Characterization& c : chars)
+    t.add_column(scheme_str(c.scheme), 10);
   for (int n = 1; n <= max_idle; ++n) {
     t.begin_row().cell(static_cast<std::int64_t>(n));
     for (const xbar::Characterization& c : chars) {
@@ -552,16 +564,16 @@ ReportTable breakeven_net_energy(LainContext& ctx, const SweepEngine& engine,
   return t;
 }
 
-ReportTable breakeven_policy_check(int idle_run_cycles) {
-  DesignPoint dp(xbar::table1_spec());
-  const double f = dp.spec().freq_hz;
+ReportTable breakeven_policy_check(LainContext& ctx, int idle_run_cycles) {
+  const xbar::CrossbarSpec spec = xbar::table1_spec();
+  const double f = spec.freq_hz;
 
   ReportTable t;
   t.add_column("scheme", 6, Align::kLeft)
       .add_column("saved pJ", 10)
       .add_column("standby cyc", 12);
   for (xbar::Scheme s : xbar::all_schemes()) {
-    const xbar::Characterization& c = dp.of(s);
+    const xbar::Characterization& c = ctx.characterization(spec, s);
     power::GatedBlockCosts costs{c.idle_leakage_w, c.standby_leakage_w,
                                  c.sleep_entry_energy_j, c.wakeup_energy_j, f};
     power::SleepController ctl(power::breakeven_policy(costs), costs);
@@ -582,8 +594,8 @@ ReportTable segmentation_ablation(LainContext& ctx,
   const std::vector<xbar::Scheme> schemes{
       xbar::Scheme::kDFC, xbar::Scheme::kSDFC, xbar::Scheme::kDPC,
       xbar::Scheme::kSDPC};
-  const std::vector<xbar::Characterization> chars = characterize_grid(
-      ctx, engine, 1, schemes, [](xbar::CrossbarSpec&, std::size_t) {});
+  const std::vector<xbar::Characterization> chars =
+      at_paper_point(ctx, engine, schemes);
 
   ReportTable t;
   t.add_column("pair", 12, Align::kLeft)

@@ -18,10 +18,16 @@
 #include "core/experiments.hpp"
 #include "core/reporting.hpp"
 #include "core/sweep.hpp"
+#include "core/table1.hpp"
 
 namespace lain::core {
 
 class LainContext;
+
+// --- E1: the paper's Table 1 ----------------------------------------------
+// The five schemes at the paper's design point, characterized in
+// parallel through the context's cache.
+Table1 measured_table1(LainContext& ctx, const SweepEngine& engine);
 
 // --- E8: powered-NoC injection sweep ---------------------------------------
 // Axes: schemes x patterns x rates x hotspot_fracs x burst_duties x
@@ -86,7 +92,8 @@ ReportTable static_probability_worst_case(LainContext& ctx,
 ReportTable breakeven_table(LainContext& ctx, const SweepEngine& engine);
 ReportTable breakeven_net_energy(LainContext& ctx, const SweepEngine& engine,
                                  int max_idle = 10);
-ReportTable breakeven_policy_check(int idle_run_cycles = 50);
+ReportTable breakeven_policy_check(LainContext& ctx,
+                                   int idle_run_cycles = 50);
 
 // --- E5: segmentation ablation ---------------------------------------------
 ReportTable segmentation_ablation(LainContext& ctx,

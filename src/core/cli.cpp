@@ -15,6 +15,15 @@ bool is_flag(const std::string& s) {
 
 constexpr double kMaxRangePoints = 1e6;
 
+// One whole integer: std::stoi's rules, but trailing characters
+// ("2x", "1.9") are an error instead of being dropped.
+int parse_int(const std::string& s) {
+  std::size_t used = 0;
+  const int v = std::stoi(s, &used);
+  if (used != s.size()) throw std::invalid_argument("not an integer: " + s);
+  return v;
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv,
@@ -65,20 +74,13 @@ std::string ArgParser::get(const std::string& flag,
 double ArgParser::get_double(const std::string& flag, double fallback) const {
   const std::string v = get(flag, "");
   if (v.empty()) return fallback;
-  return parse_finite(v);
+  return parse_flag(flag, v, parse_finite);
 }
 
 int ArgParser::get_int(const std::string& flag, int fallback) const {
   const std::string v = get(flag, "");
   if (v.empty()) return fallback;
-  return std::stoi(v);
-}
-
-std::uint64_t ArgParser::get_u64(const std::string& flag,
-                                 std::uint64_t fallback) const {
-  const std::string v = get(flag, "");
-  if (v.empty()) return fallback;
-  return static_cast<std::uint64_t>(std::stoull(v));
+  return parse_flag(flag, v, parse_int);
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -99,12 +101,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 std::vector<int> parse_int_list(const std::string& spec) {
   std::vector<int> out;
   for (const std::string& piece : split_csv(spec)) {
-    std::size_t used = 0;
-    const int v = std::stoi(piece, &used);
-    if (used != piece.size()) {
-      throw std::invalid_argument("not an integer: " + piece);
-    }
-    out.push_back(v);
+    out.push_back(parse_int(piece));
   }
   if (out.empty()) throw std::invalid_argument("empty integer axis: " + spec);
   return out;

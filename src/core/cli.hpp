@@ -4,7 +4,7 @@
 
 #pragma once
 
-#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,14 +31,30 @@ class ArgParser {
   // Value of --flag; `fallback` when absent.  A flag given without a
   // value (end of argv or next token is another flag) yields "".
   std::string get(const std::string& flag, const std::string& fallback) const;
+  // --flag as one finite number / one whole integer; `fallback` when
+  // absent or empty.  Anything else ("1x", "2.5" for an integer)
+  // throws std::invalid_argument naming the flag.
   double get_double(const std::string& flag, double fallback) const;
   int get_int(const std::string& flag, int fallback) const;
-  std::uint64_t get_u64(const std::string& flag, std::uint64_t fallback) const;
 
  private:
   std::vector<std::pair<std::string, std::string>> options_;
   std::vector<std::string> positionals_;
 };
+
+// Runs `fn` on --flag's `value`, rethrowing a parse error as
+// std::invalid_argument that names the flag instead of surfacing
+// std::sto*'s bare "stoi" message.
+template <typename Fn>
+auto parse_flag(const std::string& flag, const std::string& value, Fn fn)
+    -> decltype(fn(value)) {
+  try {
+    return fn(value);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("--" + flag + ": cannot parse '" + value +
+                                "' (" + e.what() + ")");
+  }
+}
 
 // "a,b,c" -> {"a","b","c"}; empty input -> {}.
 std::vector<std::string> split_csv(const std::string& s);

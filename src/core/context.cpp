@@ -193,11 +193,6 @@ noc::ShardedOptions apply_run_options(const RunOptions& run,
 LainContext::LainContext(const ContextOptions& opt)
     : budget_(opt.thread_budget) {}
 
-LainContext& LainContext::global() {
-  static LainContext* ctx = new LainContext();
-  return *ctx;
-}
-
 NocRunResult LainContext::run_noc(const NocRunSpec& spec) {
   std::unique_ptr<noc::SimKernel> kernel =
       make_kernel(spec.sim, spec, &budget_);

@@ -1,7 +1,7 @@
 // context.hpp — the session object every experiment runs through.
 //
-// A LainContext owns the two pieces of process-wide state the
-// experiment layer shares:
+// A LainContext owns the two pieces of state the experiments of one
+// session share:
 //
 //   * a thread-safe characterization cache keyed on (CrossbarSpec,
 //     Scheme), so a 1000-job sweep characterizes each scheme once
@@ -11,8 +11,8 @@
 //     --sim-threads 4`) cooperates instead of oversubscribing.
 //
 // Callers create a scoped context (lain_bench per invocation, lain_serve
-// per daemon) and pass it down; the only process-wide default is the
-// one behind DesignPoint (see global()).
+// per daemon) and pass it down.  There is no process-wide context:
+// code that takes none (make_table1(spec)) characterizes uncached.
 
 #pragma once
 
@@ -34,7 +34,7 @@ struct ShardedOptions;
 
 namespace lain::core {
 
-// Process-wide (spec, scheme) -> Characterization cache.  Lookups
+// The session's (spec, scheme) -> Characterization cache.  Lookups
 // take a shared lock; a miss inserts an entry under the exclusive
 // lock and characterizes outside it under a per-entry once-flag, so
 //
@@ -92,11 +92,6 @@ class LainContext {
 
   LainContext(const LainContext&) = delete;
   LainContext& operator=(const LainContext&) = delete;
-
-  // The process-wide default context behind DesignPoint, whose
-  // callers (make_table1, the breakeven policy check) take no context.
-  // Created on first use; lives forever.
-  static LainContext& global();
 
   CharacterizationCache& characterizations() { return cache_; }
   ThreadBudget& thread_budget() { return budget_; }

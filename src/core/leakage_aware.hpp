@@ -6,17 +6,17 @@
 //
 //   #include "core/leakage_aware.hpp"
 //
-//   auto spec = lain::xbar::table1_spec();
-//   auto c = lain::xbar::characterize(spec, lain::xbar::Scheme::kDPC);
-//   auto table = lain::core::make_table1();           // the paper's Table 1
 //   lain::core::LainContext ctx;                      // a session
+//   auto spec = lain::xbar::table1_spec();
+//   auto& c = ctx.characterization(spec, lain::xbar::Scheme::kDPC);
+//   auto table = lain::core::measured_table1(ctx, ctx.make_engine());
+//   std::puts(lain::core::table1_report(table).to_text().c_str());
 //   auto run = ctx.run_noc(noc_run_spec);             // NoC-level experiment
 
 #pragma once
 
 #include "core/bench_suite.hpp"       // IWYU pragma: export
 #include "core/context.hpp"           // IWYU pragma: export
-#include "core/design_point.hpp"      // IWYU pragma: export
 #include "core/experiments.hpp"       // IWYU pragma: export
 #include "core/noc_integration.hpp"   // IWYU pragma: export
 #include "core/reporting.hpp"         // IWYU pragma: export
@@ -24,5 +24,4 @@
 #include "core/sweep.hpp"             // IWYU pragma: export
 #include "core/table1.hpp"            // IWYU pragma: export
 #include "core/thread_budget.hpp"     // IWYU pragma: export
-#include "power/report.hpp"           // IWYU pragma: export
 #include "xbar/characterize.hpp"      // IWYU pragma: export

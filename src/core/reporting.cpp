@@ -51,46 +51,32 @@ ReportTable& ReportTable::begin_row() {
   return *this;
 }
 
-ReportTable& ReportTable::cell(std::string text) {
+ReportTable& ReportTable::append(Cell c) {
   if (rows_.empty()) throw std::logic_error("cell before begin_row");
   if (rows_.back().size() >= columns_.size())
     throw std::logic_error("row has more cells than columns");
-  rows_.back().push_back(Cell{text, csv_escape(text)});
+  rows_.back().push_back(std::move(c));
   return *this;
+}
+
+ReportTable& ReportTable::cell(std::string text) {
+  std::string csv = csv_escape(text);
+  return append(Cell{std::move(text), std::move(csv)});
 }
 
 ReportTable& ReportTable::cell(double value, int precision) {
-  if (rows_.empty()) throw std::logic_error("cell before begin_row");
-  if (rows_.back().size() >= columns_.size())
-    throw std::logic_error("row has more cells than columns");
-  rows_.back().push_back(Cell{format_double(value, precision),
-                              csv_double(value), /*numeric=*/true});
-  return *this;
+  return append(Cell{format_double(value, precision), csv_double(value),
+                     /*numeric=*/true});
 }
 
 ReportTable& ReportTable::cell(std::int64_t value) {
-  if (rows_.empty()) throw std::logic_error("cell before begin_row");
-  if (rows_.back().size() >= columns_.size())
-    throw std::logic_error("row has more cells than columns");
   const std::string s = std::to_string(value);
-  rows_.back().push_back(Cell{s, s, /*numeric=*/true});
-  return *this;
+  return append(Cell{s, s, /*numeric=*/true});
 }
 
 ReportTable& ReportTable::cell_pct(double fraction, int precision) {
-  if (rows_.empty()) throw std::logic_error("cell before begin_row");
-  if (rows_.back().size() >= columns_.size())
-    throw std::logic_error("row has more cells than columns");
-  rows_.back().push_back(Cell{format_double(100.0 * fraction, precision) + "%",
-                              csv_double(fraction), /*numeric=*/true});
-  return *this;
-}
-
-ReportTable& ReportTable::tag_last(const std::string& marker) {
-  if (rows_.empty() || rows_.back().empty())
-    throw std::logic_error("tag_last with no cell");
-  rows_.back().back().text += marker;
-  return *this;
+  return append(Cell{format_double(100.0 * fraction, precision) + "%",
+                     csv_double(fraction), /*numeric=*/true});
 }
 
 std::string ReportTable::to_text() const {

@@ -1,8 +1,9 @@
 // reporting.hpp — shared table formatting for the bench/ and
-// examples/ executables.  Every experiment builds a ReportTable; the
-// text renderer keeps the column conventions consistent across
-// E5–E12, and the CSV renderer makes the same data scriptable from
-// the unified lain_bench CLI.
+// examples/ executables.  Every lain_bench experiment, Table 1
+// included, builds a ReportTable; the text renderer keeps the column
+// conventions consistent across E1 and E5–E12, and the CSV and JSON
+// renderers make the same data scriptable from the unified lain_bench
+// CLI.
 
 #pragma once
 
@@ -45,8 +46,6 @@ class ReportTable {
   }
   // Fraction rendered as a percentage ("42.0%"); CSV gets the fraction.
   ReportTable& cell_pct(double fraction, int precision = 1);
-  // Appends a marker (e.g. " [sat]") to the last cell's text form.
-  ReportTable& tag_last(const std::string& marker);
 
   std::size_t num_rows() const { return rows_.size(); }
   std::size_t num_columns() const { return columns_.size(); }
@@ -67,6 +66,9 @@ class ReportTable {
     std::string csv;   // what the CSV renderer prints
     bool numeric = false;
   };
+
+  // Adds `c` to the current row; every cell overload ends here.
+  ReportTable& append(Cell c);
 
   std::vector<ColumnSpec> columns_;
   std::vector<std::vector<Cell>> rows_;

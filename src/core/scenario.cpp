@@ -167,14 +167,12 @@ std::string thread_banner(const char* prefix, int threads) {
 }
 
 // One usage line per flag `sc` accepts, value flags first.  --help
-// goes without saying, and text-only scenarios take no --csv/--json.
+// goes without saying.
 std::string flag_lines(const Scenario& sc) {
   std::string out;
   for (FlagKind kind : {kValueFlag, kSwitchFlag}) {
     for (const FlagDecl* f : accepted_flags(sc)) {
-      const std::string name = f->name;
-      if (f->kind != kind || name == "help") continue;
-      if (sc.text_only && (name == "csv" || name == "json")) continue;
+      if (f->kind != kind || std::string(f->name) == "help") continue;
       out += format("  --%-17s %s\n", f->name, f->help);
     }
   }
@@ -188,19 +186,6 @@ std::string flag_value(const Scenario& sc, const ArgParser& args,
   auto it = sc.defaults.find(flag);
   return args.get(flag, it != sc.defaults.end() ? it->second
                                                 : flag_decl(flag).fallback);
-}
-
-// Wraps an axis/number parser so malformed values name the flag
-// instead of surfacing std::sto*'s bare "stod" message.
-template <typename Fn>
-auto parse_flag(const std::string& flag, const std::string& value, Fn fn)
-    -> decltype(fn(value)) {
-  try {
-    return fn(value);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument("--" + flag + ": cannot parse '" + value +
-                                "' (" + e.what() + ")");
-  }
 }
 
 // Strict single-integer flag: rejects trailing junk ("2,4") that
@@ -426,7 +411,7 @@ ScenarioRegistry make_builtin_registry() {
                breakeven_net_energy(ctx, engine).to_text() +
                "\nTimeout-policy check (threshold = min idle, 50-cycle "
                "idle run):\n" +
-               breakeven_policy_check().to_text();
+               breakeven_policy_check(ctx).to_text();
       };
       return r;
     };
@@ -455,13 +440,13 @@ ScenarioRegistry make_builtin_registry() {
     Scenario sc;
     sc.name = "table1";
     sc.summary = "the paper's Table 1 (E1)";
-    sc.text_only = true;
-    sc.run = [](LainContext&, const ScenarioSpec&, const SweepEngine&) {
-      const Table1 t = make_table1();
+    sc.run = [](LainContext& ctx, const ScenarioSpec&,
+                const SweepEngine& engine) {
+      const Table1 t = measured_table1(ctx, engine);
       ScenarioRun r;
-      r.preformatted = t.formatted + "\n";
+      r.table = table1_report(t);
       r.extras = [t] {
-        return "Paper vs measured:\n" + format_comparison(t) + "\n";
+        return "\nPaper vs measured:\n" + format_comparison(t) + "\n";
       };
       return r;
     };
@@ -640,9 +625,7 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
                         [](const std::string& v) { return std::stoull(v); });
   }
   if (accepts("replicates")) {
-    const int replicates =
-        parse_flag("replicates", flag_value(sc, args, "replicates"),
-                   [](const std::string& v) { return std::stoi(v); });
+    const int replicates = single_int(sc, args, "replicates");
     if (replicates <= 1) {
       s.seeds = {s.seed};
     } else {
@@ -694,11 +677,6 @@ int run_scenario_cli(const ScenarioRegistry& registry,
     if (args.has("csv")) fmt = OutputFormat::kCsv;
     if (args.has("json")) fmt = OutputFormat::kJson;
     out_path = args.get("out", "");
-    if (scenario.text_only && fmt != OutputFormat::kText) {
-      throw std::invalid_argument(
-          scenario.name + " emits a preformatted text table; --csv/--json "
-          "are not supported here");
-    }
     spec = build_scenario_spec(scenario, args);
     if (scenario.validate) scenario.validate(spec);
   } catch (const std::exception& e) {
@@ -739,23 +717,16 @@ int run_scenario_cli(const ScenarioRegistry& registry,
     std::fputs(scenario.banner(spec, engine.threads()).c_str(), stdout);
   }
   const ScenarioRun result = scenario.run(ctx, spec, engine);
-  if (scenario.text_only) {
-    write_output(out_path, result.preformatted);
-  } else if (result.table.has_value()) {
-    switch (fmt) {
-      case OutputFormat::kText:
-        write_output(out_path, result.table->to_text());
-        break;
-      case OutputFormat::kCsv:
-        write_output(out_path, result.table->to_csv());
-        break;
-      case OutputFormat::kJson:
-        write_output(out_path, result.table->to_json());
-        break;
-    }
-  } else {
-    throw std::runtime_error("scenario '" + scenario.name +
-                             "' produced no table");
+  switch (fmt) {
+    case OutputFormat::kText:
+      write_output(out_path, result.table.to_text());
+      break;
+    case OutputFormat::kCsv:
+      write_output(out_path, result.table.to_csv());
+      break;
+    case OutputFormat::kJson:
+      write_output(out_path, result.table.to_json());
+      break;
   }
   if (text && out_path.empty() && result.extras) {
     std::fputs(result.extras().c_str(), stdout);

@@ -28,7 +28,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,17 +40,17 @@ namespace lain::core {
 
 class LainContext;
 
-// What a scenario produced.  Table scenarios fill `table`; text-only
-// scenarios (table1) fill `preformatted` instead.  `extras` lazily
-// renders the companion sections a scenario prints after its main
-// table in text mode on stdout (device-corner check, savings matrix,
-// ...); it is only invoked — and its work only done — in that mode.
-// Lifetime contract: `extras` may capture the context and engine that
-// were passed to Scenario::run, so invoke it only while both are
-// still alive (the CLI driver does; scoped library callers must too).
+// What a scenario produced: its main `table`, which the CLI renders
+// as text, CSV or JSON.  `extras` lazily renders the companion
+// sections a scenario prints after its main table in text mode on
+// stdout (device-corner check, savings matrix, paper-vs-measured
+// comparison, ...); it is only invoked — and its work only done — in
+// that mode.  Lifetime contract: `extras` may capture the context and
+// engine that were passed to Scenario::run, so invoke it only while
+// both are still alive (the CLI driver does; scoped library callers
+// must too).
 struct ScenarioRun {
-  std::optional<ReportTable> table;
-  std::string preformatted;
+  ReportTable table;
   std::function<std::string()> extras;
 };
 
@@ -69,7 +68,6 @@ struct Scenario {
   std::map<std::string, std::string> defaults;
   bool sim_threads_as_list = false;  // mesh_scaling: --sim-threads is an axis
   bool partition_as_list = false;    // mesh_scaling: --partition is an axis
-  bool text_only = false;            // table1: no --csv/--json
 
   // Optional spec validation (throws std::invalid_argument).
   std::function<void(const ScenarioSpec&)> validate;

@@ -1,8 +1,8 @@
 #include "core/table1.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
-#include "power/report.hpp"
 #include "tech/units.hpp"
 
 namespace lain::core {
@@ -33,15 +33,29 @@ Table1Row row_from(const xbar::Characterization& base,
 
 }  // namespace
 
-Table1 make_table1(const xbar::CrossbarSpec& spec) {
-  DesignPoint dp(spec);
-  const auto chars = dp.all();
+Table1 make_table1(const std::vector<xbar::Characterization>& chars) {
+  const auto schemes = xbar::all_schemes();
+  bool in_order = chars.size() == schemes.size();
+  for (std::size_t i = 0; in_order && i < chars.size(); ++i) {
+    in_order = chars[i].scheme == schemes[i];
+  }
+  if (!in_order) {
+    throw std::invalid_argument(
+        "Table 1 takes the five schemes in order, SC first");
+  }
   Table1 t;
   for (std::size_t i = 0; i < chars.size(); ++i) {
     t.rows[i] = row_from(chars.front(), chars[i]);
   }
-  t.formatted = power::format_table1(chars);
   return t;
+}
+
+Table1 make_table1(const xbar::CrossbarSpec& spec) {
+  std::vector<xbar::Characterization> chars;
+  for (Scheme s : xbar::all_schemes()) {
+    chars.push_back(xbar::characterize(spec, s));
+  }
+  return make_table1(chars);
 }
 
 const std::array<Table1Row, 5>& paper_table1() {
@@ -54,6 +68,47 @@ const std::array<Table1Row, 5>& paper_table1() {
       {Scheme::kSDPC, 54.90, 62.80, 0.6357, 0.9596, 1, 168.55, 0.0228},
   }};
   return kPaper;
+}
+
+ReportTable table1_report(const Table1& t) {
+  ReportTable out;
+  out.add_column("Scheme", 38, Align::kLeft);
+  for (const Table1Row& r : t.rows) {
+    out.add_column(std::string(xbar::scheme_name(r.scheme)), 9);
+  }
+  // One row per metric: its label, then `cell(row)` for each scheme.
+  auto metric = [&](const char* label, const auto& cell) {
+    out.begin_row().cell(label);
+    for (const Table1Row& r : t.rows) cell(r);
+  };
+  // Savings and the penalty are relative to SC, so its cells read "-".
+  auto vs_sc = [&](const Table1Row& r, double fraction) {
+    if (r.scheme == Scheme::kSC) {
+      out.cell("-");
+    } else {
+      out.cell_pct(fraction, 2);
+    }
+  };
+  metric("High to Low delay time (ps)",
+         [&](const Table1Row& r) { out.cell(r.delay_hl_ps, 2); });
+  metric("Low to High / Precharge delay time (ps)",
+         [&](const Table1Row& r) { out.cell(r.delay_lh_ps, 2); });
+  metric("Active Leakage Savings",
+         [&](const Table1Row& r) { vs_sc(r, r.active_saving); });
+  metric("Standby Leakage Savings",
+         [&](const Table1Row& r) { vs_sc(r, r.standby_saving); });
+  metric("Minimum Idle Time - 3GHz (cycles)",
+         [&](const Table1Row& r) { out.cell(r.min_idle_cycles); });
+  metric("Total Power - 3GHz (mW)",
+         [&](const Table1Row& r) { out.cell(r.total_power_mw, 2); });
+  metric("Delay Penalty", [&](const Table1Row& r) {
+    if (r.scheme != Scheme::kSC && r.delay_penalty <= 1e-9) {
+      out.cell("No");
+    } else {
+      vs_sc(r, r.delay_penalty);
+    }
+  });
+  return out;
 }
 
 std::string format_comparison(const Table1& measured) {

@@ -1,5 +1,7 @@
 #include "noc/routing.hpp"
 
+#include <stdexcept>
+
 namespace lain::noc {
 
 MeshCoord coord_of(NodeId id, const RouteContext& ctx) {
@@ -45,15 +47,6 @@ bool crosses_dateline(NodeId here, Dir next, const RouteContext& ctx) {
     case Dir::kLocal: return false;
   }
   return false;
-}
-
-RoutingFn routing_fn(const std::string& name) {
-  if (name == "xy") {
-    return [](NodeId here, NodeId dst, const RouteContext& ctx) {
-      return route_xy(here, dst, ctx);
-    };
-  }
-  throw std::invalid_argument("unknown routing function: " + name);
 }
 
 }  // namespace lain::noc

@@ -1,4 +1,5 @@
-// routing.hpp — routing functions for k-ary 2D meshes and tori.
+// routing.hpp — the one routing function of k-ary 2D meshes and tori,
+// plus node <-> coordinate mapping.
 //
 // Dimension-order (XY) routing: deadlock-free on the mesh with a
 // single VC; on the torus it is combined with the dateline rule (VC 0
@@ -6,10 +7,6 @@
 // the router's VC admission mask.
 
 #pragma once
-
-#include <functional>
-#include <stdexcept>
-#include <string>
 
 #include "noc/types.hpp"
 
@@ -39,9 +36,5 @@ Dir route_xy(NodeId here, NodeId dst, const RouteContext& ctx);
 // For torus dateline deadlock avoidance: does the XY next hop from
 // `here` to `dst` cross the wrap-around edge?
 bool crosses_dateline(NodeId here, Dir next, const RouteContext& ctx);
-
-// Registry-style lookup for routing functions by name ("xy").
-using RoutingFn = std::function<Dir(NodeId, NodeId, const RouteContext&)>;
-RoutingFn routing_fn(const std::string& name);
 
 }  // namespace lain::noc

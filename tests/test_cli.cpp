@@ -1,8 +1,10 @@
-// test_cli.cpp — argument / axis-spec parsing for the lain_bench CLI.
+// test_cli.cpp — argument / axis-spec parsing for the lain_bench CLI
+// and the sweep-service tools.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/cli.hpp"
 
@@ -33,8 +35,36 @@ TEST(ArgParser, FallbacksApplyWhenFlagAbsent) {
   const auto args = parse({}, {"threads", "seed"});
   EXPECT_EQ(args.get_int("threads", 4), 4);
   EXPECT_EQ(args.get_double("threads", 0.5), 0.5);
-  EXPECT_EQ(args.get_u64("seed", 77u), 77u);
   EXPECT_EQ(args.get("seed", "x"), "x");
+}
+
+TEST(ArgParser, NumericGettersTakeOneWholeNumberAndNameTheFlag) {
+  const auto args =
+      parse({"--retry", "2x", "--workers", "1.9zz", "--backoff-ms", "abc",
+             "--job-timeout-s", "1x", "--n", "-3", "--t", "2.5"},
+            {"retry", "workers", "backoff-ms", "job-timeout-s", "n", "t"});
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_EQ(args.get_double("t", 0.0), 2.5);
+  // Trailing characters are an error, not silently dropped ("2x" read
+  // 2, "1.9zz" read 1), and every error names its flag.
+  for (const char* flag : {"retry", "workers", "backoff-ms", "t"}) {
+    try {
+      args.get_int(flag, 0);
+      ADD_FAILURE() << "--" << flag << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    args.get_double("job-timeout-s", 0.0);
+    ADD_FAILURE() << "--job-timeout-s 1x parsed as a number";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--job-timeout-s"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ArgParser, UnknownFlagThrows) {

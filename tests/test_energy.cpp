@@ -5,18 +5,6 @@
 namespace lain::circuit {
 namespace {
 
-TEST(Energy, TransitionEnergy) {
-  EXPECT_NEAR(transition_energy_j(10e-15, 1.0), 1e-14, 1e-20);
-  EXPECT_NEAR(transition_energy_j(10e-15, 1.2), 1.44e-14, 1e-19);
-  EXPECT_THROW(transition_energy_j(-1e-15, 1.0), std::invalid_argument);
-}
-
-TEST(Energy, DynamicPower) {
-  // 10 fF at 1 V, 3 GHz, alpha 0.25 -> 7.5 uW.
-  EXPECT_NEAR(dynamic_power_w(10e-15, 1.0, 3e9, 0.25), 7.5e-6, 1e-11);
-  EXPECT_THROW(dynamic_power_w(1e-15, 1.0, -1.0, 0.1), std::invalid_argument);
-}
-
 TEST(Energy, RandomAlpha) {
   EXPECT_DOUBLE_EQ(random_alpha01(0.0), 0.0);
   EXPECT_DOUBLE_EQ(random_alpha01(1.0), 0.0);

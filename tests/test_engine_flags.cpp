@@ -34,7 +34,7 @@ std::string run_csv(const std::string& name,
   if (sc.validate) sc.validate(spec);
   LainContext ctx;
   const SweepEngine engine = ctx.make_engine(1);
-  return sc.run(ctx, spec, engine).table->to_csv();
+  return sc.run(ctx, spec, engine).table.to_csv();
 }
 
 // The cells of one CSV column, header excluded.

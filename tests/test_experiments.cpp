@@ -1,33 +1,14 @@
-#include "core/design_point.hpp"
+// test_experiments.cpp — the experiment layer's default configs and
+// powered NoC runs through a session.
+
+#include "core/experiments.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/context.hpp"
-#include "core/experiments.hpp"
 
 namespace lain::core {
 namespace {
-
-TEST(DesignPoint, CachesCharacterizations) {
-  DesignPoint dp(xbar::table1_spec());
-  const xbar::Characterization& a = dp.of(xbar::Scheme::kDPC);
-  const xbar::Characterization& b = dp.of(xbar::Scheme::kDPC);
-  EXPECT_EQ(&a, &b);  // same cached object
-}
-
-TEST(DesignPoint, AllReturnsScFirst) {
-  DesignPoint dp(xbar::table1_spec());
-  const auto all = dp.all();
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all.front().scheme, xbar::Scheme::kSC);
-  EXPECT_EQ(all.back().scheme, xbar::Scheme::kSDPC);
-}
-
-TEST(DesignPoint, RejectsBadSpec) {
-  xbar::CrossbarSpec bad = xbar::table1_spec();
-  bad.ports = 0;
-  EXPECT_THROW(DesignPoint dp(bad), std::invalid_argument);
-}
 
 TEST(Experiments, DefaultConfigsAreValid) {
   EXPECT_NO_THROW(default_mesh_config(0.1, noc::TrafficPattern::kUniform)

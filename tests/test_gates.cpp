@@ -17,42 +17,6 @@ class GatesTest : public ::testing::Test {
   DeviceModel model{tech::itrs_node(tech::Node::k45nm), 383.0};
 };
 
-TEST_F(GatesTest, InverterCapsAndResistances) {
-  const Inverter inv = make_inverter(2e-6, 3.6e-6);
-  EXPECT_GT(inv.input_cap_f(model), 0.0);
-  EXPECT_GT(inv.output_cap_f(model), 0.0);
-  EXPECT_LT(inv.output_cap_f(model), inv.input_cap_f(model));
-  // Beta-ratioed: pull-up and pull-down roughly balanced.
-  const double rn = inv.pull_down_r_ohm(model);
-  const double rp = inv.pull_up_r_ohm(model);
-  EXPECT_NEAR(rp / rn, 1.0, 0.15);
-}
-
-TEST_F(GatesTest, HighVtInverterIsSlower) {
-  const Inverter nom = make_inverter(2e-6, 3.6e-6);
-  const Inverter high =
-      make_inverter(2e-6, 3.6e-6, VtClass::kHigh, VtClass::kHigh);
-  EXPECT_GT(high.pull_down_r_ohm(model), nom.pull_down_r_ohm(model));
-  EXPECT_GT(high.pull_up_r_ohm(model), nom.pull_up_r_ohm(model));
-}
-
-TEST_F(GatesTest, BufferChainGeometricSizing) {
-  const auto chain = size_buffer_chain(model, 2e-15, 54e-15, 3);
-  ASSERT_EQ(chain.size(), 3u);
-  // Stage widths grow geometrically (ratio = cbrt(27) = 3).
-  const double w0 = chain[0].pull_down.width_m;
-  const double w1 = chain[1].pull_down.width_m;
-  const double w2 = chain[2].pull_down.width_m;
-  EXPECT_NEAR(w1 / w0, 3.0, 0.01);
-  EXPECT_NEAR(w2 / w1, 3.0, 0.01);
-}
-
-TEST_F(GatesTest, BufferChainBadArgsThrow) {
-  EXPECT_THROW(size_buffer_chain(model, 1e-15, 1e-14, 0),
-               std::invalid_argument);
-  EXPECT_THROW(size_buffer_chain(model, 0.0, 1e-14, 2), std::invalid_argument);
-}
-
 TEST_F(GatesTest, KeeperContention) {
   EXPECT_DOUBLE_EQ(keeper_contention_slowdown(1e-3, 0.0), 1.0);
   EXPECT_NEAR(keeper_contention_slowdown(1e-3, 0.5e-3), 2.0, 1e-9);
@@ -73,11 +37,6 @@ TEST_F(GatesTest, PassGateDegradedHigh) {
   // PMOS rejected.
   const Mosfet p{DeviceType::kPmos, VtClass::kNominal, 3e-6};
   EXPECT_THROW(pass_degraded_high_v(model, p), std::invalid_argument);
-}
-
-TEST_F(GatesTest, InverterBadWidthThrows) {
-  EXPECT_THROW(make_inverter(0.0, 1e-6), std::invalid_argument);
-  EXPECT_THROW(make_inverter(1e-6, -1e-6), std::invalid_argument);
 }
 
 }  // namespace

@@ -33,14 +33,6 @@ TEST(ReportTable, CsvKeepsRawValues) {
   EXPECT_EQ(csv, "name,value,frac\n\"a,b\",0.123456789,0.25\n");
 }
 
-TEST(ReportTable, TagAppendsToLastCellTextOnly) {
-  core::ReportTable t;
-  t.add_column("v", 6);
-  t.begin_row().cell(1.5, 1).tag_last(" [sat]");
-  EXPECT_NE(t.to_text().find("1.5 [sat]"), std::string::npos);
-  EXPECT_EQ(t.to_csv(), "v\n1.5\n");
-}
-
 TEST(ReportTable, IntegerAndCountHelpers) {
   core::ReportTable t;
   t.add_column("n", 4);

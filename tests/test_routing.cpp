@@ -62,12 +62,6 @@ TEST(Routing, DatelineDetection) {
   EXPECT_FALSE(crosses_dateline(4, Dir::kEast, mesh5()));
 }
 
-TEST(Routing, RegistryLookup) {
-  const RoutingFn fn = routing_fn("xy");
-  EXPECT_EQ(fn(0, 1, mesh5()), Dir::kEast);
-  EXPECT_THROW(routing_fn("magic"), std::invalid_argument);
-}
-
 // Property: following route_xy step by step reaches the destination in
 // exactly the Manhattan distance (mesh) / shortest wrap distance
 // (torus), for random pairs.

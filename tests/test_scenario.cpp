@@ -1,13 +1,15 @@
 // test_scenario.cpp — the declarative scenario layer: registry
 // lookup, registry-derived usage, per-scenario flag acceptance, spec
-// building with layered defaults, and one end-to-end run through the
+// building with layered defaults, and end-to-end runs through the
 // registry.
 
 #include "core/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/context.hpp"
 #include "noc/rng.hpp"
@@ -187,11 +189,17 @@ TEST(ScenarioSpec, MeshScalingTakesSimThreadList) {
   const std::vector<int> radices{8, 16};  // scenario default
   EXPECT_EQ(spec.radices, radices);
 
-  // Elsewhere --sim-threads is a single integer.
+  // Elsewhere --sim-threads is a single integer, as --replicates is
+  // everywhere: trailing characters are rejected, not dropped.
   const Scenario& sweep = *reg.find("injection_sweep");
-  EXPECT_THROW(
-      build_scenario_spec(sweep, parse(sweep, {"--sim-threads", "2,4"})),
-      std::invalid_argument);
+  for (const std::vector<const char*>& argv :
+       {std::vector<const char*>{"--sim-threads", "2,4"},
+        std::vector<const char*>{"--replicates", "3x"},
+        std::vector<const char*>{"--replicates", "2,3"}}) {
+    EXPECT_THROW(build_scenario_spec(sweep, parse(sweep, argv)),
+                 std::invalid_argument)
+        << argv.front() << " " << argv.back();
+  }
 }
 
 TEST(ScenarioSpec, PartitionFlagParsesAndDefaultsToAuto) {
@@ -258,10 +266,39 @@ TEST(ScenarioRegistry, BreakevenRunsEndToEnd) {
   const SweepEngine engine = ctx.make_engine(1);
   const ScenarioRun run =
       sc.run(ctx, build_scenario_spec(sc, parse(sc, {})), engine);
-  ASSERT_TRUE(run.table.has_value());
-  EXPECT_EQ(run.table->num_rows(), 5u);  // one per scheme
+  EXPECT_EQ(run.table.num_rows(), 5u);  // one per scheme
   ASSERT_TRUE(run.extras != nullptr);
   EXPECT_NE(run.extras().find("Timeout-policy check"), std::string::npos);
+}
+
+TEST(ScenarioRegistry, Table1RendersAsCsvAndJson) {
+  const ScenarioRegistry& reg = ScenarioRegistry::builtin();
+  const Scenario& sc = *reg.find("table1");
+  LainContext ctx;
+  const SweepEngine engine = ctx.make_engine(1);
+  const ScenarioRun run =
+      sc.run(ctx, build_scenario_spec(sc, parse(sc, {})), engine);
+
+  // Header plus one line per metric; savings and penalties are
+  // fractions, not percent strings.
+  const std::string csv = run.table.to_csv();
+  EXPECT_EQ(csv.substr(0, csv.find('\n')), "Scheme,SC,DFC,DPC,SDFC,SDPC");
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 8);
+  EXPECT_EQ(csv.find('%'), std::string::npos);
+  const std::string json = run.table.to_json();
+  EXPECT_NE(json.find("{\"Scheme\": \"Delay Penalty\", \"SC\": \"-\", "
+                      "\"DFC\": \"No\""),
+            std::string::npos)
+      << json;
+
+  // The CLI emits exactly these tables for --csv and --json.
+  for (const std::string flag : {"--csv", "--json"}) {
+    testing::internal::CaptureStdout();
+    const int rc = cli_exit_code(sc, {flag.c_str()});
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0) << flag;
+    EXPECT_EQ(out, flag == "--csv" ? csv : json) << flag;
+  }
 }
 
 }  // namespace

@@ -332,6 +332,24 @@ TEST(SweepService, RejectsBadSubmitsAndRequests) {
   EXPECT_EQ(ts.service->stats().jobs_accepted, 0);
 }
 
+TEST(SweepService, ServedTable1CharacterizesThroughTheSharedCache) {
+  TestService ts("table1");
+  Client client(ts.service->socket_path());
+  for (int i = 0; i < 2; ++i) {
+    client.send_line("{\"type\":\"submit\",\"scenario\":\"table1\"}");
+    const std::vector<std::string> lines = read_until(client, "done");
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(frame_field(lines.back(), "state"), "done") << lines.back();
+  }
+  // The first job characterizes the five schemes, the second hits.
+  std::string line;
+  client.send_line("{\"type\":\"status\"}");
+  ASSERT_TRUE(client.read_line(&line));
+  EXPECT_EQ(frame_type(line), "stats");
+  EXPECT_EQ(frame_field(line, "cache_characterizations"), "5") << line;
+  EXPECT_EQ(frame_field(line, "cache_hits"), "5") << line;
+}
+
 // ---------------------------------------------------- serve hardening
 
 TEST(SweepService, JobTimeoutFiresAndFreesTheWorkerLane) {

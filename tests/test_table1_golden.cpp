@@ -136,8 +136,9 @@ TEST_F(Table1Golden, PaperTableTranscription) {
 }
 
 TEST_F(Table1Golden, FormattedOutputs) {
-  EXPECT_NE(table().formatted.find("SC"), std::string::npos);
-  EXPECT_NE(table().formatted.find("Minimum Idle Time"), std::string::npos);
+  const std::string text = table1_report(table()).to_text();
+  EXPECT_NE(text.find("SC"), std::string::npos);
+  EXPECT_NE(text.find("Minimum Idle Time"), std::string::npos);
   const std::string cmp = format_comparison(table());
   EXPECT_NE(cmp.find("SDPC"), std::string::npos);
 }
