@@ -11,7 +11,8 @@ Two backends, chosen by what the host has:
                  plus a curated warning set approximating the tidy
                  profile (-Wsuggest-override, -Wnon-virtual-dtor,
                  -Wduplicated-cond/-branches, -Wlogical-op,
-                 -Wextra-semi, ...).  Any warning fails the gate.
+                 -Wextra-semi, ...), one compiler per CPU at a time.
+                 Any warning fails the gate.
 
 Either way the gate is enforced — a container without clang-tidy
 still rejects override-less virtuals and duplicated conditions, and a
@@ -25,7 +26,9 @@ Usage:
 """
 
 import argparse
+import concurrent.futures
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -108,20 +111,35 @@ def run_clang_tidy(clang_tidy, entries, root, build_dir):
     return failures
 
 
+def gcc_fallback_cmd(entry):
+    argv = entry_argv(entry)
+    compiler = argv[0]
+    args = [a for a in strip_output_args(argv) if a != entry["file"]]
+    # The last operand may be a relative spelling of the source.
+    args = [a for a in args
+            if Path(entry["directory"], a).resolve() !=
+            Path(entry["directory"], entry["file"]).resolve()]
+    return [compiler, "-fsyntax-only"] + GCC_WARNINGS + args + [entry["file"]]
+
+
 def run_gcc_fallback(entries, root):
+    """Checks every src/ TU, os.cpu_count() compilers at a time.
+
+    Each TU is an independent `g++ -fsyntax-only`, so the pool changes
+    only the wall time: findings print in compile-database order and
+    the failure rule (nonzero exit or any diagnostic) is per TU.
+    """
+    todo = list(src_entries(entries, root))
+
+    def check(entry):
+        return subprocess.run(gcc_fallback_cmd(entry), cwd=entry["directory"],
+                              capture_output=True, text=True)
+
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=os.cpu_count() or 1) as pool:
+        results = list(pool.map(check, todo))
     failures = 0
-    for e in src_entries(entries, root):
-        argv = entry_argv(e)
-        compiler = argv[0]
-        args = [a for a in strip_output_args(argv) if a != e["file"]]
-        # The last operand may be a relative spelling of the source.
-        args = [a for a in args
-                if Path(e["directory"], a).resolve() !=
-                Path(e["directory"], e["file"]).resolve()]
-        cmd = ([compiler, "-fsyntax-only"] + GCC_WARNINGS +
-               args + [e["file"]])
-        r = subprocess.run(cmd, cwd=e["directory"], capture_output=True,
-                           text=True)
+    for e, r in zip(todo, results):
         if r.returncode != 0 or r.stderr.strip():
             failures += 1
             print("lain_tidy[gcc]: %s" % e["file"])
