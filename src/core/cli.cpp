@@ -107,6 +107,16 @@ std::vector<int> parse_int_list(const std::string& spec) {
   return out;
 }
 
+std::uint64_t parse_u64(const std::string& s) {
+  // std::stoull alone would take "7x" as 7 and wrap "-1" to 2^64 - 1.
+  if (s.empty() || !std::all_of(s.begin(), s.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      })) {
+    throw std::invalid_argument("not an unsigned integer: " + s);
+  }
+  return std::stoull(s);  // throws std::out_of_range past 2^64 - 1
+}
+
 double parse_finite(const std::string& s) {
   std::size_t used = 0;
   const double v = std::stod(s, &used);

@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,6 +67,11 @@ std::vector<int> parse_int_list(const std::string& spec);
 // One finite number ("0.05", "1e-3"); throws on trailing junk, NaN
 // and infinities.  Every numeric flag parses through it.
 double parse_finite(const std::string& s);
+
+// One whole unsigned 64-bit integer in decimal digits ("7",
+// "18446744073709551615"); throws on a sign, blanks, trailing junk
+// ("7x") or a value past 2^64 - 1.  The seed flags parse through it.
+std::uint64_t parse_u64(const std::string& s);
 
 // Numeric axis spec: either "start:stop:step" (inclusive stop, with a
 // half-step tolerance against FP drift) or a comma list "0.05,0.1".

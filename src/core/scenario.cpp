@@ -557,8 +557,8 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
   f.at = non_negative("fault-at");
   f.repair = non_negative("fault-repair");
   if (accepts("fault-seed")) {
-    f.seed = parse_flag("fault-seed", flag_value(sc, args, "fault-seed"),
-                        [](const std::string& v) { return std::stoull(v); });
+    f.seed =
+        parse_flag("fault-seed", flag_value(sc, args, "fault-seed"), parse_u64);
   }
   if (accepts("allow-partition")) {
     f.allow_partition = args.has("allow-partition");
@@ -621,8 +621,7 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
                            parse_int_list);
   }
   if (accepts("seed")) {
-    s.seed = parse_flag("seed", flag_value(sc, args, "seed"),
-                        [](const std::string& v) { return std::stoull(v); });
+    s.seed = parse_flag("seed", flag_value(sc, args, "seed"), parse_u64);
   }
   if (accepts("replicates")) {
     const int replicates = single_int(sc, args, "replicates");

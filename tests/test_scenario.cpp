@@ -202,6 +202,33 @@ TEST(ScenarioSpec, MeshScalingTakesSimThreadList) {
   }
 }
 
+// --seed and --fault-seed are each one whole unsigned integer: a
+// trailing character, a sign or a value past 2^64 - 1 is an error (a
+// bare std::stoull ran "--seed 7x" as 7 and wrapped "-1"), and
+// lain_bench exits 2 on it.
+TEST(ScenarioSpec, SeedFlagsParseAsWholeUnsignedIntegers) {
+  const ScenarioRegistry& reg = ScenarioRegistry::builtin();
+  const Scenario& sc = *reg.find("idle_histogram");
+  EXPECT_EQ(build_scenario_spec(sc, parse(sc, {"--seed", "7"})).seed, 7u);
+  EXPECT_EQ(build_scenario_spec(
+                sc, parse(sc, {"--seed", "18446744073709551615"}))
+                .seed,
+            18446744073709551615ull);
+  EXPECT_EQ(build_scenario_spec(sc, parse(sc, {"--fault-seed", "12"}))
+                .run.fault.seed,
+            12u);
+  for (const char* flag : {"--seed", "--fault-seed"}) {
+    for (const char* bad : {"7x", "-1", "+7", " 7", "1.5", "0x10", "",
+                            "18446744073709551616"}) {
+      const std::vector<const char*> argv{flag, bad};
+      EXPECT_THROW(build_scenario_spec(sc, parse(sc, argv)),
+                   std::invalid_argument)
+          << flag << " '" << bad << "'";
+      EXPECT_EQ(cli_exit_code(sc, argv), 2) << flag << " '" << bad << "'";
+    }
+  }
+}
+
 TEST(ScenarioSpec, PartitionFlagParsesAndDefaultsToAuto) {
   const ScenarioRegistry& reg = ScenarioRegistry::builtin();
   const Scenario& sweep = *reg.find("injection_sweep");
