@@ -40,57 +40,57 @@ PoweredNoc::PoweredNoc(noc::Network& net, const NocPowerConfig& cfg,
   const int n = net.num_nodes();
   hooks_.reserve(static_cast<size_t>(n));
   for (noc::NodeId i = 0; i < n; ++i) {
-    hooks_.push_back(std::make_unique<RouterPowerHook>(cfg, chars_));
-    net.router(i).set_power_hook(hooks_.back().get());
+    hooks_.emplace_back(cfg, chars_);
+    net.router(i).set_power_hook(&hooks_.back());
   }
 }
 
 double PoweredNoc::total_energy_j() const {
   double e = 0.0;
-  for (const auto& h : hooks_) e += h->power().total_energy_j();
+  for (const auto& h : hooks_) e += h.power().total_energy_j();
   return e;
 }
 
 double PoweredNoc::crossbar_energy_j() const {
   double e = 0.0;
-  for (const auto& h : hooks_) e += h->power().crossbar().total_energy_j();
+  for (const auto& h : hooks_) e += h.power().crossbar().total_energy_j();
   return e;
 }
 
 double PoweredNoc::buffer_energy_j() const {
   double e = 0.0;
-  for (const auto& h : hooks_) e += h->power().buffer_energy_j();
+  for (const auto& h : hooks_) e += h.power().buffer_energy_j();
   return e;
 }
 
 double PoweredNoc::arbiter_energy_j() const {
   double e = 0.0;
-  for (const auto& h : hooks_) e += h->power().arbiter_energy_j();
+  for (const auto& h : hooks_) e += h.power().arbiter_energy_j();
   return e;
 }
 
 double PoweredNoc::link_energy_j() const {
   double e = 0.0;
-  for (const auto& h : hooks_) e += h->power().link_energy_j();
+  for (const auto& h : hooks_) e += h.power().link_energy_j();
   return e;
 }
 
 double PoweredNoc::average_power_w() const {
   double p = 0.0;
-  for (const auto& h : hooks_) p += h->power().average_power_w();
+  for (const auto& h : hooks_) p += h.power().average_power_w();
   return p;
 }
 
 double PoweredNoc::crossbar_average_power_w() const {
   double p = 0.0;
-  for (const auto& h : hooks_) p += h->power().crossbar().average_power_w();
+  for (const auto& h : hooks_) p += h.power().crossbar().average_power_w();
   return p;
 }
 
 double PoweredNoc::realized_standby_saving_j() const {
   double s = 0.0;
   for (const auto& h : hooks_) {
-    s += h->power().crossbar().controller().realized_saving_j();
+    s += h.power().crossbar().controller().realized_saving_j();
   }
   return s;
 }
@@ -98,14 +98,14 @@ double PoweredNoc::realized_standby_saving_j() const {
 std::int64_t PoweredNoc::standby_cycles() const {
   std::int64_t c = 0;
   for (const auto& h : hooks_) {
-    c += h->power().crossbar().controller().standby_cycles();
+    c += h.power().crossbar().controller().standby_cycles();
   }
   return c;
 }
 
 std::int64_t PoweredNoc::total_cycles() const {
   std::int64_t c = 0;
-  for (const auto& h : hooks_) c += h->power().crossbar().controller().cycles();
+  for (const auto& h : hooks_) c += h.power().crossbar().controller().cycles();
   return c;
 }
 

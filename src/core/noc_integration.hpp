@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "noc/sim.hpp"
@@ -27,6 +26,12 @@ class RouterPowerHook final : public noc::PowerHook {
  public:
   RouterPowerHook(const NocPowerConfig& cfg,
                   const xbar::Characterization& chars);
+  // Its router holds a pointer to it, so it is never copied; it moves
+  // only so PoweredNoc's vector can hold it (reserved before wiring).
+  RouterPowerHook(const RouterPowerHook&) = delete;
+  RouterPowerHook& operator=(const RouterPowerHook&) = delete;
+  RouterPowerHook(RouterPowerHook&&) = default;
+  RouterPowerHook& operator=(RouterPowerHook&&) = delete;
   bool xbar_ready() override;
   void on_cycle(const noc::RouterEvents& ev) override;
   // Batched idle accounting for cycle skipping: one
@@ -39,7 +44,8 @@ class RouterPowerHook final : public noc::PowerHook {
   power::RouterPower power_;
 };
 
-// Fabric-wide power integration: owns one hook per router.  Works
+// Fabric-wide power integration: owns one hook per router, all in one
+// block in node order.  Works
 // with any engine exposing its Network — serial Simulation or the
 // sharded parallel kernel.  Hooks are per-router state touched only
 // inside that router's tick, so they are shard-safe and the power
@@ -52,7 +58,7 @@ class PoweredNoc {
              const xbar::Characterization& chars);
 
   const RouterPowerHook& hook(noc::NodeId n) const {
-    return *hooks_.at(static_cast<size_t>(n));
+    return hooks_.at(static_cast<size_t>(n));
   }
 
   // Aggregate energy / power over all routers.
@@ -74,7 +80,7 @@ class PoweredNoc {
  private:
   NocPowerConfig cfg_;
   xbar::Characterization chars_;
-  std::vector<std::unique_ptr<RouterPowerHook>> hooks_;
+  std::vector<RouterPowerHook> hooks_;
 };
 
 }  // namespace lain::core

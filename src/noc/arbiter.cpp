@@ -33,11 +33,10 @@ RoundRobinArbiter::RoundRobinArbiter(int inputs, int start)
   }
 }
 
-MatrixArbiter::MatrixArbiter(int inputs) {
+MatrixArbiter::MatrixArbiter(int inputs) : inputs_(inputs) {
   check_inputs(inputs);
   // Initial priority: lower index beats higher.
-  rank_.resize(static_cast<size_t>(inputs));
-  std::iota(rank_.begin(), rank_.end(), std::uint8_t{0});
+  std::iota(rank_.begin(), rank_.begin() + inputs, std::uint8_t{0});
 }
 
 }  // namespace lain::noc

@@ -12,7 +12,9 @@
 // priority matrix is always a total order (each winner drops below
 // every other input), so it is kept as each input's rank in that
 // order, one byte per input, and grants exactly what the R(R-1)/2-bit
-// matrix would: the requester of lowest rank wins.
+// matrix would: the requester of lowest rank wins.  The ranks live
+// inline, so an allocator's arbiters sit in one block, and the
+// least-recently-served update moves eight ranks per 64-bit word.
 //
 // Both mask entry points are defined here so the allocator's and the
 // router's calls inline.  The checked std::vector overload is a thin
@@ -20,8 +22,10 @@
 
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -72,11 +76,14 @@ class MatrixArbiter final : public Arbiter {
   explicit MatrixArbiter(int inputs);
   using Arbiter::arbitrate;
   int arbitrate(Mask requests) override;
-  int num_inputs() const override { return static_cast<int>(rank_.size()); }
+  int num_inputs() const override { return inputs_; }
 
  private:
   // rank_[i]: input i's place in the priority order, 0 = highest.
-  std::vector<std::uint8_t> rank_;
+  // Bytes at and past inputs_ stay 0, so the word-wide update leaves
+  // them alone.
+  alignas(8) std::array<std::uint8_t, kMaxRequesters> rank_{};
+  int inputs_;
 };
 
 LAIN_HOT_PATH LAIN_NO_ALLOC inline int RoundRobinArbiter::arbitrate(
@@ -102,9 +109,19 @@ LAIN_HOT_PATH LAIN_NO_ALLOC inline int MatrixArbiter::arbitrate(
     if (rank[i] < rank[winner]) winner = i;
   }
   // Least recently served: every input below the winner moves up one
-  // place and the winner drops to the last.
+  // place and the winner drops to the last.  Eight ranks per word:
+  // ranks are below 64, so adding 0x7F - r to a byte never carries
+  // into the next one and sets the byte's top bit exactly when its
+  // rank exceeds r; that bit, shifted down, is the byte's decrement.
+  constexpr std::uint64_t kLow = 0x0101010101010101ull;
   const std::uint8_t r = rank[winner];
-  for (int i = 0; i < n; ++i) rank[i] -= rank[i] > r ? 1 : 0;
+  const std::uint64_t bias = kLow * static_cast<std::uint64_t>(0x7F - r);
+  for (int w = 0; w < n; w += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, rank + w, sizeof word);
+    word -= ((word + bias) >> 7) & kLow;
+    std::memcpy(rank + w, &word, sizeof word);
+  }
   rank[winner] = static_cast<std::uint8_t>(n - 1);
   return winner;
 }

@@ -5,9 +5,8 @@
 
 namespace lain::noc {
 
-VcBuffer::VcBuffer(int capacity_flits)
-    : capacity_(capacity_flits),
-      slots_(static_cast<size_t>(capacity_flits < 1 ? 0 : capacity_flits)) {
+VcBuffer::VcBuffer(Flit* slots, int capacity_flits)
+    : capacity_(capacity_flits), slots_(slots) {
   if (capacity_flits < 1) {
     throw std::invalid_argument("VC buffer capacity must be >= 1");
   }
@@ -40,15 +39,14 @@ int VcBuffer::remove_packets(const std::function<bool(PacketId)>& lost) {
   return removed;
 }
 
-InputPort::InputPort(int vcs, int capacity_flits) {
-  if (vcs < 1) throw std::invalid_argument("need >= 1 VC");
-  vcs_.reserve(static_cast<size_t>(vcs));
-  for (int i = 0; i < vcs; ++i) vcs_.emplace_back(capacity_flits);
+InputPort::InputPort(VcBuffer* vcs, int num_vcs)
+    : vcs_(vcs), num_vcs_(num_vcs) {
+  if (num_vcs < 1) throw std::invalid_argument("need >= 1 VC");
 }
 
 int InputPort::total_occupancy() const {
   int n = 0;
-  for (const auto& v : vcs_) n += v.size();
+  for (int v = 0; v < num_vcs_; ++v) n += vcs_[v].size();
   return n;
 }
 

@@ -1,17 +1,16 @@
 // buffer.hpp — per-VC input FIFO buffers.
 //
-// A VcBuffer is a fixed-capacity ring over preallocated slots: credit
-// flow control bounds the occupancy to the configured depth, so the
-// buffer never needs to grow and push/pop never touch the heap (the
-// deque it replaced allocated chunk nodes as the ring crossed chunk
-// boundaries under load).
+// A VcBuffer is a fixed-capacity ring over caller-provided slots:
+// credit flow control bounds the occupancy to the configured depth, so
+// the buffer never needs to grow and push/pop never touch the heap.
+// The router carves every input VC's ring out of one flit block, so a
+// router's buffered flits sit together in memory.
 
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "core/contracts.hpp"
 #include "noc/flit.hpp"
@@ -28,7 +27,8 @@ enum class VcState : std::int8_t {
 
 class VcBuffer {
  public:
-  explicit VcBuffer(int capacity_flits);
+  // A ring over slots[0, capacity_flits); the slots outlive the buffer.
+  VcBuffer(Flit* slots, int capacity_flits);
 
   bool empty() const { return count_ == 0; }
   bool full() const { return count_ >= capacity_; }
@@ -49,14 +49,14 @@ class VcBuffer {
   // repair (Router::fault_*).
   int remove_packets(const std::function<bool(PacketId)>& lost);
 
-  VcState state = VcState::kIdle;
-  int out_port = -1;  // route-computed output port
-  int out_vc = -1;    // allocated downstream VC
   // Packet resident at this VC's head of line (set when a head flit
   // establishes the VC, cleared when its tail departs).  Fault surgery
   // needs it to find the worm holding an output VC even when all of
   // the worm's flits are downstream of this buffer.
   PacketId packet = -1;
+  int out_port = -1;  // route-computed output port
+  int out_vc = -1;    // allocated downstream VC
+  VcState state = VcState::kIdle;
   // Routing class under fault-aware routing: 0 = normal (XY /
   // dateline VCs), 1 = escape (reserved spanning-tree VC).  Set by
   // route compute; once a packet enters the escape class it stays
@@ -65,31 +65,35 @@ class VcBuffer {
 
  private:
   int capacity_;
-  std::vector<Flit> slots_;  // fixed ring storage, sized capacity_
-  int head_ = 0;             // index of the oldest flit
+  int head_ = 0;  // index of the oldest flit
   int count_ = 0;
+  Flit* slots_;   // fixed ring storage, capacity_ slots
 };
 
-// All VC buffers of one input port.  vc() is unchecked in Release (the
-// router's hot path indexes it every cycle); an out-of-range index is
-// a caller bug, asserted in Debug/sanitizer builds.
+// The VC buffers of one input port: a view over `num_vcs` consecutive
+// buffers owned elsewhere (the router's VC array).  vc() is unchecked
+// in Release (the router's hot path indexes it every cycle); an
+// out-of-range index is a caller bug, asserted in Debug/sanitizer
+// builds.
 class InputPort {
  public:
-  InputPort(int vcs, int capacity_flits);
+  InputPort() = default;
+  InputPort(VcBuffer* vcs, int num_vcs);
 
   VcBuffer& vc(int v) {
     assert(v >= 0 && v < num_vcs() && "VC index out of range");
-    return vcs_[static_cast<size_t>(v)];
+    return vcs_[v];
   }
   const VcBuffer& vc(int v) const {
     assert(v >= 0 && v < num_vcs() && "VC index out of range");
-    return vcs_[static_cast<size_t>(v)];
+    return vcs_[v];
   }
-  int num_vcs() const { return static_cast<int>(vcs_.size()); }
+  int num_vcs() const { return num_vcs_; }
   int total_occupancy() const;
 
  private:
-  std::vector<VcBuffer> vcs_;
+  VcBuffer* vcs_ = nullptr;
+  int num_vcs_ = 0;
 };
 
 // Defined here so the router's receive and traversal loops inline

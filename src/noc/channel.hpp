@@ -18,7 +18,9 @@
 // deque: one item is admitted per cycle and the consumer drains every
 // deliverable item each cycle, so occupancy never exceeds latency + 1
 // (asserted in Debug/sanitizer builds) and the exchange phase never
-// touches the heap.
+// touches the heap.  Each slot stores the channel tick at which its
+// item becomes receivable, so a tick or a skip of n cycles only
+// advances the channel's own tick count.
 
 #pragma once
 
@@ -58,7 +60,7 @@ class Channel {
   LAIN_HOT_PATH LAIN_NO_ALLOC std::optional<T> receive() {
     rc_consumer("Channel::receive");
     LAIN_SHARD_PHASE(component);
-    if (count_ > 0 && slots_[static_cast<size_t>(head_)].remaining == 0) {
+    if (count_ > 0 && slots_[static_cast<size_t>(head_)].ready <= ticks_) {
       T item = slots_[static_cast<size_t>(head_)].item;
       head_ = head_ + 1 == capacity() ? 0 : head_ + 1;
       --count_;
@@ -73,18 +75,13 @@ class Channel {
   LAIN_HOT_PATH LAIN_NO_ALLOC bool tick() {
     rc_exchange("Channel::tick");
     LAIN_SHARD_PHASE(exchange);
-    for (int i = 0; i < count_; ++i) {
-      int idx = head_ + i;
-      if (idx >= capacity()) idx -= capacity();
-      Slot& s = slots_[static_cast<size_t>(idx)];
-      if (s.remaining > 0) --s.remaining;
-    }
+    ++ticks_;
     if (staged_.has_value()) {
       assert(count_ < capacity() &&
              "channel pipe overflow (consumer stopped draining)");
       int tail = head_ + count_;
       if (tail >= capacity()) tail -= capacity();
-      slots_[static_cast<size_t>(tail)] = Slot{*staged_, latency_ - 1};
+      slots_[static_cast<size_t>(tail)] = Slot{*staged_, ticks_ + latency_ - 1};
       ++count_;
       staged_.reset();
       return true;
@@ -96,20 +93,18 @@ class Channel {
   // consecutive tick() calls over cycles in which the producer stays
   // silent and nothing becomes receivable.  Preconditions (asserted):
   // nothing staged — between steps every send has been admitted — and
-  // every in-pipe item still has remaining >= n, which the kernel's
-  // horizon guarantees (the skip never jumps past a delivery).
+  // the oldest in-pipe item (so every item) is still n or more ticks
+  // from receivable, which the kernel's horizon guarantees (the skip
+  // never jumps past a delivery).
   LAIN_HOT_PATH LAIN_NO_ALLOC void advance_idle(int n) {
     rc_exchange("Channel::advance_idle");
     LAIN_SHARD_PHASE(exchange);
     assert(!staged_.has_value() &&
            "advance_idle with a staged item (missed exchange tick)");
-    for (int i = 0; i < count_; ++i) {
-      int idx = head_ + i;
-      if (idx >= capacity()) idx -= capacity();
-      Slot& s = slots_[static_cast<size_t>(idx)];
-      assert(s.remaining >= n && "skip horizon jumped past a delivery");
-      s.remaining -= n;
-    }
+    assert((count_ == 0 ||
+            slots_[static_cast<size_t>(head_)].ready - ticks_ >= n) &&
+           "skip horizon jumped past a delivery");
+    ticks_ += n;
   }
 
   // Consumer-side probe for the idle fast path: true when anything is
@@ -129,14 +124,15 @@ class Channel {
   // Consumer-side horizon probe for cycle skipping: cycles until the
   // oldest in-pipe item becomes receivable (0 = receivable in this
   // component phase), or -1 when the pipe is empty.  Admission is
-  // FIFO and every slot decrements together, so the head item always
-  // has the minimum remaining — this single read bounds the whole
-  // pipe.  Same consumer-side race-freedom argument as
+  // FIFO at one item per tick with a fixed latency, so the head item
+  // is always the first receivable — this single read bounds the
+  // whole pipe.  Same consumer-side race-freedom argument as
   // consumer_pending().
   LAIN_HOT_PATH LAIN_NO_ALLOC int consumer_next_delivery() const {
     rc_consumer("Channel::consumer_next_delivery");
     if (count_ == 0) return -1;
-    return slots_[static_cast<size_t>(head_)].remaining;
+    const Cycle wait = slots_[static_cast<size_t>(head_)].ready - ticks_;
+    return wait > 0 ? static_cast<int>(wait) : 0;
   }
 
   // Exchange-owner probe: items in the pipe, for the kernel's wet-link
@@ -168,7 +164,7 @@ class Channel {
 
   // Removes every item matching `pred` from the pipe (and the staging
   // slot), compacting the ring while preserving order and each
-  // survivor's remaining traversal time.  Returns the removed count.
+  // survivor's ready stamp.  Returns the removed count.
   template <typename Pred>
   int fault_purge(Pred pred) {
     int removed = 0;
@@ -232,7 +228,7 @@ class Channel {
  private:
   struct Slot {
     T item;
-    int remaining;
+    Cycle ready;  // first value of ticks_ at which item is receivable
   };
   int capacity() const { return static_cast<int>(slots_.size()); }
 
@@ -258,9 +254,10 @@ class Channel {
 #endif
 
   int latency_;
-  std::vector<Slot> slots_;  // fixed ring storage, latency_ + 1 slots
   int head_ = 0;             // index of the oldest in-pipe item
   int count_ = 0;            // items in the pipe (excludes staged_)
+  Cycle ticks_ = 0;          // exchange ticks so far, skips included
+  std::vector<Slot> slots_;  // fixed ring storage, latency_ + 1 slots
   std::optional<T> staged_;
 };
 

@@ -1,5 +1,7 @@
 #include "noc/config.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "noc/arbiter.hpp"
@@ -37,8 +39,9 @@ void SimConfig::validate() const {
     throw std::invalid_argument("mesh radix must be >= 2 in each dimension");
   }
   if (vcs < 1) throw std::invalid_argument("need >= 1 virtual channel");
-  if (kNumPorts * vcs > kMaxRequesters) {
-    // The router allocates over one 64-bit mask of its input VCs.
+  static_assert(kNumPorts * kMaxVcs <= kMaxRequesters,
+                "a router's input VCs must fit one 64-bit mask");
+  if (vcs > kMaxVcs) {
     throw std::invalid_argument(
         "at most 12 virtual channels: the router's 5 ports x VCs must fit "
         "its 64-bit VC masks");
@@ -80,6 +83,25 @@ void SimConfig::validate() const {
   }
   if (fault.at < 0 || fault.repair < 0) {
     throw std::invalid_argument("fault cycles must be >= 0");
+  }
+  // Flit::hops is 16 bits.  A packet crosses at most radix_x + radix_y
+  // - 1 routers on its dimension-order path.  Under faults it may
+  // leave that path for the escape spanning tree, and every fault
+  // event (a kill, or a kill and its repair) can hand it a new tree
+  // path of at most num_nodes() routers.  Counted in double: the
+  // bound must not overflow for absurd inputs either.
+  const double fault_events =
+      fault.enabled()
+          ? static_cast<double>(fault.links) * (fault.repair > 0 ? 2 : 1) +
+                fault.routers
+          : -1.0;
+  const double max_hops =
+      static_cast<double>(radix_x) + radix_y - 1 +
+      (fault_events + 1) * static_cast<double>(radix_x) * radix_y;
+  if (max_hops > std::numeric_limits<std::int16_t>::max()) {
+    throw std::invalid_argument(
+        "fabric too large for its fault schedule: a packet's hop count "
+        "could overflow the flit's 16-bit counter");
   }
   if (fault.enabled()) {
     // Self-healing routing reserves the highest VC as the deadlock-free

@@ -1,13 +1,12 @@
 #include "noc/nic.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace lain::noc {
 
-Nic::Nic(NodeId node, const SimConfig& cfg)
-    : node_(node),
-      cfg_(cfg),
-      credits_(static_cast<size_t>(cfg.vcs), cfg.vc_depth_flits) {
+Nic::Nic(NodeId node, const SimConfig& cfg) : node_(node), cfg_(cfg) {
+  std::fill_n(credits_.begin(), cfg.vcs, cfg.vc_depth_flits);
   // The eject channel delivers at most one tail per cycle in steady
   // state, so a small reservation keeps tick() allocation-free.
   completions_.reserve(8);
@@ -111,7 +110,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
     assert(vc >= 0 && "body flit without open VC");
     if (credits_[static_cast<size_t>(vc)] <= 0) return;  // stall
   }
-  f.vc = vc;
+  f.vc = static_cast<std::int8_t>(vc);
   f.injected = now;
   inject_out_->send(f);
   --credits_[static_cast<size_t>(vc)];

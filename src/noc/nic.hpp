@@ -11,8 +11,10 @@
 
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "core/contracts.hpp"
 #include "noc/channel.hpp"
@@ -24,6 +26,12 @@ namespace lain::noc {
 class Nic {
  public:
   Nic(NodeId node, const SimConfig& cfg);
+  // Never copied: like Router, it moves only so std::vector can hold
+  // it, and the network reserves its NICs before wiring.
+  Nic(const Nic&) = delete;
+  Nic& operator=(const Nic&) = delete;
+  Nic(Nic&&) = default;
+  Nic& operator=(Nic&&) = delete;
 
   // Wiring: inject_out feeds the router's local input; credit_in
   // returns its credits.  eject_in delivers flits from the router's
@@ -110,7 +118,7 @@ class Nic {
   NodeId node_;
   SimConfig cfg_;
   std::deque<Flit> queue_;  // flit-segmented source queue
-  std::vector<int> credits_;  // per-VC credits toward the router
+  std::array<int, kMaxVcs> credits_{};  // per-VC credits toward the router
   int next_vc_ = 0;
   int open_vc_ = -1;  // VC carrying the packet currently being injected
   bool killed_ = false;  // router-kill: never ticks again

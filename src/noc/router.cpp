@@ -1,5 +1,6 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "noc/fault.hpp"
@@ -17,40 +18,43 @@ Router::Router(NodeId id, const SimConfig& cfg)
     : id_(id),
       cfg_(cfg),
       ctx_(cfg.route_context()),
-      in_flits_(kNumPorts, nullptr),
-      out_credits_(kNumPorts, nullptr),
-      out_flits_(kNumPorts, nullptr),
-      in_credits_(kNumPorts, nullptr),
-      credits_(static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs),
-               cfg.vc_depth_flits),
-      out_vc_owner_(
-          static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs), -1),
+      flit_slots_(static_cast<size_t>(kNumPorts) *
+                  static_cast<size_t>(cfg.vcs) *
+                  static_cast<size_t>(cfg.vc_depth_flits)),
       vc_alloc_(kNumPorts * cfg.vcs, kNumPorts * cfg.vcs),
       sw_alloc_(kNumPorts, kNumPorts),
-      va_req_(static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs),
-              0),
-      va_grant_(static_cast<size_t>(kNumPorts) * static_cast<size_t>(cfg.vcs),
-                -1) {
+      sa_vc_pick_{RoundRobinArbiter(cfg.vcs), RoundRobinArbiter(cfg.vcs),
+                  RoundRobinArbiter(cfg.vcs), RoundRobinArbiter(cfg.vcs),
+                  RoundRobinArbiter(cfg.vcs)} {
+  static_assert(kNumPorts == 5, "one VC selector per port above");
+  const int port_vcs = kNumPorts * cfg.vcs;
+  vcs_.reserve(static_cast<size_t>(port_vcs));
+  for (int i = 0; i < port_vcs; ++i) {
+    vcs_.emplace_back(flit_slots_.data() + static_cast<size_t>(i) *
+                                               static_cast<size_t>(
+                                                   cfg.vc_depth_flits),
+                      cfg.vc_depth_flits);
+  }
+  for (int p = 0; p < kNumPorts; ++p) {
+    inputs_[static_cast<size_t>(p)] = InputPort(&vcs_[pv(p, 0)], cfg.vcs);
+  }
+  std::fill_n(credits_.begin(), port_vcs, cfg.vc_depth_flits);
+  std::fill_n(out_vc_owner_.begin(), port_vcs, -1);
+  std::fill_n(va_grant_.begin(), port_vcs, -1);
   sa_grant_.fill(-1);
   chosen_vc_.fill(-1);
-  inputs_.reserve(kNumPorts);
-  sa_vc_pick_.reserve(kNumPorts);
-  for (int p = 0; p < kNumPorts; ++p) {
-    inputs_.emplace_back(cfg.vcs, cfg.vc_depth_flits);
-    sa_vc_pick_.emplace_back(cfg.vcs);
-  }
 }
 
 void Router::connect_input(Dir d, FlitChannel* flits_in,
                            CreditChannel* credits_out) {
-  in_flits_.at(static_cast<size_t>(port(d))) = flits_in;
-  out_credits_.at(static_cast<size_t>(port(d))) = credits_out;
+  in_flits_[static_cast<size_t>(port(d))] = flits_in;
+  out_credits_[static_cast<size_t>(port(d))] = credits_out;
 }
 
 void Router::connect_output(Dir d, FlitChannel* flits_out,
                             CreditChannel* credits_in) {
-  out_flits_.at(static_cast<size_t>(port(d))) = flits_out;
-  in_credits_.at(static_cast<size_t>(port(d))) = credits_in;
+  out_flits_[static_cast<size_t>(port(d))] = flits_out;
+  in_credits_[static_cast<size_t>(port(d))] = credits_in;
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC bool Router::quiescent() const {
@@ -120,7 +124,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::receive() {
     FlitChannel* ch = in_flits_[static_cast<size_t>(p)];
     if (ch == nullptr) continue;
     while (auto f = ch->receive()) {
-      VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(f->vc);
+      VcBuffer& vcb = vcs_[pv(p, f->vc)];
       vcb.push(*f);
       ++buffered_flits_;
       ++events_.flits_received;
@@ -196,7 +200,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::route_compute() {
   for (int p = 0; p < kNumPorts; ++p) {
     for (Mask m = port_vcs(routing_, p); m != 0; m &= m - 1) {
       const int v = lowest_bit(m);
-      VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+      VcBuffer& vcb = vcs_[pv(p, v)];
       if (vcb.empty()) continue;
       compute_route(vcb, p, v);
     }
@@ -211,8 +215,7 @@ bool Router::vc_admissible(int in_port, int in_vc, int out_port,
     // class (spanning-tree routing), the rest carry the normal class
     // (XY, with the dateline rule over the remaining VCs on a torus).
     const int esc = fault_table_->escape_vc();
-    const VcBuffer& vcb =
-        inputs_[static_cast<size_t>(in_port)].vc(in_vc);
+    const VcBuffer& vcb = vcs_[pv(in_port, in_vc)];
     if (vcb.route_class != 0) return out_vc == esc;
     if (out_vc == esc) return false;
     if (cfg_.topology != TopologyKind::kTorus) return true;
@@ -244,7 +247,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::vc_allocate() {
   for (int p = 0; p < kNumPorts; ++p) {
     for (Mask m = port_vcs(waiting_, p); m != 0; m &= m - 1) {
       const int v = lowest_bit(m);
-      const VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+      const VcBuffer& vcb = vcs_[pv(p, v)];
       Mask req = 0;
       for (Mask free = ~port_vcs(owned_, vcb.out_port) & low_mask(vcs);
            free != 0; free &= free - 1) {
@@ -266,7 +269,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::vc_allocate() {
       va_req_[pv(p, v)] = 0;
       const int g = va_grant_[pv(p, v)];
       if (g < 0) continue;
-      VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+      VcBuffer& vcb = vcs_[pv(p, v)];
       vcb.out_vc = g % vcs;
       set_state(vcb, p, v, VcState::kActive);
       out_vc_owner_[static_cast<size_t>(g)] = static_cast<int>(pv(p, v));
@@ -281,11 +284,10 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
   // flit and a downstream credit, then allocate ports.
   bool demand = false;
   for (int p = 0; p < kNumPorts; ++p) {
-    const InputPort& in = inputs_[static_cast<size_t>(p)];
     Mask cand = 0;
     for (Mask m = port_vcs(active_, p); m != 0; m &= m - 1) {
       const int v = lowest_bit(m);
-      const VcBuffer& vcb = in.vc(v);
+      const VcBuffer& vcb = vcs_[pv(p, v)];
       if (!vcb.empty() && credits_[pv(vcb.out_port, vcb.out_vc)] > 0) {
         cand |= mask_bit(v);
       }
@@ -295,7 +297,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
     demand = true;
     const int v = sa_vc_pick_[static_cast<size_t>(p)].arbitrate(cand);
     chosen_vc_[static_cast<size_t>(p)] = v;
-    sa_req_[static_cast<size_t>(p)] = mask_bit(in.vc(v).out_port);
+    sa_req_[static_cast<size_t>(p)] = mask_bit(vcs_[pv(p, v)].out_port);
   }
 
   events_.demand = demand;
@@ -316,11 +318,11 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
     const int out_port = sa_grant_[static_cast<size_t>(p)];
     if (out_port < 0) continue;
     const int v = chosen_vc_[static_cast<size_t>(p)];
-    VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+    VcBuffer& vcb = vcs_[pv(p, v)];
     Flit f = vcb.pop();
     --buffered_flits_;
     const bool tail = f.is_tail();
-    f.vc = vcb.out_vc;
+    f.vc = static_cast<std::int8_t>(vcb.out_vc);
     ++f.hops;
     out_flits_[static_cast<size_t>(out_port)]->send(f);
     if (trace_ != nullptr) {
@@ -357,16 +359,14 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
 PacketId Router::fault_out_vc_owner_packet(int out_port, int vc) const {
   const int owner = out_vc_owner_[pv(out_port, vc)];
   if (owner < 0) return -1;
-  return inputs_[static_cast<size_t>(owner / cfg_.vcs)]
-      .vc(owner % cfg_.vcs)
-      .packet;
+  return vcs_[static_cast<size_t>(owner)].packet;
 }
 
 void Router::fault_for_each_flit(
     const std::function<void(const Flit&)>& fn) const {
   for (int p = 0; p < kNumPorts; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
-      const VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+      const VcBuffer& vcb = vcs_[pv(p, v)];
       for (int i = 0; i < vcb.size(); ++i) fn(vcb.peek(i));
     }
   }
@@ -376,7 +376,7 @@ int Router::fault_purge(const std::function<bool(PacketId)>& lost) {
   int total = 0;
   for (int p = 0; p < kNumPorts; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
-      VcBuffer& vcb = inputs_[static_cast<size_t>(p)].vc(v);
+      VcBuffer& vcb = vcs_[pv(p, v)];
       const bool resident_lost = vcb.packet >= 0 && lost(vcb.packet);
       const int removed = vcb.remove_packets(lost);
       total += removed;
@@ -403,7 +403,7 @@ void Router::fault_reroute_pending() {
   for (int p = 0; p < kNumPorts; ++p) {
     for (Mask m = port_vcs(waiting_, p); m != 0; m &= m - 1) {
       const int v = lowest_bit(m);
-      compute_route(inputs_[static_cast<size_t>(p)].vc(v), p, v);
+      compute_route(vcs_[pv(p, v)], p, v);
     }
   }
 }

@@ -23,7 +23,9 @@
 // updated at every state transition.  RC, VA and SA visit only the
 // VCs their mask names, and VA/SA requests are built as masks (one per
 // requester) in preallocated members the allocators read in place; a
-// Mask bounds a router to 5 ports x 12 VCs (SimConfig::validate).
+// Mask bounds a router to 5 ports x 12 VCs (SimConfig::validate), so
+// the per-VC tables are fixed arrays of that size, and every input
+// VC's ring is a slice of one flit block.
 // Routers with nothing to do take the idle fast path instead:
 // quiescent() is an O(ports) consumer-side probe, and tick_idle()
 // collapses the cycle to the bookkeeping every downstream consumer
@@ -36,9 +38,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -87,6 +90,13 @@ class Router {
   // The config is validated once at fabric construction (Network /
   // SimConfig::validate), not per router.
   Router(NodeId id, const SimConfig& cfg);
+  // Channels and the fault layer hold pointers into a router, so it is
+  // never copied.  It moves only so std::vector can hold it: the
+  // network reserves its routers before wiring, so none moves after.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
+  Router(Router&&) = default;
+  Router& operator=(Router&&) = delete;
 
   NodeId id() const { return id_; }
 
@@ -141,9 +151,10 @@ class Router {
   const RouterEvents& last_events() const { return events_; }
   const CrossbarActivity& activity() const { return activity_; }
   int credits(int out_port, int vc) const {
-    return credits_.at(
-        static_cast<size_t>(out_port) * static_cast<size_t>(cfg_.vcs) +
-        static_cast<size_t>(vc));
+    if (out_port < 0 || out_port >= kNumPorts || vc < 0 || vc >= cfg_.vcs) {
+      throw std::out_of_range("Router::credits: no such output VC");
+    }
+    return credits_[pv(out_port, vc)];
   }
   const InputPort& input(int port) const {
     return inputs_.at(static_cast<size_t>(port));
@@ -226,20 +237,32 @@ class Router {
     return (m >> (port * cfg_.vcs)) & low_mask(cfg_.vcs);
   }
 
+  // Per-VC tables are indexed port*vcs+vc (pv); only the first
+  // kNumPorts * cfg_.vcs entries are used.
+  static constexpr std::size_t kMaxPortVcs =
+      static_cast<std::size_t>(kNumPorts) * kMaxVcs;
+  template <typename T>
+  using PerPortVc = std::array<T, kMaxPortVcs>;
+
   NodeId id_;
   SimConfig cfg_;
   RouteContext ctx_;
 
-  std::vector<InputPort> inputs_;
-  std::vector<FlitChannel*> in_flits_;
-  std::vector<CreditChannel*> out_credits_;
-  std::vector<FlitChannel*> out_flits_;
-  std::vector<CreditChannel*> in_credits_;
+  // Input VC pv(port, vc) is vcs_[pv], a ring over its
+  // vc_depth_flits-slot slice of flit_slots_; inputs_[port] views the
+  // port's VCs.
+  std::vector<Flit> flit_slots_;
+  std::vector<VcBuffer> vcs_;
+  std::array<InputPort, kNumPorts> inputs_;
+  std::array<FlitChannel*, kNumPorts> in_flits_{};
+  std::array<CreditChannel*, kNumPorts> out_credits_{};
+  std::array<FlitChannel*, kNumPorts> out_flits_{};
+  std::array<CreditChannel*, kNumPorts> in_credits_{};
 
   // credits_[port*vcs+vc]: free downstream slots.
-  std::vector<int> credits_;
+  PerPortVc<int> credits_{};
   // out_vc_owner_[port*vcs+vc]: owning (input port * vcs + vc), or -1.
-  std::vector<int> out_vc_owner_;
+  PerPortVc<int> out_vc_owner_{};
   int buffered_flits_ = 0;  // flits across all input VC buffers
 
   // Input VCs (bit port*vcs+vc) by state; kIdle VCs are in none.
@@ -251,13 +274,14 @@ class Router {
 
   SeparableAllocator vc_alloc_;
   SeparableAllocator sw_alloc_;
-  std::vector<RoundRobinArbiter> sa_vc_pick_;  // per-input VC selector
+  std::array<RoundRobinArbiter, kNumPorts> sa_vc_pick_;  // per-input VC
+                                                         // selector
 
-  // Cycle-reused pipeline scratch (sized once in the constructor; the
-  // steady-state tick never touches the heap).
-  std::vector<Mask> va_req_;  // per input VC: wanted output VCs; zero
+  // Cycle-reused pipeline scratch (the steady-state tick never touches
+  // the heap).
+  PerPortVc<Mask> va_req_{};  // per input VC: wanted output VCs; zero
                               // outside vc_allocate()
-  std::vector<int> va_grant_;                // per input VC: output VC
+  PerPortVc<int> va_grant_{};                // per input VC: output VC
   std::array<Mask, kNumPorts> sa_req_{};     // per port: wanted output
   std::array<int, kNumPorts> sa_grant_{};    // per port: granted output
   std::array<int, kNumPorts> chosen_vc_{};   // SA stage-1 winner per port

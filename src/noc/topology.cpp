@@ -1,5 +1,7 @@
 #include "noc/topology.hpp"
 
+#include <stdexcept>
+
 namespace lain::noc {
 
 Network::Network(const SimConfig& cfg) : cfg_(cfg) {
@@ -8,15 +10,19 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg) {
   routers_.reserve(static_cast<size_t>(n));
   nics_.reserve(static_cast<size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    routers_.push_back(std::make_unique<Router>(i, cfg));
-    nics_.push_back(std::make_unique<Nic>(i, cfg));
+    routers_.emplace_back(i, cfg);
+    nics_.emplace_back(i, cfg);
   }
   wire_mesh();
 }
 
 Network::Link* Network::make_link(int latency, NodeId source, NodeId owner,
                                   LinkKind kind, Dir dir) {
-  links_.push_back(std::make_unique<Link>(latency));
+  // Growing past the reservation would move every wired link.
+  if (links_.size() == links_.capacity()) {
+    throw std::logic_error("Network: more links than reserved");
+  }
+  links_.emplace_back(latency);
   link_sources_.push_back(source);
   link_owners_.push_back(owner);
   link_kinds_.push_back(kind);
@@ -26,7 +32,7 @@ Network::Link* Network::make_link(int latency, NodeId source, NodeId owner,
              static_cast<size_t>(port(dir))] =
         static_cast<int>(links_.size()) - 1;
   }
-  return links_.back().get();
+  return &links_.back();
 }
 
 int Network::reverse_link(int i) const {
@@ -37,7 +43,15 @@ int Network::reverse_link(int i) const {
 void Network::wire_mesh() {
   const RouteContext ctx = cfg_.route_context();
   const bool torus = cfg_.topology == TopologyKind::kTorus;
-  link_at_.assign(static_cast<size_t>(cfg_.num_nodes()) * 4u, -1);
+  const size_t nodes = static_cast<size_t>(cfg_.num_nodes());
+  const size_t rx = static_cast<size_t>(cfg_.radix_x);
+  const size_t ry = static_cast<size_t>(cfg_.radix_y);
+  // Two NIC links per node, and one link per (router, direction): all
+  // four on a torus, only those inside the edges on a mesh.
+  const size_t router_links =
+      torus ? 4 * nodes : 2 * ((rx - 1) * ry + rx * (ry - 1));
+  links_.reserve(2 * nodes + router_links);
+  link_at_.assign(nodes * 4u, -1);
 
   // Local port: NIC <-> router, latency 1.  Both endpoints are the
   // same node, so these links never cross a shard boundary.
@@ -46,22 +60,21 @@ void Network::wire_mesh() {
     // ej:  router -> NIC flits, NIC -> router credits.
     Link* inj = make_link(1, i, i, LinkKind::kInjection);
     Link* ej = make_link(1, i, i, LinkKind::kEjection);
-    routers_[static_cast<size_t>(i)]->connect_input(Dir::kLocal, &inj->flits,
-                                                    &inj->credits);
-    routers_[static_cast<size_t>(i)]->connect_output(Dir::kLocal, &ej->flits,
-                                                     &ej->credits);
-    nics_[static_cast<size_t>(i)]->connect(&inj->flits, &inj->credits,
-                                           &ej->flits, &ej->credits);
+    Router& r = routers_[static_cast<size_t>(i)];
+    r.connect_input(Dir::kLocal, &inj->flits, &inj->credits);
+    r.connect_output(Dir::kLocal, &ej->flits, &ej->credits);
+    nics_[static_cast<size_t>(i)].connect(&inj->flits, &inj->credits,
+                                          &ej->flits, &ej->credits);
   }
 
   // Inter-router links: one directed link per (router, direction).
   auto connect_pair = [&](NodeId from, Dir out_dir, NodeId to) {
     Link* l =
         make_link(cfg_.link_latency, from, to, LinkKind::kRouter, out_dir);
-    routers_[static_cast<size_t>(from)]->connect_output(out_dir, &l->flits,
-                                                        &l->credits);
-    routers_[static_cast<size_t>(to)]->connect_input(opposite(out_dir),
-                                                     &l->flits, &l->credits);
+    routers_[static_cast<size_t>(from)].connect_output(out_dir, &l->flits,
+                                                       &l->credits);
+    routers_[static_cast<size_t>(to)].connect_input(opposite(out_dir),
+                                                    &l->flits, &l->credits);
   };
 
   for (int y = 0; y < cfg_.radix_y; ++y) {
@@ -105,13 +118,13 @@ void Network::tick_channels() {
 void Network::rc_tag_shards(const std::vector<int>& shard_of) {
   auto shard = [&](NodeId n) { return shard_of.at(static_cast<size_t>(n)); };
   for (NodeId n = 0; n < cfg_.num_nodes(); ++n) {
-    routers_[static_cast<size_t>(n)]->rc_set_owner(shard(n));
-    nics_[static_cast<size_t>(n)]->rc_set_owner(shard(n));
+    routers_[static_cast<size_t>(n)].rc_set_owner(shard(n));
+    nics_[static_cast<size_t>(n)].rc_set_owner(shard(n));
   }
   for (int i = 0; i < num_links(); ++i) {
     const int src = shard(link_source(i));
     const int own = shard(link_owner(i));
-    Link& l = *links_[static_cast<size_t>(i)];
+    Link& l = links_[static_cast<size_t>(i)];
     l.flits.rc_set_owners(src, own, own, static_cast<int>(link_owner(i)),
                           "flit channel");
     l.credits.rc_set_owners(own, src, own, static_cast<int>(link_owner(i)),
@@ -124,8 +137,8 @@ void Network::rc_tag_shards(const std::vector<int>&) {}
 
 int Network::flits_in_flight() const {
   int n = 0;
-  for (const auto& r : routers_) n += r->occupancy();
-  for (const auto& l : links_) n += l->flits.in_flight_count();
+  for (const Router& r : routers_) n += r.occupancy();
+  for (const Link& l : links_) n += l.flits.in_flight_count();
   return n;
 }
 

@@ -1,9 +1,13 @@
 // topology.hpp — fabric construction: routers, NICs and channels
 // wired as a k-ary 2D mesh or torus.
+//
+// Routers, NICs and links are stored by value, each in one block in
+// node / link order, reserved to their exact counts before any is
+// wired: components hold pointers to each other's channels, so none
+// may move once built.
 
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "noc/nic.hpp"
@@ -16,12 +20,12 @@ class Network {
   explicit Network(const SimConfig& cfg);
 
   int num_nodes() const { return cfg_.num_nodes(); }
-  Router& router(NodeId n) { return *routers_.at(static_cast<size_t>(n)); }
+  Router& router(NodeId n) { return routers_.at(static_cast<size_t>(n)); }
   const Router& router(NodeId n) const {
-    return *routers_.at(static_cast<size_t>(n));
+    return routers_.at(static_cast<size_t>(n));
   }
-  Nic& nic(NodeId n) { return *nics_.at(static_cast<size_t>(n)); }
-  const Nic& nic(NodeId n) const { return *nics_.at(static_cast<size_t>(n)); }
+  Nic& nic(NodeId n) { return nics_.at(static_cast<size_t>(n)); }
+  const Nic& nic(NodeId n) const { return nics_.at(static_cast<size_t>(n)); }
 
   // Advances every channel pipeline by one cycle (call after all
   // routers and NICs have ticked).
@@ -31,7 +35,7 @@ class Network {
   // each link exactly once, from the shard owning link_owner(i).
   int num_links() const { return static_cast<int>(links_.size()); }
   LAIN_HOT_PATH LAIN_NO_ALLOC void tick_link(int i) {
-    Link& l = *links_[static_cast<size_t>(i)];
+    Link& l = links_[static_cast<size_t>(i)];
     l.flits.tick();
     l.credits.tick();
   }
@@ -47,7 +51,7 @@ class Network {
     bool wet = false;
   };
   LAIN_HOT_PATH LAIN_NO_ALLOC LinkTickEvents tick_link_ev(int i) {
-    Link& l = *links_[static_cast<size_t>(i)];
+    Link& l = links_[static_cast<size_t>(i)];
     LinkTickEvents ev;
     ev.flit_admitted = l.flits.tick();
     ev.credit_admitted = l.credits.tick();
@@ -59,7 +63,7 @@ class Network {
   // delivery in one call (exchange phase; see Channel::advance_idle
   // for the preconditions the kernel's horizon guarantees).
   LAIN_HOT_PATH LAIN_NO_ALLOC void advance_link_idle(int i, int n) {
-    Link& l = *links_[static_cast<size_t>(i)];
+    Link& l = links_[static_cast<size_t>(i)];
     l.flits.advance_idle(n);
     l.credits.advance_idle(n);
   }
@@ -105,10 +109,10 @@ class Network {
   // Fault-surgery channel access (stop-the-world, between steps only;
   // see Channel::fault_purge).
   FlitChannel& link_flits(int i) {
-    return links_.at(static_cast<size_t>(i))->flits;
+    return links_.at(static_cast<size_t>(i)).flits;
   }
   CreditChannel& link_credits(int i) {
-    return links_.at(static_cast<size_t>(i))->credits;
+    return links_.at(static_cast<size_t>(i)).credits;
   }
 
   // Flits resident anywhere in the fabric (buffers + channels).
@@ -125,16 +129,22 @@ class Network {
   void rc_tag_shards(const std::vector<int>& shard_of);
 
  private:
+  // Never copied; movable only so std::vector can hold it (see the
+  // file comment).
   struct Link {
     FlitChannel flits;
     CreditChannel credits;
-    Link(int latency) : flits(latency), credits(latency) {}
+    explicit Link(int latency) : flits(latency), credits(latency) {}
+    Link(const Link&) = delete;
+    Link& operator=(const Link&) = delete;
+    Link(Link&&) = default;
+    Link& operator=(Link&&) = delete;
   };
 
   SimConfig cfg_;
-  std::vector<std::unique_ptr<Router>> routers_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<Router> routers_;
+  std::vector<Nic> nics_;
+  std::vector<Link> links_;
   std::vector<NodeId> link_owners_;   // consuming endpoint per link
   std::vector<NodeId> link_sources_;  // producing endpoint per link
   std::vector<LinkKind> link_kinds_;  // what each endpoint is

@@ -23,6 +23,9 @@ enum class Dir : std::int8_t {
 };
 
 inline constexpr int kNumPorts = 5;
+// VCs per port: a router allocates over one 64-bit mask of its
+// kNumPorts x VCs input VCs (SimConfig::validate enforces the cap).
+inline constexpr int kMaxVcs = 12;
 
 constexpr int port(Dir d) { return static_cast<int>(d); }
 constexpr Dir opposite(Dir d) {

@@ -1,5 +1,7 @@
 #include "power/router_power.hpp"
 
+#include "power/repeated_add.hpp"
+
 namespace lain::power {
 
 RouterPower::RouterPower(const RouterPowerConfig& cfg,
@@ -30,17 +32,9 @@ ActivityState RouterPower::tick(const RouterCycleEvents& ev) {
 void RouterPower::idle_cycles(std::int64_t n) {
   if (n <= 0) return;
   cycles_ += n;
-  double buffer = buffer_energy_j_;
-  double arbiter = arbiter_energy_j_;
-  double link = link_energy_j_;
-  for (std::int64_t i = 0; i < n; ++i) {
-    buffer += buffer_leak_j_;
-    arbiter += arbiter_leak_j_;
-    link += link_leak_j_;
-  }
-  buffer_energy_j_ = buffer;
-  arbiter_energy_j_ = arbiter;
-  link_energy_j_ = link;
+  buffer_energy_j_ = repeated_add(buffer_energy_j_, buffer_leak_j_, n);
+  arbiter_energy_j_ = repeated_add(arbiter_energy_j_, arbiter_leak_j_, n);
+  link_energy_j_ = repeated_add(link_energy_j_, link_leak_j_, n);
   xbar_.idle_cycles(n);
 }
 

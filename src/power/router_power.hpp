@@ -46,8 +46,8 @@ class RouterPower {
   // tick(RouterCycleEvents{}) calls would.  An event-free tick adds
   // (0 * E + ...) + L to each account, where L is the leakage term
   // below; for finite event energies E that sum is L bit for bit, so
-  // the batch adds L once per cycle, in order (n * L would round
-  // differently), and the crossbar batches its own accounts.
+  // the batch adds L n times in sequence (repeated_add; n * L would
+  // round differently), and the crossbar batches its own accounts.
   void idle_cycles(std::int64_t n);
 
   bool xbar_ready() const { return xbar_.can_traverse(); }

@@ -1,5 +1,7 @@
 #include "power/sleep_controller.hpp"
 
+#include "power/repeated_add.hpp"
+
 #include <algorithm>
 #include <cmath>
 
@@ -92,18 +94,10 @@ void SleepController::idle_cycles(std::int64_t n) {
     }
   }
   standby_cycles_ += n - idle;
-  double reference = ungated_reference_j_;
-  double leakage = leakage_energy_j_;
-  for (std::int64_t i = 0; i < idle; ++i) {
-    reference += idle_leak_j_;
-    leakage += idle_leak_j_;
-  }
-  for (std::int64_t i = idle; i < n; ++i) {
-    reference += idle_leak_j_;
-    leakage += standby_leak_j_;
-  }
-  ungated_reference_j_ = reference;
-  leakage_energy_j_ = leakage;
+  ungated_reference_j_ = repeated_add(ungated_reference_j_, idle_leak_j_, n);
+  leakage_energy_j_ = repeated_add(
+      repeated_add(leakage_energy_j_, idle_leak_j_, idle), standby_leak_j_,
+      n - idle);
 }
 
 SleepPolicy breakeven_policy(const GatedBlockCosts& costs,

@@ -53,8 +53,9 @@ class SleepController {
   // n tick(false) calls would.  The state machine moves in closed
   // form: idle cycles until the run reaches the threshold, the gating
   // transition, then standby.  Each energy accumulator adds the same
-  // per-cycle constant tick() adds, once per cycle and in order, so
-  // the sums are bit-identical (n * constant would round differently).
+  // per-cycle constant tick() adds, n times in sequence
+  // (repeated_add), so the sums are bit-identical (n * constant would
+  // round differently).
   void idle_cycles(std::int64_t n);
 
   bool is_gated() const { return gated_; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace lain::noc {
 namespace {
 
@@ -12,8 +14,22 @@ Flit make_flit(FlitType t, PacketId id = 1) {
   return f;
 }
 
+// The flit block and VC buffers a router would own for one input port
+// of `vcs` VCs, each `depth` flits deep.
+struct PortStorage {
+  PortStorage(int vcs, int depth)
+      : slots(static_cast<std::size_t>(vcs * depth)) {
+    for (int v = 0; v < vcs; ++v) {
+      buffers.emplace_back(&slots[v * depth], depth);
+    }
+  }
+  std::vector<Flit> slots;
+  std::vector<VcBuffer> buffers;
+};
+
 TEST(VcBuffer, FifoOrder) {
-  VcBuffer b(4);
+  PortStorage storage(1, 4);
+  VcBuffer& b = storage.buffers[0];
   EXPECT_TRUE(b.empty());
   b.push(make_flit(FlitType::kHead, 1));
   b.push(make_flit(FlitType::kTail, 2));
@@ -28,7 +44,8 @@ TEST(VcBuffer, FifoOrder) {
 // runtime conditions), observable only in builds with asserts armed.
 #ifndef NDEBUG
 TEST(VcBufferDeathTest, OverflowAsserted) {
-  VcBuffer b(2);
+  PortStorage storage(1, 2);
+  VcBuffer& b = storage.buffers[0];
   b.push(make_flit(FlitType::kHead));
   b.push(make_flit(FlitType::kBody));
   EXPECT_TRUE(b.full());
@@ -36,18 +53,21 @@ TEST(VcBufferDeathTest, OverflowAsserted) {
 }
 
 TEST(VcBufferDeathTest, EmptyAccessAsserted) {
-  VcBuffer b(2);
+  PortStorage storage(1, 2);
+  VcBuffer& b = storage.buffers[0];
   EXPECT_DEATH(b.front(), "empty VC buffer");
   EXPECT_DEATH(b.pop(), "empty VC buffer");
 }
 #endif
 
 TEST(VcBuffer, BadCapacityThrows) {
-  EXPECT_THROW(VcBuffer(0), std::invalid_argument);
+  Flit slot;
+  EXPECT_THROW(VcBuffer(&slot, 0), std::invalid_argument);
 }
 
 TEST(InputPort, OccupancyAcrossVcs) {
-  InputPort port(3, 4);
+  PortStorage storage(3, 4);
+  InputPort port(storage.buffers.data(), 3);
   EXPECT_EQ(port.num_vcs(), 3);
   port.vc(0).push(make_flit(FlitType::kHead));
   port.vc(2).push(make_flit(FlitType::kHead));
@@ -56,7 +76,8 @@ TEST(InputPort, OccupancyAcrossVcs) {
 }
 
 TEST(InputPort, StateMachineFields) {
-  InputPort port(1, 4);
+  PortStorage storage(1, 4);
+  InputPort port(storage.buffers.data(), 1);
   EXPECT_EQ(port.vc(0).state, VcState::kIdle);
   port.vc(0).state = VcState::kActive;
   port.vc(0).out_port = 3;
