@@ -25,9 +25,9 @@
 #pragma once
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "core/contracts.hpp"
 #include "noc/flit.hpp"
@@ -37,13 +37,11 @@ namespace lain::noc {
 template <typename T>
 class Channel {
  public:
-  explicit Channel(int latency_cycles = 1)
-      : latency_(latency_cycles),
-        slots_(static_cast<size_t>(latency_cycles < 1 ? 0
-                                                      : latency_cycles + 1)) {
+  explicit Channel(int latency_cycles = 1) : latency_(latency_cycles) {
     if (latency_cycles < 1) {
       throw std::invalid_argument("channel latency must be >= 1");
     }
+    slots_ = std::make_unique<Slot[]>(static_cast<size_t>(capacity()));
   }
 
   // Producer side (at most one item per cycle).  Double-send means the
@@ -52,8 +50,9 @@ class Channel {
   LAIN_HOT_PATH LAIN_NO_ALLOC void send(const T& item) {
     rc_producer("Channel::send");
     LAIN_SHARD_PHASE(component);
-    assert(!staged_.has_value() && "channel accepts one item per cycle");
+    assert(!staged_full_ && "channel accepts one item per cycle");
     staged_ = item;
+    staged_full_ = true;
   }
 
   // Consumer side: item that has completed traversal, if any.
@@ -76,14 +75,14 @@ class Channel {
     rc_exchange("Channel::tick");
     LAIN_SHARD_PHASE(exchange);
     ++ticks_;
-    if (staged_.has_value()) {
+    if (staged_full_) {
       assert(count_ < capacity() &&
              "channel pipe overflow (consumer stopped draining)");
       int tail = head_ + count_;
       if (tail >= capacity()) tail -= capacity();
-      slots_[static_cast<size_t>(tail)] = Slot{*staged_, ticks_ + latency_ - 1};
+      slots_[static_cast<size_t>(tail)] = Slot{staged_, ticks_ + latency_ - 1};
       ++count_;
-      staged_.reset();
+      staged_full_ = false;
       return true;
     }
     return false;
@@ -99,7 +98,7 @@ class Channel {
   LAIN_HOT_PATH LAIN_NO_ALLOC void advance_idle(int n) {
     rc_exchange("Channel::advance_idle");
     LAIN_SHARD_PHASE(exchange);
-    assert(!staged_.has_value() &&
+    assert(!staged_full_ &&
            "advance_idle with a staged item (missed exchange tick)");
     assert((count_ == 0 ||
             slots_[static_cast<size_t>(head_)].ready - ticks_ >= n) &&
@@ -159,7 +158,7 @@ class Channel {
       if (idx >= capacity()) idx -= capacity();
       fn(slots_[static_cast<size_t>(idx)].item);
     }
-    if (staged_.has_value()) fn(*staged_);
+    if (staged_full_) fn(staged_);
   }
 
   // Removes every item matching `pred` from the pipe (and the staging
@@ -183,8 +182,8 @@ class Channel {
       ++kept;
     }
     count_ = kept;
-    if (staged_.has_value() && pred(*staged_)) {
-      staged_.reset();
+    if (staged_full_ && pred(staged_)) {
+      staged_full_ = false;
       ++removed;
     }
     return removed;
@@ -196,11 +195,11 @@ class Channel {
   // is not published until the exchange phase).
   bool in_flight() const {
     rc_staging("Channel::in_flight");
-    return count_ > 0 || staged_.has_value();
+    return count_ > 0 || staged_full_;
   }
   int in_flight_count() const {
     rc_staging("Channel::in_flight_count");
-    return count_ + (staged_.has_value() ? 1 : 0);
+    return count_ + (staged_full_ ? 1 : 0);
   }
   int latency() const { return latency_; }
 
@@ -230,7 +229,7 @@ class Channel {
     T item;
     Cycle ready;  // first value of ticks_ at which item is receivable
   };
-  int capacity() const { return static_cast<int>(slots_.size()); }
+  int capacity() const { return latency_ + 1; }
 
 #if LAIN_RACECHECK
   void rc_producer(const char* op) const {
@@ -253,12 +252,14 @@ class Channel {
   void rc_staging(const char*) const {}
 #endif
 
+  // What a tick reads sits in the first 32 bytes.
+  Cycle ticks_ = 0;                 // exchange ticks so far, skips included
+  std::unique_ptr<Slot[]> slots_;   // fixed ring storage, latency_ + 1 slots
   int latency_;
-  int head_ = 0;             // index of the oldest in-pipe item
-  int count_ = 0;            // items in the pipe (excludes staged_)
-  Cycle ticks_ = 0;          // exchange ticks so far, skips included
-  std::vector<Slot> slots_;  // fixed ring storage, latency_ + 1 slots
-  std::optional<T> staged_;
+  int head_ = 0;                    // index of the oldest in-pipe item
+  int count_ = 0;                   // items in the pipe (excludes staged_)
+  bool staged_full_ = false;        // staged_ holds this cycle's send
+  T staged_{};
 };
 
 using FlitChannel = Channel<Flit>;

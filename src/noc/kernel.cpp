@@ -422,7 +422,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::skip_shard_channels(
   // Wet links surviving into a skip carry only boundary credits (a
   // wet flit pipe keeps its consumer active, which pins the horizon
   // at now_), and their consumer's shard bounded the global horizon,
-  // so d never reaches a delivery: remaining fits int.
+  // so d never reaches a delivery and fits int.
   const int n = static_cast<int>(d);
   for (std::size_t i = 0; i < sh.wet_count; ++i) {
     net_.advance_link_idle(sh.wet_links[i], n);

@@ -16,16 +16,17 @@ int vc_class_of(int vc, int vcs) { return (vc < vcs / 2) ? 0 : 1; }
 
 Router::Router(NodeId id, const SimConfig& cfg)
     : id_(id),
-      cfg_(cfg),
+      num_vcs_(cfg.vcs),
+      depth_(cfg.vc_depth_flits),
       ctx_(cfg.route_context()),
       flit_slots_(static_cast<size_t>(kNumPorts) *
                   static_cast<size_t>(cfg.vcs) *
                   static_cast<size_t>(cfg.vc_depth_flits)),
-      vc_alloc_(kNumPorts * cfg.vcs, kNumPorts * cfg.vcs),
-      sw_alloc_(kNumPorts, kNumPorts),
       sa_vc_pick_{RoundRobinArbiter(cfg.vcs), RoundRobinArbiter(cfg.vcs),
                   RoundRobinArbiter(cfg.vcs), RoundRobinArbiter(cfg.vcs),
-                  RoundRobinArbiter(cfg.vcs)} {
+                  RoundRobinArbiter(cfg.vcs)},
+      vc_alloc_(kNumPorts * cfg.vcs, kNumPorts * cfg.vcs),
+      sw_alloc_(kNumPorts, kNumPorts) {
   static_assert(kNumPorts == 5, "one VC selector per port above");
   const int port_vcs = kNumPorts * cfg.vcs;
   vcs_.reserve(static_cast<size_t>(port_vcs));
@@ -145,7 +146,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::receive() {
       // A credit beyond the downstream depth means the flow-control
       // invariant broke; Debug/sanitizer builds stop here, Release
       // hot builds do not pay for the check on every credit.
-      assert(credits_[pv(p, c->vc)] <= cfg_.vc_depth_flits &&
+      assert(credits_[pv(p, c->vc)] <= depth_ &&
              "credit overflow (flow-control bug)");
     }
   }
@@ -218,8 +219,8 @@ bool Router::vc_admissible(int in_port, int in_vc, int out_port,
     const VcBuffer& vcb = vcs_[pv(in_port, in_vc)];
     if (vcb.route_class != 0) return out_vc == esc;
     if (out_vc == esc) return false;
-    if (cfg_.topology != TopologyKind::kTorus) return true;
-    const int eff = cfg_.vcs - 1;
+    if (ctx_.topology != TopologyKind::kTorus) return true;
+    const int eff = num_vcs_ - 1;
     const int cur_class =
         (in_port == port(Dir::kLocal)) ? 0 : vc_class_of(in_vc, eff);
     const bool crossing =
@@ -227,22 +228,22 @@ bool Router::vc_admissible(int in_port, int in_vc, int out_port,
     const int next_class = (cur_class == 1 || crossing) ? 1 : cur_class;
     return vc_class_of(out_vc, eff) == next_class;
   }
-  if (cfg_.topology != TopologyKind::kTorus) return true;
+  if (ctx_.topology != TopologyKind::kTorus) return true;
   if (out_port == port(Dir::kLocal)) return true;
   // Dateline rule: class may only move 0 -> 1 at the wrap crossing and
   // never back.  Freshly injected packets (local input) start at 0.
   const int cur_class =
-      (in_port == port(Dir::kLocal)) ? 0 : vc_class_of(in_vc, cfg_.vcs);
+      (in_port == port(Dir::kLocal)) ? 0 : vc_class_of(in_vc, num_vcs_);
   const bool crossing =
       crosses_dateline(id_, static_cast<Dir>(out_port), ctx_);
   const int next_class = (cur_class == 1 || crossing) ? 1 : cur_class;
-  return vc_class_of(out_vc, cfg_.vcs) == next_class;
+  return vc_class_of(out_vc, num_vcs_) == next_class;
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void Router::vc_allocate() {
   // Most cycles no VC is waiting for an output VC.
   if (waiting_ == 0) return;
-  const int vcs = cfg_.vcs;
+  const int vcs = num_vcs_;
   bool any = false;
   for (int p = 0; p < kNumPorts; ++p) {
     for (Mask m = port_vcs(waiting_, p); m != 0; m &= m - 1) {
@@ -365,7 +366,7 @@ PacketId Router::fault_out_vc_owner_packet(int out_port, int vc) const {
 void Router::fault_for_each_flit(
     const std::function<void(const Flit&)>& fn) const {
   for (int p = 0; p < kNumPorts; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
+    for (int v = 0; v < num_vcs_; ++v) {
       const VcBuffer& vcb = vcs_[pv(p, v)];
       for (int i = 0; i < vcb.size(); ++i) fn(vcb.peek(i));
     }
@@ -375,7 +376,7 @@ void Router::fault_for_each_flit(
 int Router::fault_purge(const std::function<bool(PacketId)>& lost) {
   int total = 0;
   for (int p = 0; p < kNumPorts; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
+    for (int v = 0; v < num_vcs_; ++v) {
       VcBuffer& vcb = vcs_[pv(p, v)];
       const bool resident_lost = vcb.packet >= 0 && lost(vcb.packet);
       const int removed = vcb.remove_packets(lost);

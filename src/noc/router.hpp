@@ -151,7 +151,7 @@ class Router {
   const RouterEvents& last_events() const { return events_; }
   const CrossbarActivity& activity() const { return activity_; }
   int credits(int out_port, int vc) const {
-    if (out_port < 0 || out_port >= kNumPorts || vc < 0 || vc >= cfg_.vcs) {
+    if (out_port < 0 || out_port >= kNumPorts || vc < 0 || vc >= num_vcs_) {
       throw std::out_of_range("Router::credits: no such output VC");
     }
     return credits_[pv(out_port, vc)];
@@ -229,68 +229,68 @@ class Router {
   // Moves input VC (port, vc) to `s`, keeping the state masks in step.
   void set_state(VcBuffer& vcb, int port, int vc, VcState s);
   size_t pv(int port, int vc) const {
-    return static_cast<size_t>(port) * static_cast<size_t>(cfg_.vcs) +
+    return static_cast<size_t>(port) * static_cast<size_t>(num_vcs_) +
            static_cast<size_t>(vc);
   }
   // The VCs of `port` within a port*vcs+vc mask, as a per-VC mask.
   Mask port_vcs(Mask m, int port) const {
-    return (m >> (port * cfg_.vcs)) & low_mask(cfg_.vcs);
+    return (m >> (port * num_vcs_)) & low_mask(num_vcs_);
   }
 
   // Per-VC tables are indexed port*vcs+vc (pv); only the first
-  // kNumPorts * cfg_.vcs entries are used.
+  // kNumPorts * num_vcs_ entries are used.
   static constexpr std::size_t kMaxPortVcs =
       static_cast<std::size_t>(kNumPorts) * kMaxVcs;
   template <typename T>
   using PerPortVc = std::array<T, kMaxPortVcs>;
 
+  // Members are ordered by how often a cycle touches them: the idle
+  // probe and the pipeline's scalars first, the per-VC tables after,
+  // the allocators' state and the cold views last.
   NodeId id_;
-  SimConfig cfg_;
-  RouteContext ctx_;
-
-  // Input VC pv(port, vc) is vcs_[pv], a ring over its
-  // vc_depth_flits-slot slice of flit_slots_; inputs_[port] views the
-  // port's VCs.
-  std::vector<Flit> flit_slots_;
-  std::vector<VcBuffer> vcs_;
-  std::array<InputPort, kNumPorts> inputs_;
-  std::array<FlitChannel*, kNumPorts> in_flits_{};
-  std::array<CreditChannel*, kNumPorts> out_credits_{};
-  std::array<FlitChannel*, kNumPorts> out_flits_{};
-  std::array<CreditChannel*, kNumPorts> in_credits_{};
-
-  // credits_[port*vcs+vc]: free downstream slots.
-  PerPortVc<int> credits_{};
-  // out_vc_owner_[port*vcs+vc]: owning (input port * vcs + vc), or -1.
-  PerPortVc<int> out_vc_owner_{};
+  int num_vcs_;  // VCs per port
+  int depth_;    // flits per VC buffer
   int buffered_flits_ = 0;  // flits across all input VC buffers
-
   // Input VCs (bit port*vcs+vc) by state; kIdle VCs are in none.
   Mask routing_ = 0;  // kRouting: head awaits route compute
   Mask waiting_ = 0;  // kWaitingVc: routed, awaits an output VC
   Mask active_ = 0;   // kActive: owns an output VC
   // Output VCs (bit port*vcs+vc) owned by an input VC.
   Mask owned_ = 0;
+  std::array<FlitChannel*, kNumPorts> in_flits_{};
+  std::array<CreditChannel*, kNumPorts> in_credits_{};
+  PowerHook* power_hook_ = nullptr;
+  RouterEvents events_;
+  CrossbarActivity activity_;
+  std::array<FlitChannel*, kNumPorts> out_flits_{};
+  std::array<CreditChannel*, kNumPorts> out_credits_{};
+  const FaultRoutingTable* fault_table_ = nullptr;
+  FlitTraceRing* trace_ = nullptr;
+  RouteContext ctx_;
 
-  SeparableAllocator vc_alloc_;
-  SeparableAllocator sw_alloc_;
-  std::array<RoundRobinArbiter, kNumPorts> sa_vc_pick_;  // per-input VC
-                                                         // selector
+  // Input VC pv(port, vc) is vcs_[pv], a ring over its depth_-slot
+  // slice of flit_slots_.
+  std::vector<VcBuffer> vcs_;
+  std::vector<Flit> flit_slots_;
 
   // Cycle-reused pipeline scratch (the steady-state tick never touches
   // the heap).
-  PerPortVc<Mask> va_req_{};  // per input VC: wanted output VCs; zero
-                              // outside vc_allocate()
-  PerPortVc<int> va_grant_{};                // per input VC: output VC
   std::array<Mask, kNumPorts> sa_req_{};     // per port: wanted output
   std::array<int, kNumPorts> sa_grant_{};    // per port: granted output
   std::array<int, kNumPorts> chosen_vc_{};   // SA stage-1 winner per port
+  std::array<RoundRobinArbiter, kNumPorts> sa_vc_pick_;  // per-input VC
+                                                         // selector
+  // credits_[port*vcs+vc]: free downstream slots.
+  PerPortVc<int> credits_{};
+  // out_vc_owner_[port*vcs+vc]: owning (input port * vcs + vc), or -1.
+  PerPortVc<int> out_vc_owner_{};
+  PerPortVc<Mask> va_req_{};  // per input VC: wanted output VCs; zero
+                              // outside vc_allocate()
+  PerPortVc<int> va_grant_{};  // per input VC: output VC
 
-  PowerHook* power_hook_ = nullptr;
-  const FaultRoutingTable* fault_table_ = nullptr;
-  FlitTraceRing* trace_ = nullptr;
-  RouterEvents events_;
-  CrossbarActivity activity_;
+  SeparableAllocator vc_alloc_;
+  SeparableAllocator sw_alloc_;
+  std::array<InputPort, kNumPorts> inputs_;  // views over vcs_, by port
 #if LAIN_RACECHECK
   contracts::OwnerTag rc_tag_;
 #endif

@@ -130,8 +130,9 @@ class Network {
 
  private:
   // Never copied; movable only so std::vector can hold it (see the
-  // file comment).
-  struct Link {
+  // file comment).  Cache-line aligned, so links owned by different
+  // shards never share a line.
+  struct alignas(64) Link {
     FlitChannel flits;
     CreditChannel credits;
     explicit Link(int latency) : flits(latency), credits(latency) {}
