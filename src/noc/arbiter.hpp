@@ -79,11 +79,11 @@ class MatrixArbiter final : public Arbiter {
   int num_inputs() const override { return inputs_; }
 
  private:
+  int inputs_;
   // rank_[i]: input i's place in the priority order, 0 = highest.
   // Bytes at and past inputs_ stay 0, so the word-wide update leaves
   // them alone.
   alignas(8) std::array<std::uint8_t, kMaxRequesters> rank_{};
-  int inputs_;
 };
 
 LAIN_HOT_PATH LAIN_NO_ALLOC inline int RoundRobinArbiter::arbitrate(

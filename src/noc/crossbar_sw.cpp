@@ -2,21 +2,6 @@
 
 namespace lain::noc {
 
-void CrossbarActivity::record(int active_outputs) {
-  ++cycles_;
-  if (active_outputs > 0) {
-    busy_cycles_++;
-    traversals_ += active_outputs;
-    if (idle_run_ > 0) {
-      idle_runs_.add(idle_run_);
-      idle_run_ = 0;
-    }
-  } else {
-    ++idle_run_;
-    ++idle_cycles_;
-  }
-}
-
 void CrossbarActivity::record_idle(std::int64_t n) {
   // n consecutive record(0) calls, collapsed: pure integer adds, so
   // the batched form is exactly equal, and the open idle run keeps

@@ -16,7 +16,20 @@ namespace lain::noc {
 class CrossbarActivity {
  public:
   // Records one cycle with `active_outputs` ports traversing flits.
-  void record(int active_outputs);
+  void record(int active_outputs) {
+    ++cycles_;
+    if (active_outputs > 0) {
+      busy_cycles_++;
+      traversals_ += active_outputs;
+      if (idle_run_ > 0) {
+        idle_runs_.add(idle_run_);
+        idle_run_ = 0;
+      }
+    } else {
+      ++idle_run_;
+      ++idle_cycles_;
+    }
+  }
 
   // Records n consecutive idle cycles at once (cycle skipping);
   // exactly equivalent to n record(0) calls.

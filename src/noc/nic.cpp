@@ -5,7 +5,11 @@
 
 namespace lain::noc {
 
-Nic::Nic(NodeId node, const SimConfig& cfg) : node_(node), cfg_(cfg) {
+Nic::Nic(NodeId node, const SimConfig& cfg)
+    : node_(node),
+      vcs_(cfg.vcs),
+      depth_(cfg.vc_depth_flits),
+      packet_length_(cfg.packet_length_flits) {
   std::fill_n(credits_.begin(), cfg.vcs, cfg.vc_depth_flits);
   // The eject channel delivers at most one tail per cycle in steady
   // state, so a small reservation keeps tick() allocation-free.
@@ -26,7 +30,7 @@ void Nic::source_packet(NodeId dst, Cycle now, PacketId id) {
 
 void Nic::source_packet(NodeId dst, Cycle now, PacketId id, Cycle created) {
   (void)now;
-  const int len = cfg_.packet_length_flits;
+  const int len = packet_length_;
   for (int i = 0; i < len; ++i) {
     Flit f;
     if (len == 1) {
@@ -69,7 +73,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   // Debug/sanitizer builds, free in Release hot builds.
   while (auto c = credit_in_->receive()) {
     ++credits_[static_cast<size_t>(c->vc)];
-    assert(credits_[static_cast<size_t>(c->vc)] <= cfg_.vc_depth_flits &&
+    assert(credits_[static_cast<size_t>(c->vc)] <= depth_ &&
            "NIC credit overflow");
   }
 
@@ -93,15 +97,15 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   if (f.is_head()) {
     // New packet: pick a VC with a full buffer's worth of headroom to
     // avoid interleaving packets on one VC (round-robin start).
-    for (int i = 0; i < cfg_.vcs; ++i) {
-      const int cand = (next_vc_ + i) % cfg_.vcs;
+    for (int i = 0; i < vcs_; ++i) {
+      const int cand = (next_vc_ + i) % vcs_;
       if (credits_[static_cast<size_t>(cand)] > 0) {
         vc = cand;
         break;
       }
     }
     if (vc < 0) return;  // no credit anywhere
-    next_vc_ = (vc + 1) % cfg_.vcs;
+    next_vc_ = (vc + 1) % vcs_;
     open_vc_ = vc;
   } else {
     vc = open_vc_;

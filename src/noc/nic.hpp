@@ -115,21 +115,24 @@ class Nic {
   void rc_check_mutation(const char*) const {}
 #endif
 
-  NodeId node_;
-  SimConfig cfg_;
-  std::deque<Flit> queue_;  // flit-segmented source queue
-  std::array<int, kMaxVcs> credits_{};  // per-VC credits toward the router
-  int next_vc_ = 0;
-  int open_vc_ = -1;  // VC carrying the packet currently being injected
+  // What tick()'s idle early-out reads comes first.
   bool killed_ = false;  // router-kill: never ticks again
-  FlitChannel* inject_out_ = nullptr;
+  NodeId node_;
+  std::deque<Flit> queue_;  // flit-segmented source queue
+  std::vector<Ejection> completions_;
   CreditChannel* credit_in_ = nullptr;
   FlitChannel* eject_in_ = nullptr;
+  FlitChannel* inject_out_ = nullptr;
   CreditChannel* credit_out_ = nullptr;
+  int vcs_;
+  int depth_;          // flits per router VC buffer
+  int packet_length_;  // flits per packet
+  int next_vc_ = 0;
+  int open_vc_ = -1;  // VC carrying the packet currently being injected
+  std::array<int, kMaxVcs> credits_{};  // per-VC credits toward the router
   std::int64_t flits_injected_ = 0;
   std::int64_t flits_ejected_ = 0;
   std::int64_t packets_ejected_ = 0;
-  std::vector<Ejection> completions_;
 };
 
 }  // namespace lain::noc

@@ -284,7 +284,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
   // Pick one candidate VC per input port among its active VCs with a
   // flit and a downstream credit, then allocate ports.
   bool demand = false;
-  for (int p = 0; p < kNumPorts; ++p) {
+  for (int p = 0; active_ != 0 && p < kNumPorts; ++p) {
     Mask cand = 0;
     for (Mask m = port_vcs(active_, p); m != 0; m &= m - 1) {
       const int v = lowest_bit(m);
