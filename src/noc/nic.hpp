@@ -26,8 +26,9 @@ namespace lain::noc {
 class Nic {
  public:
   Nic(NodeId node, const SimConfig& cfg);
-  // Never copied: like Router, it moves only so std::vector can hold
-  // it, and the network reserves its NICs before wiring.
+  // Never copied: a copy would drive the same channels.  Like Router,
+  // it moves only so std::vector can hold it, and the network reserves
+  // its NICs before wiring.
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
   Nic(Nic&&) = default;

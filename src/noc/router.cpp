@@ -29,12 +29,10 @@ Router::Router(NodeId id, const SimConfig& cfg)
       sw_alloc_(kNumPorts, kNumPorts) {
   static_assert(kNumPorts == 5, "one VC selector per port above");
   const int port_vcs = kNumPorts * cfg.vcs;
+  const int depth = cfg.vc_depth_flits;
   vcs_.reserve(static_cast<size_t>(port_vcs));
   for (int i = 0; i < port_vcs; ++i) {
-    vcs_.emplace_back(flit_slots_.data() + static_cast<size_t>(i) *
-                                               static_cast<size_t>(
-                                                   cfg.vc_depth_flits),
-                      cfg.vc_depth_flits);
+    vcs_.emplace_back(&flit_slots_[static_cast<size_t>(i * depth)], depth);
   }
   for (int p = 0; p < kNumPorts; ++p) {
     inputs_[static_cast<size_t>(p)] = InputPort(&vcs_[pv(p, 0)], cfg.vcs);
@@ -48,14 +46,14 @@ Router::Router(NodeId id, const SimConfig& cfg)
 
 void Router::connect_input(Dir d, FlitChannel* flits_in,
                            CreditChannel* credits_out) {
-  in_flits_[static_cast<size_t>(port(d))] = flits_in;
-  out_credits_[static_cast<size_t>(port(d))] = credits_out;
+  in_flits_.at(static_cast<size_t>(port(d))) = flits_in;
+  out_credits_.at(static_cast<size_t>(port(d))) = credits_out;
 }
 
 void Router::connect_output(Dir d, FlitChannel* flits_out,
                             CreditChannel* credits_in) {
-  out_flits_[static_cast<size_t>(port(d))] = flits_out;
-  in_credits_[static_cast<size_t>(port(d))] = credits_in;
+  out_flits_.at(static_cast<size_t>(port(d))) = flits_out;
+  in_credits_.at(static_cast<size_t>(port(d))) = credits_in;
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC bool Router::quiescent() const {

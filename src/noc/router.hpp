@@ -90,9 +90,10 @@ class Router {
   // The config is validated once at fabric construction (Network /
   // SimConfig::validate), not per router.
   Router(NodeId id, const SimConfig& cfg);
-  // Channels and the fault layer hold pointers into a router, so it is
-  // never copied.  It moves only so std::vector can hold it: the
-  // network reserves its routers before wiring, so none moves after.
+  // Never copied: a copy would consume the same channels, and its VC
+  // views would point into the original's blocks.  It moves only so
+  // std::vector can hold it; the network reserves its routers before
+  // wiring, so none moves after.
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
   Router(Router&&) = default;
