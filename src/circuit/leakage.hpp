@@ -42,7 +42,6 @@ class NodeVoltages {
   void set(NodeId node, double voltage_v);
   void set_logic(NodeId node, bool high);
   double get(NodeId node) const { return v_.at(static_cast<size_t>(node)); }
-  bool is_set(NodeId node) const { return get(node) >= 0.0; }
 
   std::vector<double>& raw() { return v_; }
   const std::vector<double>& raw() const { return v_; }

@@ -37,7 +37,6 @@ class RCTree {
 
   int node_count() const { return static_cast<int>(parent_.size()); }
   double total_cap_f() const;
-  double node_cap_f(int node) const { return cap_[static_cast<size_t>(node)]; }
 
   // Elmore time constant from a virtual driver with resistance
   // `rdrv_ohm` at the root to `target` (seconds).

@@ -50,13 +50,13 @@ std::unique_ptr<noc::SimKernel> make_kernel(noc::SimConfig cfg,
 // nothing reads a flit trace, so none is kept.  Returns the streamer
 // so the caller can finish() it.
 std::optional<telemetry::MetricsStreamer> attach_telemetry(
-    noc::SimKernel& kernel, PoweredNoc* power, const noc::SimConfig& cfg,
-    const std::string& scheme, bool gating, const TelemetryOptions& t) {
+    noc::SimKernel& kernel, PoweredNoc* power, const std::string& scheme,
+    bool gating, const TelemetryOptions& t) {
   if (t.sink != nullptr) {
     return std::optional<telemetry::MetricsStreamer>(
         std::in_place, kernel, power, t.sink,
-        telemetry::make_manifest(cfg, kernel, scheme, gating,
-                                 t.metrics_window, t.trace_flits));
+        telemetry::make_manifest(kernel, scheme, gating, t.metrics_window,
+                                 t.trace_flits));
   }
   if (t.metrics_window > 0) kernel.set_metrics_window(t.metrics_window);
   return std::nullopt;
@@ -110,12 +110,11 @@ void install_window_control(noc::SimKernel& kernel,
 // returns its stats.  A cancel flag already set skips the run, which
 // then reports canceled with empty stats.
 noc::SimStats run_observed(noc::SimKernel& kernel, PoweredNoc* power,
-                           const noc::SimConfig& cfg,
                            const std::string& scheme, bool gating,
                            const TelemetryOptions& t,
                            const CharacterizationCache& cache) {
   std::optional<telemetry::MetricsStreamer> streamer =
-      attach_telemetry(kernel, power, cfg, scheme, gating, t);
+      attach_telemetry(kernel, power, scheme, gating, t);
   install_window_control(kernel, t);
   noc::SimStats stats;
   if (t.cancel != nullptr && t.cancel->load(std::memory_order_relaxed)) {
@@ -202,9 +201,8 @@ NocRunResult LainContext::run_noc(const NocRunSpec& spec) {
   PoweredNoc powered(net, pcfg,
                      characterization(pcfg.xbar_spec, pcfg.scheme));
   const noc::SimStats stats = run_observed(
-      *kernel, &powered, spec.sim,
-      std::string(xbar::scheme_name(spec.scheme)), spec.enable_gating,
-      spec.telemetry, cache_);
+      *kernel, &powered, std::string(xbar::scheme_name(spec.scheme)),
+      spec.enable_gating, spec.telemetry, cache_);
 
   NocRunResult r;
   r.scheme = spec.scheme;
@@ -238,7 +236,7 @@ NocRunResult LainContext::run_noc(const NocRunSpec& spec) {
 noc::Histogram LainContext::idle_histogram(const noc::SimConfig& cfg,
                                            const RunOptions& run) {
   std::unique_ptr<noc::SimKernel> kernel = make_kernel(cfg, run, &budget_);
-  run_observed(*kernel, /*power=*/nullptr, cfg, /*scheme=*/"",
+  run_observed(*kernel, /*power=*/nullptr, /*scheme=*/"",
                /*gating=*/false, run.telemetry, cache_);
   noc::Network& net = kernel->network();
   noc::Histogram merged;

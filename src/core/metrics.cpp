@@ -15,8 +15,8 @@ using core::JsonLine;
 
 std::string to_json(const RunManifest& m) {
   const noc::SimConfig& c = m.sim;
-  return JsonLine()
-      .str("type", "manifest")
+  JsonLine line;
+  line.str("type", "manifest")
       .str("run", m.run)
       .str("git_rev", m.git_rev)
       .str("scheme", m.scheme)
@@ -27,22 +27,32 @@ std::string to_json(const RunManifest& m) {
       .num("radix_y", c.radix_y)
       .num("vcs", c.vcs)
       .num("vc_depth_flits", c.vc_depth_flits)
-      .num("link_latency", c.link_latency)
       .str("pattern", noc::traffic_name(c.pattern))
       .num("injection_rate", c.injection_rate)
       .num("packet_length_flits", c.packet_length_flits)
       .num("hotspot_fraction", c.hotspot_fraction)
       .num("burst_duty", c.burst_duty)
+      .num("burst_on_mean_cycles", c.burst_on_mean_cycles)
       .num("seed", c.seed)
       .num("warmup_cycles", c.warmup_cycles)
       .num("measure_cycles", c.measure_cycles)
-      .num("drain_limit_cycles", c.drain_limit_cycles)
-      .num("shards", m.shards)
+      .num("drain_limit_cycles", c.drain_limit_cycles);
+  // The fault schedule, under the window records' rule: present only
+  // when fault injection is on.
+  if (c.fault.enabled()) {
+    line.num("fault_links", c.fault.links)
+        .num("fault_routers", c.fault.routers)
+        .num("fault_at", c.fault.at)
+        .num("fault_seed", c.fault.seed)
+        .num("fault_repair", c.fault.repair)
+        .boolean("allow_partition", c.fault.allow_partition);
+  }
+  line.num("shards", m.shards)
       .str("partition", noc::partition_name(m.partition))
       .num("boundary_links", m.boundary_links)
       .num("window_cycles", m.window_cycles)
-      .num("trace_flits", m.trace_flits)
-      .done();
+      .num("trace_flits", m.trace_flits);
+  return line.done();
 }
 
 std::string to_json(const WindowRecord& w) {
@@ -247,8 +257,7 @@ std::string git_describe() {
   return cached;
 }
 
-RunManifest make_manifest(const noc::SimConfig& cfg,
-                          const noc::SimKernel& kernel,
+RunManifest make_manifest(const noc::SimKernel& kernel,
                           const std::string& scheme, bool gating,
                           noc::Cycle window_cycles,
                           std::int64_t trace_flits) {
@@ -261,7 +270,7 @@ RunManifest make_manifest(const noc::SimConfig& cfg,
   m.git_rev = git_describe();
   m.scheme = scheme;
   m.gating = gating;
-  m.sim = cfg;
+  m.sim = kernel.network().config();
   m.shards = kernel.num_shards();
   m.partition = kernel.partition().strategy;
   m.boundary_links = kernel.partition().boundary_links;

@@ -247,10 +247,10 @@ std::string to_json(const RunSummary& s);
 // process.
 std::string git_describe();
 
-// Fills a manifest from the run's configuration.  `scheme` is the
-// crossbar scheme name ("" for unpowered runs).
-RunManifest make_manifest(const noc::SimConfig& cfg,
-                          const noc::SimKernel& kernel,
+// Fills a manifest from the configuration the kernel runs, run options
+// (the fault schedule) included.  `scheme` is the crossbar scheme name
+// ("" for unpowered runs).
+RunManifest make_manifest(const noc::SimKernel& kernel,
                           const std::string& scheme, bool gating,
                           noc::Cycle window_cycles,
                           std::int64_t trace_flits);

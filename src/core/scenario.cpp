@@ -520,17 +520,20 @@ const ScenarioRegistry& ScenarioRegistry::builtin() {
 ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
   ScenarioSpec s;
   auto accepts = [&](const char* flag) { return contains(sc.flags, flag); };
-  // A count or cycle flag: a non-negative integer, 0 where not accepted.
-  auto non_negative = [&](const char* flag) {
-    if (!accepts(flag)) return 0;
-    const int v = single_int(sc, args, flag);
-    if (v < 0) {
-      throw std::invalid_argument(std::string("--") + flag + " must be >= 0");
+  // A count flag's value `v`, checked against its least legal value.
+  auto at_least = [](const char* flag, int v, int least) {
+    if (v < least) {
+      throw std::invalid_argument(std::string("--") + flag + " must be >= " +
+                                  std::to_string(least));
     }
     return v;
   };
+  // A count or cycle flag: a non-negative integer, 0 where not accepted.
+  auto non_negative = [&](const char* flag) {
+    return accepts(flag) ? at_least(flag, single_int(sc, args, flag), 0) : 0;
+  };
 
-  s.threads = single_int(sc, args, "threads");
+  s.threads = at_least("threads", single_int(sc, args, "threads"), 0);
   // Telemetry group.
   TelemetryOptions& t = s.run.telemetry;
   t.metrics_window = non_negative("metrics-window");
@@ -576,8 +579,9 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
       s.sim_thread_list = parse_flag("sim-threads",
                                      flag_value(sc, args, "sim-threads"),
                                      parse_int_list);
+      for (const int v : s.sim_thread_list) at_least("sim-threads", v, 0);
     } else {
-      s.run.sim_threads = single_int(sc, args, "sim-threads");
+      s.run.sim_threads = non_negative("sim-threads");
     }
   }
   if (accepts("partition")) {
@@ -624,8 +628,9 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
     s.seed = parse_flag("seed", flag_value(sc, args, "seed"), parse_u64);
   }
   if (accepts("replicates")) {
-    const int replicates = single_int(sc, args, "replicates");
-    if (replicates <= 1) {
+    const int replicates =
+        at_least("replicates", single_int(sc, args, "replicates"), 1);
+    if (replicates == 1) {
       s.seeds = {s.seed};
     } else {
       SweepAxes axes;

@@ -50,9 +50,6 @@ void SimConfig::validate() const {
     throw std::invalid_argument("torus dateline routing needs >= 2 VCs");
   }
   if (vc_depth_flits < 1) throw std::invalid_argument("VC depth must be >= 1");
-  if (link_latency < 1) {
-    throw std::invalid_argument("link latency must be >= 1");
-  }
   if (!(injection_rate >= 0.0 && injection_rate <= 1.0)) {
     throw std::invalid_argument("injection rate must be in [0,1]");
   }

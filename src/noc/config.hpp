@@ -53,7 +53,6 @@ struct SimConfig {
   // Router microarchitecture.
   int vcs = 2;
   int vc_depth_flits = 4;
-  int link_latency = 1;
 
   // Idle-proportional stepping.  On (the default), the kernel picks
   // its own stepping: event-driven for sparse traffic (see

@@ -134,11 +134,11 @@ FaultPlan FaultPlan::build(const SimConfig& cfg, const Network& net) {
   }
   FaultRoutingTable worst(cfg);
   worst.rebuild(net, link_alive, node_alive);
-  plan.worst_unreachable_pairs_ = worst.unreachable_pairs();
-  if (plan.worst_unreachable_pairs_ > 0 && !cfg.fault.allow_partition) {
+  const std::int64_t worst_unreachable_pairs = worst.unreachable_pairs();
+  if (worst_unreachable_pairs > 0 && !cfg.fault.allow_partition) {
     std::ostringstream msg;
     msg << "fault plan (fault seed " << resolved_fault_seed(cfg)
-        << ") disconnects the fabric: " << plan.worst_unreachable_pairs_
+        << ") disconnects the fabric: " << worst_unreachable_pairs
         << " of "
         << static_cast<std::int64_t>(cfg.num_nodes()) *
                (cfg.num_nodes() - 1)

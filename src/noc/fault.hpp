@@ -116,16 +116,9 @@ class FaultPlan {
 
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
-  // Unreachable ordered node pairs in the worst fault state (every
-  // scheduled fault applied at once); nonzero only under
-  // allow_partition.
-  std::int64_t worst_unreachable_pairs() const {
-    return worst_unreachable_pairs_;
-  }
 
  private:
   std::vector<FaultEvent> events_;
-  std::int64_t worst_unreachable_pairs_ = 0;
 };
 
 // The self-healing routing state; routers hold a const pointer and

@@ -138,11 +138,9 @@ void SimKernel::prepare_event_state() {
     sh.active_nics.assign(nodes, kInvalidNode);
     sh.active_routers.assign(nodes, kInvalidNode);
     sh.cand_links.assign(links, 0);
-    sh.wet_links.assign(links, 0);
-    sh.wet_scratch.assign(links, 0);
     sh.arrival_count = sh.dry_count = 0;
     sh.nic_count = sh.router_count = 0;
-    sh.cand_count = sh.wet_count = 0;
+    sh.cand_count = 0;
     sh.arrivals_seeded = false;
     sh.arrival_scanned_to = 0;
   }
@@ -209,14 +207,13 @@ LAIN_HOT_PATH LAIN_NO_ALLOC Cycle SimKernel::shard_horizon(
     }
   }
   if (sh.nic_count > 0 || sh.router_count > 0) return now_;
-  Cycle h = kNoEventCycle;
-  if (injecting_ && sh.arrival_count > 0) h = sh.arrivals[0].first;
+  // A boundary credit admitted last cycle is receivable now, so a
+  // pinned router that is not quiescent has work this cycle.
   for (NodeId p : sh.pinned) {
-    const Cycle c = net_.router(p).next_event_cycle(now_);
-    if (c < h) h = c;
-    if (h <= now_) return now_;
+    if (!net_.router(p).quiescent()) return now_;
   }
-  return h;
+  if (injecting_ && sh.arrival_count > 0) return sh.arrivals[0].first;
+  return kNoEventCycle;
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC bool SimKernel::source_packet(Shard& sh, NodeId n,
@@ -364,27 +361,20 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
                        exchange_ns);
   Shard& sh = shards_[shard_index];
   // Candidates = dirty (marked during this shard's component phase)
-  // ∪ wet ∪ owned boundary links, deduped through link_marked_.
-  // Ticking a link outside this set is a no-op (nothing staged,
-  // nothing in the pipe), so the reduced set evolves the fabric
-  // bit-identically to ticking every owned link.
-  for (std::size_t i = 0; i < sh.wet_count; ++i) {
-    const int li = sh.wet_links[i];
-    if (link_marked_[static_cast<std::size_t>(li)] == 0) {
-      link_marked_[static_cast<std::size_t>(li)] = 1;
-      sh.cand_links[sh.cand_count++] = li;
-    }
-  }
+  // ∪ owned boundary links, deduped through link_marked_.  Only a
+  // component that ticked can have staged a send, and it marks every
+  // link it can stage onto; ticking any other link is a no-op (nothing
+  // staged), so the reduced set evolves the fabric bit-identically to
+  // ticking every owned link.
   for (int li : boundary_links_of_[shard_index]) {
     if (link_marked_[static_cast<std::size_t>(li)] == 0) {
       link_marked_[static_cast<std::size_t>(li)] = 1;
       sh.cand_links[sh.cand_count++] = li;
     }
   }
-  std::size_t wet_new = 0;
   for (std::size_t i = 0; i < sh.cand_count; ++i) {
     const int li = sh.cand_links[i];
-    const Network::LinkTickEvents ev = net_.tick_link_ev(li);
+    const Network::LinkTickEvents ev = net_.tick_link(li);
     const LinkWake& w = link_wake_[static_cast<std::size_t>(li)];
     if (ev.flit_admitted) {
       if (w.flit_is_nic != 0) {
@@ -400,7 +390,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
         wake_router(sh, w.credit_node);
       }
     }
-    if (ev.wet) sh.wet_scratch[wet_new++] = li;
     link_marked_[static_cast<std::size_t>(li)] = 0;
   }
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
@@ -409,24 +398,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
                        channel_ticks,
                        static_cast<std::int64_t>(sh.cand_count));
   sh.cand_count = 0;
-  std::swap(sh.wet_links, sh.wet_scratch);
-  sh.wet_count = wet_new;
-}
-
-LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::skip_shard_channels(
-    std::size_t shard_index, Cycle d) {
-  contracts::PhaseScope rc_scope(contracts::Phase::exchange,
-                                 static_cast<int>(shard_index));
-  Shard& sh = shards_[shard_index];
-  if (sh.wet_count == 0) return;
-  // Wet links surviving into a skip carry only boundary credits (a
-  // wet flit pipe keeps its consumer active, which pins the horizon
-  // at now_), and their consumer's shard bounded the global horizon,
-  // so d never reaches a delivery and fits int.
-  const int n = static_cast<int>(d);
-  for (std::size_t i = 0; i < sh.wet_count; ++i) {
-    net_.advance_link_idle(sh.wet_links[i], n);
-  }
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::flush_deferred_idle(Cycle upto) {

@@ -18,12 +18,12 @@
 // construction for sparse traffic (see kEventSteppingMaxRate).
 //
 // Because component ticks only read channel items sent in earlier
-// cycles (latency >= 1) and only write staging slots, every shard's
-// component phase commutes with every other's; the barrier between
-// the two phases is the only ordering the fabric needs.  Together
-// with per-node RNG streams and exactly-mergeable SimStats, that is
-// what makes the sharded engine bit-identical to the serial one — at
-// any shard count and for any partition shape.
+// cycles (every link takes one cycle) and only write staging slots,
+// every shard's component phase commutes with every other's; the
+// barrier between the two phases is the only ordering the fabric
+// needs.  Together with per-node RNG streams and exactly-mergeable
+// SimStats, that is what makes the sharded engine bit-identical to the
+// serial one — at any shard count and for any partition shape.
 
 #pragma once
 
@@ -92,14 +92,10 @@ struct Shard {
   std::size_t nic_count = 0;
   std::vector<NodeId> active_routers;
   std::size_t router_count = 0;
-  // Exchange-phase candidate links this cycle (dirty ∪ wet ∪ owned
-  // boundary links, deduped via SimKernel::link_marked_) and the wet
-  // set carried to the next cycle.
+  // Exchange-phase candidate links this cycle (dirty ∪ owned boundary
+  // links, deduped via SimKernel::link_marked_).
   std::vector<int> cand_links;
   std::size_t cand_count = 0;
-  std::vector<int> wet_links;
-  std::size_t wet_count = 0;
-  std::vector<int> wet_scratch;
   // Routers of this shard that source a link owned by another shard:
   // their inbound boundary credit channels are fed by an exchange
   // phase this shard never runs, so instead of cross-shard wake-ups
@@ -207,7 +203,6 @@ class SimKernel {
   // final partial window is flushed when the run loop ends.
   // window_cycles == 0 disables.  Call before run().
   void set_metrics_window(Cycle window_cycles, WindowCallback cb = nullptr);
-  Cycle metrics_window_cycles() const { return window_cycles_; }
 
   // Run-lifecycle control, evaluated after each full window closes
   // (on the calling thread, between steps — the only safe point to
@@ -310,7 +305,7 @@ class SimKernel {
   //
   // The event kernel keeps, per shard, the set of components with
   // work (active lists, woken by exchange-phase admissions), the set
-  // of links with staged or in-pipe items (dirty/wet lists), and a
+  // of links a component may have staged onto (dirty list), and a
   // min-heap of pending traffic arrivals.  An executed cycle touches
   // only those sets; when every set is empty the shard proposes a
   // quiescence horizon and the clock jumps.  Idle routers are not
@@ -323,19 +318,17 @@ class SimKernel {
   // Sizes the per-shard event state; called from init_partition.
   void prepare_event_state();
   // This shard's proposed horizon: now_ when it has any work this
-  // cycle, else the earliest future event it knows of (arrival heap,
-  // pinned-router deliveries), else kNoEventCycle.  Also performs the
-  // shard's lazy arrival-heap seeding/extension.  Runs under a
-  // component phase scope.
+  // cycle (an active component, or a pinned router that is not
+  // quiescent), else its next traffic arrival, else kNoEventCycle.
+  // Also performs the shard's lazy arrival-heap seeding/extension.
+  // Runs under a component phase scope.
   static constexpr Cycle kNoEventCycle = std::numeric_limits<Cycle>::max();
   Cycle shard_horizon(std::size_t shard_index);
   // Event-driven component phase for one shard (executed cycles only).
   void step_shard_event_components(std::size_t shard_index);
-  // Event-driven exchange phase: tick only candidate links, wake
-  // consumers of admissions, rebuild the wet set.
+  // Event-driven exchange phase: tick only candidate links and wake
+  // consumers of admissions.
   void step_shard_event_channels(std::size_t shard_index);
-  // Skip path: advance this shard's wet links by `d` cycles.
-  void skip_shard_channels(std::size_t shard_index, Cycle d);
   // Bare-step arrival-limit maintenance: keeps the scan bound a chunk
   // ahead of now_ so next_arrival never scans unboundedly (a node
   // whose pattern always self-addresses would otherwise never yield).

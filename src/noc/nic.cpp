@@ -68,17 +68,18 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
 
   completions_.clear();
 
-  // Drain returned credits.  Overflow means the router returned more
+  // Take the returned credit.  Overflow means the router returned more
   // credits than the VC depth — a flow-control bug; checked in
   // Debug/sanitizer builds, free in Release hot builds.
-  while (auto c = credit_in_->receive()) {
+  if (auto c = credit_in_->receive()) {
     ++credits_[static_cast<size_t>(c->vc)];
     assert(credits_[static_cast<size_t>(c->vc)] <= depth_ &&
            "NIC credit overflow");
   }
 
-  // Eject arriving flits (infinite sink: credit returned immediately).
-  while (auto f = eject_in_->receive()) {
+  // Eject the arriving flit (infinite sink: credit returned
+  // immediately).
+  if (auto f = eject_in_->receive()) {
     credit_out_->send(Credit{f->vc});
     ++flits_ejected_;
     if (f->is_tail()) {

@@ -46,7 +46,8 @@ class Nic {
   // stamp, so end-to-end latency spans every attempt.
   void source_packet(NodeId dst, Cycle now, PacketId id, Cycle created);
 
-  // One cycle: drain credits, eject flits, inject at most one flit.
+  // One cycle: take the returned credit, eject the arriving flit,
+  // inject at most one flit.
   void tick(Cycle now);
 
   // True when tick() would take its O(1) early-out: empty source

@@ -111,11 +111,7 @@ ShardedSimulation::step_participant(std::size_t shard_index) {
     cross(horizon_barrier_.get(), shard_index);
     target = global_skip_target();
   }
-  if (target > now_) {
-    const Cycle skipped = target - now_;
-    run_guarded(error, [&] { skip_shard_channels(shard_index, skipped); });
-    return skipped;
-  }
+  if (target > now_) return target - now_;
   run_guarded(error, [&] {
     if (event_mode_) {
       step_shard_event_components(shard_index);

@@ -20,8 +20,9 @@
 // SimKernel::kEventSteppingMaxRate) a horizon round comes first:
 // every shard proposes the earliest cycle it knows work at, and after
 // a horizon barrier every participant computes the same global target
-// and either executes the cycle as above or advances its own wet links
-// across the skip.
+// and either executes the cycle as above or skips to the target.  A
+// skip only advances the clock: every admitted item is receivable the
+// next cycle, so no shard proposes a horizon past one.
 //
 // The calling thread drives shard 0 and the phase machine; shards
 // 1..S-1 run on a persistent ThreadPool that is reused across every
@@ -90,8 +91,8 @@ class ShardedSimulation : public SimKernel {
   void stop_workers();
   void worker_loop(std::size_t shard_index);
   // One participant's part of one step: under event stepping this
-  // shard's horizon proposal, then either its component and exchange
-  // phases or its share of a skip.  The driver and every worker run it
+  // shard's horizon proposal, then its component and exchange phases
+  // unless the step skips.  The driver and every worker run it
   // between the start and done barriers and meet at the horizon and
   // exchange barriers inside; with one shard it crosses no barrier.
   // Returns the cycles skipped (0 when the step executed a cycle).

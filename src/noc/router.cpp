@@ -96,33 +96,11 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::tick_idle_n(std::int64_t n) {
   if (power_hook_ != nullptr) power_hook_->on_idle_cycles(n);
 }
 
-LAIN_HOT_PATH LAIN_NO_ALLOC Cycle Router::next_event_cycle(Cycle now) const {
-  if ((static_cast<Mask>(buffered_flits_) | owned_) != 0) return now;
-  Cycle next = kNoEvent;
-  for (int p = 0; p < kNumPorts; ++p) {
-    const FlitChannel* fc = in_flits_[static_cast<size_t>(p)];
-    if (fc != nullptr) {
-      const int d = fc->consumer_next_delivery();
-      if (d >= 0 && now + static_cast<Cycle>(d) < next) {
-        next = now + static_cast<Cycle>(d);
-      }
-    }
-    const CreditChannel* cc = in_credits_[static_cast<size_t>(p)];
-    if (cc != nullptr) {
-      const int d = cc->consumer_next_delivery();
-      if (d >= 0 && now + static_cast<Cycle>(d) < next) {
-        next = now + static_cast<Cycle>(d);
-      }
-    }
-  }
-  return next;
-}
-
 LAIN_HOT_PATH LAIN_NO_ALLOC void Router::receive() {
   for (int p = 0; p < kNumPorts; ++p) {
     FlitChannel* ch = in_flits_[static_cast<size_t>(p)];
     if (ch == nullptr) continue;
-    while (auto f = ch->receive()) {
+    if (auto f = ch->receive()) {
       VcBuffer& vcb = vcs_[pv(p, f->vc)];
       vcb.push(*f);
       ++buffered_flits_;
@@ -139,7 +117,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::receive() {
   for (int p = 0; p < kNumPorts; ++p) {
     CreditChannel* cr = in_credits_[static_cast<size_t>(p)];
     if (cr == nullptr) continue;
-    while (auto c = cr->receive()) {
+    if (auto c = cr->receive()) {
       ++credits_[pv(p, c->vc)];
       // A credit beyond the downstream depth means the flow-control
       // invariant broke; Debug/sanitizer builds stop here, Release

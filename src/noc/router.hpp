@@ -32,15 +32,13 @@
 // still needs (events, crossbar activity, power hook) — bit-identical
 // to what the full pipeline would have done.
 // The event-driven kernel goes further still: tick_idle_n(n) accounts
-// a whole deferred run of n idle cycles at once, and
-// next_event_cycle(now) reports when the router next has work.
+// a whole deferred run of n idle cycles at once.
 
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -140,14 +138,6 @@ class Router {
   // may defer a sleeping router's accounting and flush it here just
   // before the next full tick().  n == 0 is a no-op.
   void tick_idle_n(std::int64_t n);
-
-  // Horizon probe for cycle skipping: the earliest cycle >= now at
-  // which this router provably has work.  `now` itself when anything
-  // is buffered or an output VC is owned; otherwise now + the nearest
-  // inbound flit/credit delivery; kNoEvent when fully quiescent with
-  // empty pipes.  Same consumer-side safety argument as quiescent().
-  static constexpr Cycle kNoEvent = std::numeric_limits<Cycle>::max();
-  Cycle next_event_cycle(Cycle now) const;
 
   const RouterEvents& last_events() const { return events_; }
   const CrossbarActivity& activity() const { return activity_; }

@@ -16,13 +16,13 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg) {
   wire_mesh();
 }
 
-Network::Link* Network::make_link(int latency, NodeId source, NodeId owner,
-                                  LinkKind kind, Dir dir) {
+Network::Link* Network::make_link(NodeId source, NodeId owner, LinkKind kind,
+                                  Dir dir) {
   // Growing past the reservation would move every wired link.
   if (links_.size() == links_.capacity()) {
     throw std::logic_error("Network: more links than reserved");
   }
-  links_.emplace_back(latency);
+  links_.emplace_back();
   link_sources_.push_back(source);
   link_owners_.push_back(owner);
   link_kinds_.push_back(kind);
@@ -53,13 +53,13 @@ void Network::wire_mesh() {
   links_.reserve(2 * nodes + router_links);
   link_at_.assign(nodes * 4u, -1);
 
-  // Local port: NIC <-> router, latency 1.  Both endpoints are the
-  // same node, so these links never cross a shard boundary.
+  // Local port: NIC <-> router.  Both endpoints are the same node, so
+  // these links never cross a shard boundary.
   for (NodeId i = 0; i < cfg_.num_nodes(); ++i) {
     // inj: NIC -> router flits, router -> NIC credits.
     // ej:  router -> NIC flits, NIC -> router credits.
-    Link* inj = make_link(1, i, i, LinkKind::kInjection);
-    Link* ej = make_link(1, i, i, LinkKind::kEjection);
+    Link* inj = make_link(i, i, LinkKind::kInjection);
+    Link* ej = make_link(i, i, LinkKind::kEjection);
     Router& r = routers_[static_cast<size_t>(i)];
     r.connect_input(Dir::kLocal, &inj->flits, &inj->credits);
     r.connect_output(Dir::kLocal, &ej->flits, &ej->credits);
@@ -69,8 +69,7 @@ void Network::wire_mesh() {
 
   // Inter-router links: one directed link per (router, direction).
   auto connect_pair = [&](NodeId from, Dir out_dir, NodeId to) {
-    Link* l =
-        make_link(cfg_.link_latency, from, to, LinkKind::kRouter, out_dir);
+    Link* l = make_link(from, to, LinkKind::kRouter, out_dir);
     routers_[static_cast<size_t>(from)].connect_output(out_dir, &l->flits,
                                                        &l->credits);
     routers_[static_cast<size_t>(to)].connect_input(opposite(out_dir),

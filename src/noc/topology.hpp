@@ -33,40 +33,21 @@ class Network {
 
   // Per-link advance for sharded kernels: the exchange phase ticks
   // each link exactly once, from the shard owning link_owner(i).
+  // Reports whether a flit / credit was admitted into its pipe this
+  // cycle, so the event-driven kernel can wake the consumer.
   int num_links() const { return static_cast<int>(links_.size()); }
-  LAIN_HOT_PATH LAIN_NO_ALLOC void tick_link(int i) {
-    Link& l = links_[static_cast<size_t>(i)];
-    l.flits.tick();
-    l.credits.tick();
-  }
-
-  // Event-driven exchange tick: like tick_link, but reports what the
-  // kernel's wake/wet bookkeeping needs — whether a flit / credit was
-  // admitted into its pipe this cycle (the consumer must wake) and
-  // whether anything is still traversing (the link stays "wet" and
-  // must keep ticking / be advanced across skips).
   struct LinkTickEvents {
     bool flit_admitted = false;
     bool credit_admitted = false;
-    bool wet = false;
   };
-  LAIN_HOT_PATH LAIN_NO_ALLOC LinkTickEvents tick_link_ev(int i) {
+  LAIN_HOT_PATH LAIN_NO_ALLOC LinkTickEvents tick_link(int i) {
     Link& l = links_[static_cast<size_t>(i)];
     LinkTickEvents ev;
     ev.flit_admitted = l.flits.tick();
     ev.credit_admitted = l.credits.tick();
-    ev.wet = l.flits.pipe_count() > 0 || l.credits.pipe_count() > 0;
     return ev;
   }
 
-  // Cycle-skip advance: both channel pipes move n cycles closer to
-  // delivery in one call (exchange phase; see Channel::advance_idle
-  // for the preconditions the kernel's horizon guarantees).
-  LAIN_HOT_PATH LAIN_NO_ALLOC void advance_link_idle(int i, int n) {
-    Link& l = links_[static_cast<size_t>(i)];
-    l.flits.advance_idle(n);
-    l.credits.advance_idle(n);
-  }
   // The node whose router/NIC consumes this link's flits.  Assigning
   // each link to its consumer's shard keeps boundary traffic local to
   // one side; any unique assignment would be correct (the exchange
@@ -135,7 +116,7 @@ class Network {
   struct alignas(64) Link {
     FlitChannel flits;
     CreditChannel credits;
-    explicit Link(int latency) : flits(latency), credits(latency) {}
+    Link() = default;
     Link(const Link&) = delete;
     Link& operator=(const Link&) = delete;
     Link(Link&&) = default;
@@ -152,7 +133,7 @@ class Network {
   std::vector<Dir> link_dirs_;        // output dir at source (kLocal: NIC)
   std::vector<int> link_at_;          // node*4+dir -> inter-router link
 
-  Link* make_link(int latency, NodeId source, NodeId owner,
+  Link* make_link(NodeId source, NodeId owner,
                   LinkKind kind = LinkKind::kRouter, Dir dir = Dir::kLocal);
   void wire_mesh();
 };

@@ -10,13 +10,4 @@ enum class ActivityState {
   kStandby,  // sleep asserted (parked, minimum-leakage state)
 };
 
-constexpr const char* activity_name(ActivityState s) {
-  switch (s) {
-    case ActivityState::kActive: return "active";
-    case ActivityState::kIdle: return "idle";
-    case ActivityState::kStandby: return "standby";
-  }
-  return "?";
-}
-
 }  // namespace lain::power

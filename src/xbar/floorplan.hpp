@@ -57,7 +57,6 @@ class Floorplan {
 
   // Lumped capacitance of a full row/column wire (F).
   double full_wire_cap_f() const { return wire_.c_per_m() * span_m_; }
-  double segment_cap_f() const { return full_wire_cap_f() / ports_; }
   double full_wire_res_ohm() const { return wire_.r_per_m * span_m_; }
 
  private:

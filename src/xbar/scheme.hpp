@@ -78,6 +78,4 @@ constexpr bool is_precharged(Scheme s) {
   return s == Scheme::kDPC || s == Scheme::kSDPC;
 }
 
-constexpr bool is_dual_vt(Scheme s) { return s != Scheme::kSC; }
-
 }  // namespace lain::xbar

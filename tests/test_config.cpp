@@ -34,7 +34,6 @@ TEST(SimConfigValidation, RejectsBadFields) {
     c.vcs = 1;  // dateline needs >= 2 VCs
   });
   expect_bad([](noc::SimConfig& c) { c.vc_depth_flits = 0; });
-  expect_bad([](noc::SimConfig& c) { c.link_latency = 0; });
   expect_bad([](noc::SimConfig& c) { c.injection_rate = -0.1; });
   expect_bad([](noc::SimConfig& c) { c.injection_rate = 1.5; });
   expect_bad([](noc::SimConfig& c) { c.packet_length_flits = 0; });

@@ -7,10 +7,10 @@ namespace {
 
 struct Harness {
   SimConfig cfg;
-  FlitChannel inj{1};
-  CreditChannel inj_cr{1};
-  FlitChannel ej{1};
-  CreditChannel ej_cr{1};
+  FlitChannel inj;
+  CreditChannel inj_cr;
+  FlitChannel ej;
+  CreditChannel ej_cr;
   Nic nic;
 
   explicit Harness(SimConfig c) : cfg(c), nic(0, c) {
@@ -72,8 +72,8 @@ TEST(Nic, StallsWithoutCredits) {
   Harness h(cfg);
   h.nic.source_packet(5, 0, 1);
   // Only 2 credits: after 2 flits the NIC must stall.  Drain the
-  // injection pipe as a router would — channels are fixed rings
-  // sized for consumers that collect arrived items every cycle.
+  // injection pipe as a router would — a channel's pipe holds one
+  // item, which its consumer collects the cycle after it arrives.
   for (Cycle t = 0; t < 10; ++t) {
     h.tick_all(t);
     while (h.inj.receive()) {

@@ -115,7 +115,7 @@ TEST(RacecheckDeathTest, StagingSlotReadBeforePublishCaught) {
 TEST(RacecheckDeathTest, PhaseContractOnBareChannelCaught) {
   // LAIN_SHARD_PHASE(exchange) fires even on an untagged channel: the
   // phase contract is independent of shard ownership.
-  FlitChannel ch(1);
+  FlitChannel ch;
   PhaseScope scope(Phase::component, 0);
   EXPECT_DEATH(ch.tick(), "must run in the exchange phase");
 }

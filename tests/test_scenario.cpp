@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/context.hpp"
+#include "core/scenario_json.hpp"
 #include "noc/rng.hpp"
 
 namespace lain::core {
@@ -227,6 +228,41 @@ TEST(ScenarioSpec, SeedFlagsParseAsWholeUnsignedIntegers) {
       EXPECT_EQ(cli_exit_code(sc, argv), 2) << flag << " '" << bad << "'";
     }
   }
+}
+
+// Count flags below their least legal value are errors, not runs:
+// --replicates -3 (or 0) ran one seed, --threads -4 ran on every core,
+// --sim-threads -2 auto-sharded and mesh_scaling printed a "threads -1"
+// row.  lain_bench exits 2, and a served or --scenario-file job fails
+// through the same spec builder.
+TEST(ScenarioSpec, CountFlagsRejectValuesBelowTheirLeast) {
+  const ScenarioRegistry& reg = ScenarioRegistry::builtin();
+  const std::vector<std::vector<const char*>> cases = {
+      {"idle_histogram", "--replicates", "-3"},
+      {"idle_histogram", "--replicates", "0"},
+      {"breakeven", "--threads", "-4"},
+      {"idle_histogram", "--sim-threads", "-2"},
+      {"mesh_scaling", "--sim-threads", "-1,2"}};
+  for (const std::vector<const char*>& c : cases) {
+    const Scenario& sc = *reg.find(c[0]);
+    const std::vector<const char*> argv(c.begin() + 1, c.end());
+    const std::string what = std::string(c[0]) + " " + c[1] + " " + c[2];
+    EXPECT_THROW(build_scenario_spec(sc, parse(sc, argv)),
+                 std::invalid_argument)
+        << what;
+    EXPECT_EQ(cli_exit_code(sc, argv), 2) << what;
+    const ScenarioJobSpec job = scenario_job_from_json(
+        reg, std::string(R"({"scenario":")") + c[0] + R"(",")" + (c[1] + 2) +
+                 R"(":")" + c[2] + R"("})");
+    EXPECT_THROW(build_scenario_spec(reg, job, {}), std::invalid_argument)
+        << what;
+  }
+  // The least legal values still build: one replicate, and 0 threads
+  // (every core) and 0 shards (auto).
+  const Scenario& hist = *reg.find("idle_histogram");
+  EXPECT_NO_THROW(build_scenario_spec(
+      hist, parse(hist, {"--replicates", "1", "--threads", "0",
+                         "--sim-threads", "0"})));
 }
 
 TEST(ScenarioSpec, PartitionFlagParsesAndDefaultsToAuto) {

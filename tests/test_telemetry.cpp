@@ -397,6 +397,61 @@ TEST(JsonSchema, ManifestAndSummaryAndFlitEncode) {
   EXPECT_EQ(json_field(fj, "kind"), "eject");
 }
 
+TEST(JsonSchema, ManifestKeysAreTheRunIdentity) {
+  // Every run setting a scenario flag can change has a manifest key;
+  // the fault schedule's keys appear only when faults are on, like the
+  // window records' fault columns.
+  const auto keys = [](const telemetry::RunManifest& m) {
+    std::vector<std::string> out;
+    for (const core::JsonField& f :
+         core::parse_flat_json_object(telemetry::to_json(m))) {
+      out.push_back(f.key);
+    }
+    return out;
+  };
+  const std::vector<std::string> head = {
+      "type", "run", "git_rev", "scheme", "gating", "topology", "radix_x",
+      "radix_y", "vcs", "vc_depth_flits", "pattern", "injection_rate",
+      "packet_length_flits", "hotspot_fraction", "burst_duty",
+      "burst_on_mean_cycles", "seed", "warmup_cycles", "measure_cycles",
+      "drain_limit_cycles"};
+  const std::vector<std::string> fault = {
+      "fault_links", "fault_routers", "fault_at", "fault_seed",
+      "fault_repair", "allow_partition"};
+  const std::vector<std::string> tail = {"shards", "partition",
+                                         "boundary_links", "window_cycles",
+                                         "trace_flits"};
+
+  telemetry::RunManifest m;
+  std::vector<std::string> expected = head;
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(keys(m), expected);
+
+  m.sim.fault.links = 2;
+  m.sim.fault.repair = 300;
+  expected = head;
+  expected.insert(expected.end(), fault.begin(), fault.end());
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(keys(m), expected);
+  const std::string line = telemetry::to_json(m);
+  EXPECT_EQ(json_field(line, "fault_links"), "2");
+  EXPECT_EQ(json_field(line, "fault_repair"), "300");
+  EXPECT_EQ(json_field(line, "allow_partition"), "false");
+
+  // A run's manifest records the schedule its kernel runs, which
+  // arrives as a run option beside the spec's SimConfig.
+  core::LainContext ctx;
+  telemetry::MemorySink sink;
+  NocRunSpec spec;
+  spec.sim = mesh8(0.05);
+  spec.fault.links = 2;
+  spec.telemetry.sink = &sink;
+  ctx.run_noc(spec);
+  ASSERT_EQ(sink.manifests.size(), 1u);
+  EXPECT_EQ(keys(sink.manifests[0]), expected);
+  EXPECT_EQ(sink.manifests[0].sim.fault.links, 2);
+}
+
 TEST(JsonSchema, SummaryRecordsTheKernelsStepping) {
   // The summary says which stepping the kernel chose and how many
   // cycles it jumped: event-driven on sparse traffic, per-cycle above
