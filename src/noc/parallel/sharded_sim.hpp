@@ -92,7 +92,7 @@ class ShardedSimulation : public SimKernel {
   void worker_loop(std::size_t shard_index);
   // One participant's part of one step: under event stepping this
   // shard's horizon proposal, then its component and exchange phases
-  // unless the step skips.  The driver and every worker run it
+  // unless the step skips.  The calling thread and every worker run it
   // between the start and done barriers and meet at the horizon and
   // exchange barriers inside; with one shard it crosses no barrier.
   // Returns the cycles skipped (0 when the step executed a cycle).

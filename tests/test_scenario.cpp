@@ -234,7 +234,7 @@ TEST(ScenarioSpec, SeedFlagsParseAsWholeUnsignedIntegers) {
 // --replicates -3 (or 0) ran one seed, --threads -4 ran on every core,
 // --sim-threads -2 auto-sharded and mesh_scaling printed a "threads -1"
 // row.  lain_bench exits 2, and a served or --scenario-file job fails
-// through the same spec builder.
+// in build_scenario_spec too.
 TEST(ScenarioSpec, CountFlagsRejectValuesBelowTheirLeast) {
   const ScenarioRegistry& reg = ScenarioRegistry::builtin();
   const std::vector<std::vector<const char*>> cases = {
