@@ -80,10 +80,16 @@ void SimKernel::prepare_event_state() {
   idle_from_.assign(nn, 0);
   link_marked_.assign(static_cast<std::size_t>(nl), 0);
   link_wake_.assign(static_cast<std::size_t>(nl), LinkWake{});
-  node_dirty_links_.assign(nn, {});
+  send_link_.assign(nn * kSendBits, -1);
   auto shard_of = [&](NodeId n) {
     return plan_.shard_of[static_cast<std::size_t>(n)];
   };
+  // The link behind bit `bit` of node n's send masks.
+  auto send_slot = [&](NodeId n, int bit) -> int& {
+    return send_link_[static_cast<std::size_t>(n) * kSendBits +
+                      static_cast<std::size_t>(bit)];
+  };
+  const int local = port(Dir::kLocal);
   for (int li = 0; li < nl; ++li) {
     const NodeId src = net_.link_source(li);
     const NodeId own = net_.link_owner(li);
@@ -95,6 +101,7 @@ void SimKernel::prepare_event_state() {
         w.flit_is_nic = 0;
         w.credit_node = src;
         w.credit_is_nic = 1;
+        send_slot(own, kNumPorts + local) = li;
         break;
       case Network::LinkKind::kEjection:
         // router(src) -> NIC(own) flits; credits back to the router.
@@ -102,6 +109,7 @@ void SimKernel::prepare_event_state() {
         w.flit_is_nic = 1;
         w.credit_node = src;
         w.credit_is_nic = 0;
+        send_slot(src, local) = li;
         break;
       case Network::LinkKind::kRouter:
         w.flit_node = own;
@@ -109,17 +117,13 @@ void SimKernel::prepare_event_state() {
         w.credit_node = src;
         w.credit_is_nic = 0;
         w.credit_cross = shard_of(src) != shard_of(own) ? 1 : 0;
+        // The owner returns credits on its input port; the source's
+        // flits mark the link only when its own shard exchanges it.
+        send_slot(own, kNumPorts + port(opposite(net_.link_dir(li)))) = li;
+        if (w.credit_cross == 0) send_slot(src, port(net_.link_dir(li))) = li;
         break;
     }
     link_wake_[static_cast<std::size_t>(li)] = w;
-    // Dirty-markable by every same-shard node that can stage onto the
-    // link: the flit producer (source) and the credit producer
-    // (owner).  Local links have source == owner, so one entry covers
-    // both the NIC and the router of that node.
-    node_dirty_links_[static_cast<std::size_t>(own)].push_back(li);
-    if (src != own && shard_of(src) == shard_of(own)) {
-      node_dirty_links_[static_cast<std::size_t>(src)].push_back(li);
-    }
   }
   boundary_links_of_.assign(shards_.size(), {});
   std::vector<std::uint8_t> pinned_flag(nn, 0);
@@ -260,7 +264,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::tick_router_full(Shard& sh,
   }
   from = now_ + 1;
   r.tick();
-  mark_dirty_links(sh, n);
+  mark_sent_links(sh, n, r.sent_links());
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
@@ -308,7 +312,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
     const NodeId n = sh.active_nics[i];
     Nic& nic = net_.nic(n);
     nic.tick(now_);
-    mark_dirty_links(sh, n);
+    mark_sent_links(sh, n, nic.sent_links());
     for (const Nic::Ejection& e : nic.completions()) {
       record_completion(sh, n, e);
     }
@@ -360,12 +364,13 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
   LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
                        exchange_ns);
   Shard& sh = shards_[shard_index];
-  // Candidates = dirty (marked during this shard's component phase)
-  // ∪ owned boundary links, deduped through link_marked_.  Only a
-  // component that ticked can have staged a send, and it marks every
-  // link it can stage onto; ticking any other link is a no-op (nothing
-  // staged), so the reduced set evolves the fabric bit-identically to
-  // ticking every owned link.
+  // Candidates = the links this shard's components sent on (marked
+  // from their send masks during the component phase) ∪ owned boundary
+  // links, deduped through link_marked_.  Ticking any other link is a
+  // no-op (nothing staged), so the reduced set evolves the fabric
+  // bit-identically to ticking every owned link.  A boundary link's
+  // flit producer runs in another shard, so it is ticked whether or
+  // not anything was sent on it.
   for (int li : boundary_links_of_[shard_index]) {
     if (link_marked_[static_cast<std::size_t>(li)] == 0) {
       link_marked_[static_cast<std::size_t>(li)] = 1;
@@ -376,6 +381,9 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
     const int li = sh.cand_links[i];
     const Network::LinkTickEvents ev = net_.tick_link(li);
     const LinkWake& w = link_wake_[static_cast<std::size_t>(li)];
+    // Only a router link crossing shards is a boundary link.
+    assert((ev.flit_admitted || ev.credit_admitted || w.credit_cross != 0) &&
+           "a link marked as sent on had nothing staged");
     if (ev.flit_admitted) {
       if (w.flit_is_nic != 0) {
         wake_nic(sh, w.flit_node);

@@ -92,8 +92,8 @@ struct Shard {
   std::size_t nic_count = 0;
   std::vector<NodeId> active_routers;
   std::size_t router_count = 0;
-  // Exchange-phase candidate links this cycle (dirty ∪ owned boundary
-  // links, deduped via SimKernel::link_marked_).
+  // Exchange-phase candidate links this cycle (links sent on ∪ owned
+  // boundary links, deduped via SimKernel::link_marked_).
   std::vector<int> cand_links;
   std::size_t cand_count = 0;
   // Routers of this shard that source a link owned by another shard:
@@ -305,7 +305,7 @@ class SimKernel {
   //
   // The event kernel keeps, per shard, the set of components with
   // work (active lists, woken by exchange-phase admissions), the set
-  // of links a component may have staged onto (dirty list), and a
+  // of links its components sent on this cycle (candidate list), and a
   // min-heap of pending traffic arrivals.  An executed cycle touches
   // only those sets; when every set is empty the shard proposes a
   // quiescence horizon and the clock jumps.  Idle routers are not
@@ -359,10 +359,11 @@ class SimKernel {
   std::vector<std::uint8_t> router_active_flag_;
   // First cycle not yet accounted in each router's idle bookkeeping.
   std::vector<Cycle> idle_from_;
-  // Links each node's router/NIC can stage onto whose exchange this
-  // node's own shard runs (cross-shard-owned links are boundary links,
-  // ticked unconditionally by their owner).
-  std::vector<std::vector<int>> node_dirty_links_;
+  // send_link_[n * kSendBits + b]: the link behind bit b of node n's
+  // send masks (see SendMask), or -1 when the node has no such link or
+  // another shard runs its exchange (a boundary link there, ticked
+  // unconditionally by its owner).
+  std::vector<int> send_link_;
   // Per-link admission wake-up routing.
   struct LinkWake {
     NodeId flit_node = kInvalidNode;    // flit-pipe consumer
@@ -451,9 +452,13 @@ class SimKernel {
       sh.active_routers[sh.router_count++] = n;
     }
   }
-  void mark_dirty_links(Shard& sh, NodeId n) {
-    for (int li : node_dirty_links_[static_cast<std::size_t>(n)]) {
-      if (link_marked_[static_cast<std::size_t>(li)] == 0) {
+  // Makes the links node n's component just sent on (its send mask)
+  // exchange candidates.
+  void mark_sent_links(Shard& sh, NodeId n, SendMask sent) {
+    const int* links = &send_link_[static_cast<std::size_t>(n) * kSendBits];
+    for (Mask m = sent; m != 0; m &= m - 1) {
+      const int li = links[lowest_bit(m)];
+      if (li >= 0 && link_marked_[static_cast<std::size_t>(li)] == 0) {
         link_marked_[static_cast<std::size_t>(li)] = 1;
         sh.cand_links[sh.cand_count++] = li;
       }

@@ -53,6 +53,7 @@ void Nic::source_packet(NodeId dst, Cycle now, PacketId id, Cycle created) {
 LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   rc_check_mutation("Nic::tick");
   LAIN_SHARD_PHASE(component);
+  sent_ = 0;
   // A killed NIC (router fault) never acts again; its pipes and queue
   // were purged by the fault controller when the router died.
   if (killed_) return;
@@ -81,6 +82,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   // immediately).
   if (auto f = eject_in_->receive()) {
     credit_out_->send(Credit{f->vc});
+    sent_ |= out_link_bit(port(Dir::kLocal));
     ++flits_ejected_;
     if (f->is_tail()) {
       ++packets_ejected_;
@@ -118,6 +120,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   f.vc = static_cast<std::int8_t>(vc);
   f.injected = now;
   inject_out_->send(f);
+  sent_ |= in_link_bit(port(Dir::kLocal));
   --credits_[static_cast<size_t>(vc)];
   ++flits_injected_;
   if (f.is_tail()) open_vc_ = -1;

@@ -50,6 +50,11 @@ class Nic {
   // inject at most one flit.
   void tick(Cycle now);
 
+  // The links the last tick() sent on, in the router's numbering (see
+  // SendMask): the injection link for a flit, the ejection link for a
+  // credit.
+  SendMask sent_links() const { return sent_; }
+
   // True when tick() would take its O(1) early-out: empty source
   // queue, no stale completions, empty inbound pipes.  Reads only
   // NIC-local state and the consumer side of the inbound channels
@@ -119,6 +124,7 @@ class Nic {
 
   // What tick()'s idle early-out reads comes first.
   bool killed_ = false;  // router-kill: never ticks again
+  SendMask sent_ = 0;    // links sent on this tick (sent_links)
   NodeId node_;
   std::deque<Flit> queue_;  // flit-segmented source queue
   std::vector<Ejection> completions_;

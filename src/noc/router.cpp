@@ -302,6 +302,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
     f.vc = static_cast<std::int8_t>(vcb.out_vc);
     ++f.hops;
     out_flits_[static_cast<size_t>(out_port)]->send(f);
+    sent_ |= out_link_bit(out_port);
     if (trace_ != nullptr) {
       trace_->push({trace_->cycle(), f.packet, id_, FlitTraceKind::kRoute,
                     static_cast<std::int8_t>(out_port)});
@@ -310,6 +311,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::switch_traverse() {
     // Return a credit for the slot just freed upstream.
     if (out_credits_[static_cast<size_t>(p)] != nullptr) {
       out_credits_[static_cast<size_t>(p)]->send(Credit{v});
+      sent_ |= in_link_bit(p);
     }
     ++events_.arbitrations;
     ++traversed;
@@ -393,6 +395,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::tick() {
   rc_check_mutation("Router::tick");
   LAIN_SHARD_PHASE(component);
   events_ = RouterEvents{};
+  sent_ = 0;
   receive();
   route_compute();
   vc_allocate();

@@ -114,6 +114,10 @@ class Router {
   // on the local output channel like any other port.
   void tick();
 
+  // The links the last tick() sent on (see SendMask): the event kernel
+  // exchanges only those.
+  SendMask sent_links() const { return sent_; }
+
   // True when this cycle's full pipeline would provably be a no-op:
   // no buffered flits, no owned output VCs, and nothing in any
   // inbound flit or credit pipe.  Reads only router-local state and
@@ -242,6 +246,7 @@ class Router {
   int num_vcs_;  // VCs per port
   int depth_;    // flits per VC buffer
   int buffered_flits_ = 0;  // flits across all input VC buffers
+  SendMask sent_ = 0;       // links sent on this tick (sent_links)
   // Input VCs (bit port*vcs+vc) by state; kIdle VCs are in none.
   Mask routing_ = 0;  // kRouting: head awaits route compute
   Mask waiting_ = 0;  // kWaitingVc: routed, awaits an output VC

@@ -39,6 +39,21 @@ constexpr Dir opposite(Dir d) {
   return Dir::kLocal;
 }
 
+// Send masks (Router::sent_links, Nic::sent_links): the links a full
+// tick sent a flit or a credit on, one bit per link at the node.  Bit
+// p is the link leaving the node's router on port p, bit kNumPorts + p
+// the link entering it on port p; on the local port those are the
+// ejection and the injection link, so a router and its NIC share one
+// numbering.
+using SendMask = std::uint16_t;
+inline constexpr int kSendBits = 2 * kNumPorts;
+constexpr SendMask out_link_bit(int p) {
+  return static_cast<SendMask>(1u << p);
+}
+constexpr SendMask in_link_bit(int p) {
+  return static_cast<SendMask>(1u << (kNumPorts + p));
+}
+
 constexpr const char* dir_name(Dir d) {
   switch (d) {
     case Dir::kNorth: return "N";
