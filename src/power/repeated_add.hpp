@@ -24,7 +24,11 @@ namespace lain::power {
 // fraction exactly 0.5, so the result depends on acc's parity), a
 // subnormal, zero, negative or non-finite value, and k not below acc
 // (each step then crosses a binade).  A k below half an ulp never
-// moves acc again, so the helper returns at once.
+// moves acc again, so the helper returns at once.  The binade comes
+// from acc's exponent bits, and the ulp, its reciprocal and the edge
+// are built as powers of two (frexp/ldexp only where the ulp is
+// subnormal), so a run that stays inside one binade costs a few
+// multiplications and no division.
 double repeated_add(double acc, double k, std::int64_t n);
 
 }  // namespace lain::power

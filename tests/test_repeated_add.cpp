@@ -125,6 +125,26 @@ TEST(RepeatedAdd, IncrementsBelowHalfAnUlpMatchLoop) {
   EXPECT_EQ(mismatches, 0);
 }
 
+TEST(RepeatedAdd, WholeExponentRangeMatchesLoop) {
+  // acc anywhere from DBL_MIN to just below 2^1023, so both the
+  // power-of-two fast path and the subnormal-ulp fallback (acc below
+  // 2^-969) run, with k from subnormal to just below acc.  The second
+  // loop crowds the bottom of the range, where the two paths meet.
+  Cases c(0x5EED0005);
+  int mismatches = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const double acc = c.magnitude(-1022, 1022);
+    const double k = acc * std::ldexp(1.0 + c.unit(), -c.count(2100));
+    mismatches += same_as_loop(acc, k, c.count(10000)) ? 0 : 1;
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const double acc = c.magnitude(-1022, -950);
+    const double k = acc * std::ldexp(1.0 + c.unit(), -c.count(120));
+    mismatches += same_as_loop(acc, k, c.count(10000)) ? 0 : 1;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(RepeatedAdd, SingleStepCasesMatchLoop) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
