@@ -347,7 +347,7 @@ ReportTable corner_sweep(LainContext& ctx, const ScenarioSpec& spec,
   const std::vector<xbar::Characterization> chars = characterize_grid(
       ctx, engine, spec.temps_c.size(), grid_schemes,
       [&](xbar::CrossbarSpec& xs, std::size_t axis) {
-        xs.temp_k = spec.temps_c[axis] + 273.0;
+        xs.temp_k = temp_k_of_c(spec.temps_c[axis]);
       });
   auto at = [&](std::size_t axis, std::size_t s) -> const auto& {
     return chars[axis * grid_schemes.size() + s];

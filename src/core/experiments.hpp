@@ -37,6 +37,9 @@ noc::SimConfig default_mesh_config(double injection_rate,
                                    noc::TrafficPattern pattern,
                                    std::uint64_t seed = 1);
 
+// Kelvin of a --temps value (degrees C), as corner_sweep applies it.
+constexpr double temp_k_of_c(double temp_c) { return temp_c + 273.0; }
+
 // Result of one powered NoC run.
 struct NocRunResult {
   xbar::Scheme scheme;

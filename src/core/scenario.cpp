@@ -9,6 +9,7 @@
 #include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "core/table1.hpp"
+#include "xbar/spec.hpp"
 
 namespace lain::core {
 
@@ -200,6 +201,57 @@ int single_int(const Scenario& sc, const ArgParser& args,
                                 " takes a single integer here: " + v);
   }
   return parsed.front();
+}
+
+// Rejects an axis value that its run would reject, before anything
+// runs: each value goes through the validator the run applies
+// (SimConfig::validate, CrossbarSpec::validate), on the canonical
+// config with only that value set.  A burst duty is checked at the
+// highest rate, since every (rate, duty) pair runs.
+void check_axis_values(const ScenarioSpec& s) {
+  // Sets one value on a copy of `config` and validates it, naming
+  // `flag` in the error.
+  auto check = [](const char* flag, auto config, const auto& set) {
+    set(config);
+    try {
+      config.validate();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("--") + flag + ": " + e.what());
+    }
+  };
+  const noc::SimConfig sim =
+      default_mesh_config(0.0, noc::TrafficPattern::kUniform);
+  const xbar::CrossbarSpec crossbar = xbar::table1_spec();
+  double max_rate = 0.0;
+  for (const double r : s.rates) {
+    check("rates", sim, [r](noc::SimConfig& c) { c.injection_rate = r; });
+    max_rate = std::max(max_rate, r);
+  }
+  for (const double h : s.hotspot_fracs) {
+    check("hotspot-fracs", sim,
+          [h](noc::SimConfig& c) { c.hotspot_fraction = h; });
+  }
+  for (const double d : s.burst_duties) {
+    check("burst-duties", sim, [d, max_rate](noc::SimConfig& c) {
+      c.injection_rate = max_rate;
+      c.burst_duty = d;
+    });
+  }
+  const double on_mean = s.burst_on_mean_cycles;
+  check("burst-on-mean", sim,
+        [on_mean](noc::SimConfig& c) { c.burst_on_mean_cycles = on_mean; });
+  for (const int r : s.radices) {
+    check("radices", sim,
+          [r](noc::SimConfig& c) { c.radix_x = c.radix_y = r; });
+  }
+  for (const double t : s.temps_c) {
+    check("temps", crossbar,
+          [t](xbar::CrossbarSpec& x) { x.temp_k = temp_k_of_c(t); });
+  }
+  for (const double p : s.probabilities) {
+    check("probabilities", crossbar,
+          [p](xbar::CrossbarSpec& x) { x.static_probability = p; });
+  }
 }
 
 ScenarioRegistry make_builtin_registry() {
@@ -641,6 +693,7 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
     s.seeds = {s.seed};
   }
   if (accepts("no-gating")) s.gating = !args.has("no-gating");
+  check_axis_values(s);
   return s;
 }
 

@@ -265,6 +265,54 @@ TEST(ScenarioSpec, CountFlagsRejectValuesBelowTheirLeast) {
                          "--sim-threads", "0"})));
 }
 
+// An axis value its run would reject fails in build_scenario_spec,
+// before the banner: lain_bench exits 2 with usage and an empty
+// stdout, and a served or --scenario-file job fails there too.  The
+// edge of the legal range still builds.
+void expect_axis_value_rejected(const char* scenario, const char* flag,
+                                const char* bad, const char* edge) {
+  const ScenarioRegistry& reg = ScenarioRegistry::builtin();
+  const Scenario& sc = *reg.find(scenario);
+  const std::string dashed = std::string("--") + flag;
+  const std::vector<const char*> argv = {dashed.c_str(), bad};
+  EXPECT_THROW(build_scenario_spec(sc, parse(sc, argv)),
+               std::invalid_argument);
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = run_scenario_cli(reg, sc, static_cast<int>(argv.size()),
+                                  argv.data());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find(reg.usage_for(sc)), std::string::npos) << err;
+  const ScenarioJobSpec job = scenario_job_from_json(
+      reg, std::string(R"({"scenario":")") + scenario + R"(",")" + flag +
+               R"(":")" + bad + R"("})");
+  EXPECT_THROW(build_scenario_spec(reg, job, {}), std::invalid_argument);
+  EXPECT_NO_THROW(build_scenario_spec(sc, parse(sc, {dashed.c_str(), edge})));
+}
+
+TEST(ScenarioSpec, RadixBelowTwoFailsBeforeTheRun) {
+  expect_axis_value_rejected("mesh_scaling", "radices", "1", "2");
+}
+
+TEST(ScenarioSpec, NegativeRateFailsBeforeTheRun) {
+  expect_axis_value_rejected("idle_histogram", "rates", "-0.1", "0");
+}
+
+TEST(ScenarioSpec, ZeroBurstDutyFailsBeforeTheRun) {
+  expect_axis_value_rejected("injection_sweep", "burst-duties", "0", "1");
+}
+
+TEST(ScenarioSpec, TemperatureBelowAbsoluteZeroFailsBeforeTheRun) {
+  expect_axis_value_rejected("corner_sweep", "temps", "-300", "-272");
+}
+
+TEST(ScenarioSpec, StaticProbabilityAboveOneFailsBeforeTheRun) {
+  expect_axis_value_rejected("static_probability", "probabilities", "1.5",
+                             "1");
+}
+
 TEST(ScenarioSpec, PartitionFlagParsesAndDefaultsToAuto) {
   const ScenarioRegistry& reg = ScenarioRegistry::builtin();
   const Scenario& sweep = *reg.find("injection_sweep");
