@@ -69,12 +69,12 @@ class Channel {
 
   // Consumer-side probe for the idle fast path: true when an item
   // waits in the pipe.  Reads only the consumer half of the channel,
-  // so — unlike in_flight() — it is safe to call from the consumer's
-  // component phase while the producer's shard may be staging a send
-  // concurrently: an item sent this cycle is admitted at the exchange
-  // phase and seen by the next cycle's probe, the cycle it becomes
-  // receivable.  That makes quiescence decisions built on this probe
-  // race-free AND bit-deterministic across shard layouts.
+  // so it is safe to call from the consumer's component phase while
+  // the producer's shard may be staging a send concurrently: an item
+  // sent this cycle is admitted at the exchange phase and seen by the
+  // next cycle's probe, the cycle it becomes receivable.  That makes
+  // quiescence decisions built on this probe race-free AND
+  // bit-deterministic across shard layouts.
   LAIN_HOT_PATH LAIN_NO_ALLOC bool consumer_pending() const {
     rc_consumer("Channel::consumer_pending");
     return pipe_full_;
@@ -111,14 +111,10 @@ class Channel {
     return removed;
   }
 
-  // Whole-channel probes: these read the staging slot, so during a
-  // sharded component phase only the producer may call them (enforced
-  // under LAIN_RACECHECK; any other shard would be reading a slot that
-  // is not published until the exchange phase).
-  bool in_flight() const {
-    rc_staging("Channel::in_flight");
-    return pipe_full_ || staged_full_;
-  }
+  // Whole-channel probe: reads the staging slot, so during a sharded
+  // component phase only the producer may call it (enforced under
+  // LAIN_RACECHECK; any other shard would be reading a slot that is not
+  // published until the exchange phase).
   int in_flight_count() const {
     rc_staging("Channel::in_flight_count");
     return (pipe_full_ ? 1 : 0) + (staged_full_ ? 1 : 0);
