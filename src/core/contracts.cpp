@@ -76,11 +76,11 @@ void check_producer_access(const OwnerTag& tag, const char* op) {
 }
 
 void check_consumer_access(const OwnerTag& tag, const char* op) {
-  if (tl_phase == Phase::none || tag.consumer_shard < 0) return;
+  if (tl_phase == Phase::none || tag.owner_shard < 0) return;
   if (tl_phase == Phase::exchange) {
     report_violation(tag, op, "consumer-side access during exchange phase");
   }
-  if (tl_shard >= 0 && tl_shard != tag.consumer_shard) {
+  if (tl_shard >= 0 && tl_shard != tag.owner_shard) {
     report_violation(tag, op, "consumer-side access from non-owner shard");
   }
 }

@@ -26,15 +26,17 @@
 //
 // The racecheck layer (LAIN_RACECHECK=1, `racecheck` preset) addition-
 // ally tags every Router/Nic/Channel with its owning shard from the
-// PartitionPlan and records, per thread, which shard and phase that
-// thread is currently stepping.  Cross-shard mutation during the
-// component phase, producer-side channel access from a non-owner,
-// channel advance outside the exchange phase, and staging-slot reads
-// before publication all abort with a message naming both shards, the
-// tile and the phase.  These are deterministic *logic* races — two
-// accesses separated by a barrier but owned by different shards —
-// which TSan structurally cannot see (it only flags unsynchronized
-// access, and the two-phase barrier synchronizes everything).
+// PartitionPlan (a channel's owner is its consumer) and records, per
+// thread, which shard and phase that thread is currently stepping.
+// Cross-shard mutation during the component phase, producer-side
+// channel access from a non-owner, channel advance outside the
+// exchange phase or by a shard other than the consumer's, and
+// staging-slot reads before publication all abort with a message
+// naming both shards, the tile and the phase.  These are deterministic
+// *logic* races — two accesses separated by a barrier but owned by
+// different shards — which TSan structurally cannot see (it only flags
+// unsynchronized access, and the two-phase barrier synchronizes
+// everything).
 //
 // When LAIN_RACECHECK is off (every default build), the instruments
 // compile away completely: no members, no branches, no calls.
@@ -91,14 +93,11 @@ class PhaseScope {
 struct OwnerTag {
   const char* kind = "object";
   int tile = -1;
-  int owner_shard = -1;     // component-phase mutator / exchange owner
+  // Components: the component-phase mutator.  Channels: the consumer,
+  // which reads the pipe in its component phase and advances the
+  // channel in its exchange phase.
+  int owner_shard = -1;
   int producer_shard = -1;  // channels: the staging-slot writer
-  int consumer_shard = -1;  // channels: the pipe reader.  For credit
-                            // channels this differs from owner_shard:
-                            // credits flow opposite to flits, so the
-                            // link owner produces credits that the
-                            // link source consumes, while the owner
-                            // still ticks the channel in exchange.
 };
 
 // Aborts with a diagnostic naming the object, both shards, the tile
@@ -112,9 +111,9 @@ void check_component_mutation(const OwnerTag& tag, const char* op);
 // Producer-side channel access (send): component phase, producer only.
 void check_producer_access(const OwnerTag& tag, const char* op);
 // Consumer-side channel access (receive / consumer_pending):
-// component phase, consumer only.
+// component phase, consumer (the channel's owner) only.
 void check_consumer_access(const OwnerTag& tag, const char* op);
-// Channel advance (tick): exchange phase, exchange owner only.
+// Channel advance (tick): exchange phase, consumer only.
 void check_exchange_access(const OwnerTag& tag, const char* op);
 // Staging-slot read (in_flight and friends): during a component phase
 // only the producer may look at its own unpublished staging slot.

@@ -6,13 +6,14 @@
 //
 // Internally the channel is split for the two-phase parallel kernel:
 // send() only writes the producer-side staging slot, receive() only
-// reads the consumer-side pipe slot, and tick() — the exchange phase —
-// moves the staged item into the pipe.  With component ticks (sends
-// and receives) and channel ticks separated by a barrier, a channel
-// crossing a shard boundary needs no locks: its producer and consumer
-// never touch the same member in the same phase.  Under LAIN_RACECHECK
-// that split is enforced: every access checks the calling shard and
-// phase against the channel's owners (see core/contracts.hpp).
+// reads the consumer-side pipe slot, and tick() — the exchange phase of
+// the consumer's shard — moves the staged item into the pipe.  With
+// component ticks (sends and receives) and channel ticks separated by
+// a barrier, a channel crossing a shard boundary needs no locks: its
+// producer and consumer never touch the same member in the same phase.
+// Under LAIN_RACECHECK that split is enforced: every access checks the
+// calling shard and phase against the channel's owners (see
+// core/contracts.hpp).
 //
 // The channel is a mailbox of two inline slots, not a queue: one item
 // is admitted per cycle, and every consumer drains its inbound
@@ -53,9 +54,9 @@ class Channel {
     return pipe_;
   }
 
-  // Exchange phase: admit the staged item into the pipe.  Returns true
-  // when an item was admitted this tick — the event-driven kernel uses
-  // that to wake the consumer.
+  // Exchange phase (the consumer's shard): admit the staged item into
+  // the pipe.  Returns true when an item was admitted this tick — the
+  // event-driven kernel uses that to wake the consumer.
   LAIN_HOT_PATH LAIN_NO_ALLOC bool tick() {
     rc_exchange("Channel::tick");
     LAIN_SHARD_PHASE(exchange);
@@ -122,22 +123,19 @@ class Channel {
 
 #if LAIN_RACECHECK
   // Tags this channel with its shard owners (called by the kernel once
-  // the partition plan is known): `producer` stages sends and
-  // `consumer` receives during the component phase; `exchange_owner`
-  // advances the pipe during the exchange phase.  For flit channels
-  // consumer == exchange_owner (the link owner); for credit channels —
-  // which flow opposite to flits — the link owner produces and still
-  // ticks, while the link source consumes.
-  void rc_set_owners(int producer, int consumer, int exchange_owner,
-                     int tile, const char* kind) {
+  // the partition plan is known): `producer` stages sends during the
+  // component phase; `consumer` receives during the component phase
+  // and advances the pipe during the exchange phase.  `tile` is the
+  // consuming node.
+  void rc_set_owners(int producer, int consumer, int tile,
+                     const char* kind) {
     rc_tag_.producer_shard = producer;
-    rc_tag_.consumer_shard = consumer;
-    rc_tag_.owner_shard = exchange_owner;
+    rc_tag_.owner_shard = consumer;
     rc_tag_.tile = tile;
     rc_tag_.kind = kind;
   }
 #else
-  void rc_set_owners(int, int, int, int, const char*) {}
+  void rc_set_owners(int, int, int, const char*) {}
 #endif
 
  private:

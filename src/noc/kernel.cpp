@@ -78,8 +78,7 @@ void SimKernel::prepare_event_state() {
   nic_active_flag_.assign(nn, 0);
   router_active_flag_.assign(nn, 0);
   idle_from_.assign(nn, 0);
-  link_marked_.assign(static_cast<std::size_t>(nl), 0);
-  link_wake_.assign(static_cast<std::size_t>(nl), LinkWake{});
+  consumer_.assign(2 * static_cast<std::size_t>(nl), ChannelConsumer{});
   send_link_.assign(nn * kSendBits, -1);
   auto shard_of = [&](NodeId n) {
     return plan_.shard_of[static_cast<std::size_t>(n)];
@@ -89,77 +88,41 @@ void SimKernel::prepare_event_state() {
     return send_link_[static_cast<std::size_t>(n) * kSendBits +
                       static_cast<std::size_t>(bit)];
   };
-  const int local = port(Dir::kLocal);
+  using Kind = Network::LinkKind;
   for (int li = 0; li < nl; ++li) {
     const NodeId src = net_.link_source(li);
     const NodeId own = net_.link_owner(li);
-    LinkWake w;
-    switch (net_.link_kind(li)) {
-      case Network::LinkKind::kInjection:
-        // NIC(src) -> router(own) flits; credits flow back to the NIC.
-        w.flit_node = own;
-        w.flit_is_nic = 0;
-        w.credit_node = src;
-        w.credit_is_nic = 1;
-        send_slot(own, kNumPorts + local) = li;
-        break;
-      case Network::LinkKind::kEjection:
-        // router(src) -> NIC(own) flits; credits back to the router.
-        w.flit_node = own;
-        w.flit_is_nic = 1;
-        w.credit_node = src;
-        w.credit_is_nic = 0;
-        send_slot(src, local) = li;
-        break;
-      case Network::LinkKind::kRouter:
-        w.flit_node = own;
-        w.flit_is_nic = 0;
-        w.credit_node = src;
-        w.credit_is_nic = 0;
-        w.credit_cross = shard_of(src) != shard_of(own) ? 1 : 0;
-        // The owner returns credits on its input port; the source's
-        // flits mark the link only when its own shard exchanges it.
-        send_slot(own, kNumPorts + port(opposite(net_.link_dir(li)))) = li;
-        if (w.credit_cross == 0) send_slot(src, port(net_.link_dir(li))) = li;
-        break;
+    const Kind kind = net_.link_kind(li);
+    // Flits flow from the source to the owner, credits back.
+    consumer_[static_cast<std::size_t>(Network::channel_id(li, false))] = {
+        own, kind == Kind::kEjection};
+    consumer_[static_cast<std::size_t>(Network::channel_id(li, true))] = {
+        src, kind == Kind::kInjection};
+    if (shard_of(src) != shard_of(own)) continue;
+    // The link leaves the source's router on port d (unless the NIC
+    // injects on it) and enters the owner's router on the opposite
+    // port (unless it ejects to the NIC).
+    const Dir d = net_.link_dir(li);
+    if (kind != Kind::kInjection) send_slot(src, port(d)) = li;
+    if (kind != Kind::kEjection) {
+      send_slot(own, kNumPorts + port(opposite(d))) = li;
     }
-    link_wake_[static_cast<std::size_t>(li)] = w;
   }
-  boundary_links_of_.assign(shards_.size(), {});
-  std::vector<std::uint8_t> pinned_flag(nn, 0);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const ShardPlan& sp = plan_.shards[s];
     Shard& sh = shards_[s];
-    for (int li : sp.links) {
-      if (shard_of(net_.link_source(li)) != static_cast<int>(s)) {
-        boundary_links_of_[s].push_back(li);
-      }
-    }
     const std::size_t nodes = sp.nodes.size();
-    const std::size_t links = sp.links.size();
     sh.arrivals.assign(nodes, {Cycle{0}, kInvalidNode});
     sh.dry_nodes.assign(nodes, kInvalidNode);
     sh.active_nics.assign(nodes, kInvalidNode);
     sh.active_routers.assign(nodes, kInvalidNode);
-    sh.cand_links.assign(links, 0);
+    sh.cand_channels.assign(2 * sp.links.size(), 0);
     sh.arrival_count = sh.dry_count = 0;
     sh.nic_count = sh.router_count = 0;
     sh.cand_count = 0;
     sh.arrivals_seeded = false;
     sh.arrival_scanned_to = 0;
   }
-  // Pinned routers: sources of cross-shard links.  Their inbound
-  // boundary credit channels are refilled by an exchange phase their
-  // own shard never runs, so instead of cross-shard wake-ups they are
-  // probed every executed cycle and contribute to the horizon.
-  for (int li = 0; li < nl; ++li) {
-    const NodeId src = net_.link_source(li);
-    if (shard_of(src) == shard_of(net_.link_owner(li))) continue;
-    if (pinned_flag[static_cast<std::size_t>(src)] != 0) continue;
-    pinned_flag[static_cast<std::size_t>(src)] = 1;
-    shards_[static_cast<std::size_t>(shard_of(src))].pinned.push_back(src);
-  }
-  for (Shard& sh : shards_) std::sort(sh.pinned.begin(), sh.pinned.end());
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::maintain_arrival_limit() {
@@ -211,11 +174,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC Cycle SimKernel::shard_horizon(
     }
   }
   if (sh.nic_count > 0 || sh.router_count > 0) return now_;
-  // A boundary credit admitted last cycle is receivable now, so a
-  // pinned router that is not quiescent has work this cycle.
-  for (NodeId p : sh.pinned) {
-    if (!net_.router(p).quiescent()) return now_;
-  }
   if (injecting_ && sh.arrival_count > 0) return sh.arrivals[0].first;
   return kNoEventCycle;
 }
@@ -264,7 +222,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::tick_router_full(Shard& sh,
   }
   from = now_ + 1;
   r.tick();
-  mark_sent_links(sh, n, r.sent_links());
+  mark_sent_channels(sh, n, r.sent_links(), false);
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
@@ -312,7 +270,7 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
     const NodeId n = sh.active_nics[i];
     Nic& nic = net_.nic(n);
     nic.tick(now_);
-    mark_sent_links(sh, n, nic.sent_links());
+    mark_sent_channels(sh, n, nic.sent_links(), true);
     for (const Nic::Ejection& e : nic.completions()) {
       record_completion(sh, n, e);
     }
@@ -341,18 +299,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_components(
     }
   }
   sh.router_count = router_kept;
-  // Pinned routers not woken this cycle: probe.  Their inbound
-  // boundary credits arrive without a wake-up, so a full tick runs
-  // whenever the quiescence predicate fails — exactly the per-cycle
-  // kernel's criterion.  A post-tick non-quiescent pinned router
-  // joins the active list like any other.
-  for (NodeId p : sh.pinned) {
-    if (router_active_flag_[static_cast<std::size_t>(p)] != 0) continue;
-    Router& r = net_.router(p);
-    if (r.quiescent()) continue;
-    tick_router_full(sh, p);
-    if (!r.quiescent()) wake_router(sh, p);
-  }
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
                        component_calls, 1);
 }
@@ -364,47 +310,35 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
   LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
                        exchange_ns);
   Shard& sh = shards_[shard_index];
-  // Candidates = the links this shard's components sent on (marked
-  // from their send masks during the component phase) ∪ owned boundary
-  // links, deduped through link_marked_.  Ticking any other link is a
-  // no-op (nothing staged), so the reduced set evolves the fabric
-  // bit-identically to ticking every owned link.  A boundary link's
-  // flit producer runs in another shard, so it is ticked whether or
-  // not anything was sent on it.
-  for (int li : boundary_links_of_[shard_index]) {
-    if (link_marked_[static_cast<std::size_t>(li)] == 0) {
-      link_marked_[static_cast<std::size_t>(li)] = 1;
-      sh.cand_links[sh.cand_count++] = li;
+  const std::vector<int>& boundary =
+      plan_.shards[shard_index].boundary_channels;
+  // Ticks channel c; an admission wakes its consumer.
+  auto exchange = [&](int c) {
+    if (!net_.tick_channel(c)) return false;
+    const ChannelConsumer& to = consumer_[static_cast<std::size_t>(c)];
+    if (to.is_nic) {
+      wake_nic(sh, to.node);
+    } else {
+      wake_router(sh, to.node);
     }
-  }
+    return true;
+  };
+  // Ticking an internal channel nothing was sent on is a no-op, so
+  // ticking only the candidates evolves the fabric bit-identically to
+  // ticking every channel the shard consumes.  Every candidate admits:
+  // one marked twice would find nothing staged the second time.
   for (std::size_t i = 0; i < sh.cand_count; ++i) {
-    const int li = sh.cand_links[i];
-    const Network::LinkTickEvents ev = net_.tick_link(li);
-    const LinkWake& w = link_wake_[static_cast<std::size_t>(li)];
-    // Only a router link crossing shards is a boundary link.
-    assert((ev.flit_admitted || ev.credit_admitted || w.credit_cross != 0) &&
-           "a link marked as sent on had nothing staged");
-    if (ev.flit_admitted) {
-      if (w.flit_is_nic != 0) {
-        wake_nic(sh, w.flit_node);
-      } else {
-        wake_router(sh, w.flit_node);
-      }
-    }
-    if (ev.credit_admitted && w.credit_cross == 0) {
-      if (w.credit_is_nic != 0) {
-        wake_nic(sh, w.credit_node);
-      } else {
-        wake_router(sh, w.credit_node);
-      }
-    }
-    link_marked_[static_cast<std::size_t>(li)] = 0;
+    [[maybe_unused]] const bool admitted = exchange(sh.cand_channels[i]);
+    assert(admitted && "a channel marked as sent on had nothing staged");
   }
+  // A boundary channel's producer runs in another shard, so it is
+  // ticked whether or not anything was sent on it.
+  for (int c : boundary) exchange(c);
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
                        exchange_calls, 1);
-  LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
-                       channel_ticks,
-                       static_cast<std::int64_t>(sh.cand_count));
+  LAIN_TELEMETRY_COUNT(
+      telemetry_, static_cast<int>(shard_index), channel_ticks,
+      static_cast<std::int64_t>(sh.cand_count + boundary.size()));
   sh.cand_count = 0;
 }
 
@@ -481,12 +415,15 @@ void SimKernel::step_shard_channels(std::size_t shard_index) {
                                  static_cast<int>(shard_index));
   LAIN_TELEMETRY_SCOPE(telemetry_, static_cast<int>(shard_index),
                        exchange_ns);
-  const std::vector<int>& links = plan_.shards[shard_index].links;
-  for (int li : links) net_.tick_link(li);
+  const ShardPlan& sp = plan_.shards[shard_index];
+  for (int li : sp.links) net_.tick_link(li);
+  for (int c : sp.boundary_channels) net_.tick_channel(c);
   LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
                        exchange_calls, 1);
-  LAIN_TELEMETRY_COUNT(telemetry_, static_cast<int>(shard_index),
-                       channel_ticks, static_cast<std::int64_t>(links.size()));
+  LAIN_TELEMETRY_COUNT(
+      telemetry_, static_cast<int>(shard_index), channel_ticks,
+      static_cast<std::int64_t>(2 * sp.links.size() +
+                                sp.boundary_channels.size()));
 }
 
 void SimKernel::set_metrics_window(Cycle window_cycles, WindowCallback cb) {

@@ -48,7 +48,8 @@ namespace lain::noc {
 
 // One shard's runtime state: its private measurement slice, merged
 // exactly at the end of the run.  The static side — tile set and
-// exchange-phase links — lives in the kernel's PartitionPlan.
+// exchange-phase links and channels — lives in the kernel's
+// PartitionPlan.
 struct Shard {
   SimStats stats;
   // The current metrics window's slice of the same events (only
@@ -92,15 +93,10 @@ struct Shard {
   std::size_t nic_count = 0;
   std::vector<NodeId> active_routers;
   std::size_t router_count = 0;
-  // Exchange-phase candidate links this cycle (links sent on ∪ owned
-  // boundary links, deduped via SimKernel::link_marked_).
-  std::vector<int> cand_links;
+  // Exchange-phase candidates this cycle: the channels of the shard's
+  // internal links its components sent on (see mark_sent_channels).
+  std::vector<int> cand_channels;
   std::size_t cand_count = 0;
-  // Routers of this shard that source a link owned by another shard:
-  // their inbound boundary credit channels are fed by an exchange
-  // phase this shard never runs, so instead of cross-shard wake-ups
-  // they are probed every executed cycle and in the horizon.
-  std::vector<NodeId> pinned;
   bool arrivals_seeded = false;
   // Arrival limit the last seed/rescan covered (dry nodes rescan when
   // the kernel extends the limit past this).
@@ -305,8 +301,8 @@ class SimKernel {
   //
   // The event kernel keeps, per shard, the set of components with
   // work (active lists, woken by exchange-phase admissions), the set
-  // of links its components sent on this cycle (candidate list), and a
-  // min-heap of pending traffic arrivals.  An executed cycle touches
+  // of channels its components sent on this cycle (candidate list), and
+  // a min-heap of pending traffic arrivals.  An executed cycle touches
   // only those sets; when every set is empty the shard proposes a
   // quiescence horizon and the clock jumps.  Idle routers are not
   // ticked at all — their idle accounting (activity tap + power hook)
@@ -317,17 +313,16 @@ class SimKernel {
 
   // Sizes the per-shard event state; called from init_partition.
   void prepare_event_state();
-  // This shard's proposed horizon: now_ when it has any work this
-  // cycle (an active component, or a pinned router that is not
-  // quiescent), else its next traffic arrival, else kNoEventCycle.
+  // This shard's proposed horizon: now_ when it has an active
+  // component, else its next traffic arrival, else kNoEventCycle.
   // Also performs the shard's lazy arrival-heap seeding/extension.
   // Runs under a component phase scope.
   static constexpr Cycle kNoEventCycle = std::numeric_limits<Cycle>::max();
   Cycle shard_horizon(std::size_t shard_index);
   // Event-driven component phase for one shard (executed cycles only).
   void step_shard_event_components(std::size_t shard_index);
-  // Event-driven exchange phase: tick only candidate links and wake
-  // consumers of admissions.
+  // Event-driven exchange phase: tick the candidate channels and the
+  // shard's boundary channels, and wake the consumers of admissions.
   void step_shard_event_channels(std::size_t shard_index);
   // Bare-step arrival-limit maintenance: keeps the scan bound a chunk
   // ahead of now_ so next_arrival never scans unboundedly (a node
@@ -361,25 +356,16 @@ class SimKernel {
   std::vector<Cycle> idle_from_;
   // send_link_[n * kSendBits + b]: the link behind bit b of node n's
   // send masks (see SendMask), or -1 when the node has no such link or
-  // another shard runs its exchange (a boundary link there, ticked
-  // unconditionally by its owner).
+  // the link crosses a shard boundary (its channels are boundary
+  // channels, ticked every executed cycle by their consumers' shards).
   std::vector<int> send_link_;
-  // Per-link admission wake-up routing.
-  struct LinkWake {
-    NodeId flit_node = kInvalidNode;    // flit-pipe consumer
-    NodeId credit_node = kInvalidNode;  // credit-pipe consumer
-    std::uint8_t flit_is_nic = 0;
-    std::uint8_t credit_is_nic = 0;
-    // Credit consumer lives in another shard (boundary link): no
-    // wake-up — the consumer is pinned there instead.
-    std::uint8_t credit_cross = 0;
+  // Per-channel consumer (indexed by Network::channel_id), woken when
+  // the exchange phase admits an item into the channel.
+  struct ChannelConsumer {
+    NodeId node = kInvalidNode;
+    bool is_nic = false;
   };
-  std::vector<LinkWake> link_wake_;
-  std::vector<std::uint8_t> link_marked_;  // exchange-candidate dedup
-  // Per-shard boundary links (owned here, fed from another shard):
-  // ticked every executed cycle since the producing shard's activity
-  // is invisible here.
-  std::vector<std::vector<int>> boundary_links_of_;
+  std::vector<ChannelConsumer> consumer_;
 
   SimConfig cfg_;
   Network net_;
@@ -438,8 +424,8 @@ class SimKernel {
   // Event phase: settles router n's deferred idle span, then runs its
   // full pipeline for now_.
   void tick_router_full(Shard& sh, NodeId n);
-  // Exchange-phase wake-ups (same shard as the admission by
-  // construction; see LinkWake::credit_cross).
+  // Exchange-phase wake-ups: every channel is ticked by its consumer's
+  // shard, so the woken component is always in `sh`.
   void wake_nic(Shard& sh, NodeId n) {
     if (nic_active_flag_[static_cast<std::size_t>(n)] == 0) {
       nic_active_flag_[static_cast<std::size_t>(n)] = 1;
@@ -452,15 +438,19 @@ class SimKernel {
       sh.active_routers[sh.router_count++] = n;
     }
   }
-  // Makes the links node n's component just sent on (its send mask)
-  // exchange candidates.
-  void mark_sent_links(Shard& sh, NodeId n, SendMask sent) {
+  // Makes the channels node n's router (nic false) or NIC (nic true)
+  // just sent on (its send mask) exchange candidates.  A router sends
+  // flits on its out bits and credits on its in bits, a NIC the other
+  // way round.  No channel repeats: each has one producer, which sends
+  // on it at most once a cycle.
+  void mark_sent_channels(Shard& sh, NodeId n, SendMask sent, bool nic) {
     const int* links = &send_link_[static_cast<std::size_t>(n) * kSendBits];
     for (Mask m = sent; m != 0; m &= m - 1) {
-      const int li = links[lowest_bit(m)];
-      if (li >= 0 && link_marked_[static_cast<std::size_t>(li)] == 0) {
-        link_marked_[static_cast<std::size_t>(li)] = 1;
-        sh.cand_links[sh.cand_count++] = li;
+      const int bit = lowest_bit(m);
+      const int li = links[bit];
+      if (li >= 0) {
+        sh.cand_channels[sh.cand_count++] =
+            Network::channel_id(li, (bit >= kNumPorts) != nic);
       }
     }
   }

@@ -9,8 +9,9 @@ namespace lain::noc {
 namespace {
 
 // Folds a node -> shard assignment into a full plan: per-shard tile
-// lists, exchange-phase link lists (consumer-owned, as the kernels
-// require) and exact boundary-link counts from the wired fabric.
+// lists, exchange-phase link and channel lists (each channel advanced
+// by its consumer's shard, as the kernels require) and the exact
+// boundary-link count from the wired fabric.
 PartitionPlan from_assignment(const Network& net, PartitionStrategy strategy,
                               int num_shards, std::vector<int> shard_of) {
   PartitionPlan plan;
@@ -24,13 +25,18 @@ PartitionPlan from_assignment(const Network& net, PartitionStrategy strategy,
     const int s = plan.shard_of[static_cast<std::size_t>(n)];
     plan.shards[static_cast<std::size_t>(s)].nodes.push_back(n);
   }
+  auto shard = [&](NodeId n) -> ShardPlan& {
+    return plan.shards[static_cast<std::size_t>(
+        plan.shard_of[static_cast<std::size_t>(n)])];
+  };
   for (int li = 0; li < net.num_links(); ++li) {
-    const int owner =
-        plan.shard_of[static_cast<std::size_t>(net.link_owner(li))];
-    ShardPlan& sh = plan.shards[static_cast<std::size_t>(owner)];
-    sh.links.push_back(li);
-    if (plan.shard_of[static_cast<std::size_t>(net.link_source(li))] != owner) {
-      ++sh.boundary_links;
+    ShardPlan& owner = shard(net.link_owner(li));
+    ShardPlan& source = shard(net.link_source(li));
+    if (&owner == &source) {
+      owner.links.push_back(li);
+    } else {
+      owner.boundary_channels.push_back(Network::channel_id(li, false));
+      source.boundary_channels.push_back(Network::channel_id(li, true));
       ++plan.boundary_links;
     }
   }

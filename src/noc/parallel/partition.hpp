@@ -1,13 +1,15 @@
 // partition.hpp — the topology-aware partition layer.
 //
 // A PartitionPlan is the static decomposition a parallel engine steps
-// with: each shard's tile set, the precomputed list of channels it
-// advances in the exchange phase, and — the quantity partition shape
-// is chosen by — the number of boundary links, i.e. links whose
+// with: each shard's tile set, the precomputed lists of channels it
+// advances in the exchange phase (every channel is advanced by the
+// shard that consumes it), and — the quantity partition shape is
+// chosen by — the number of boundary links, i.e. links whose
 // producing and consuming routers land in different shards.  Every
-// boundary link is one staging-slot publication other shards must
-// observe per cycle, so fewer boundary links means less cross-shard
-// cache traffic per barrier crossing.
+// boundary link is two staging-slot publications (its flit and its
+// credit channel) other shards must observe per cycle, so fewer
+// boundary links means less cross-shard cache traffic per barrier
+// crossing.
 //
 // Two strategies are implemented (plus an automatic pick):
 //
@@ -46,15 +48,16 @@ const char* partition_name(PartitionStrategy s);
 // on anything else).
 PartitionStrategy partition_from_name(const std::string& name);
 
-// One shard's slice of the plan: its tiles, the links it advances in
-// the exchange phase (each link belongs to the shard owning its
-// consuming node), and how many of those links are fed from another
-// shard.
+// One shard's slice of the plan: its tiles and what it advances in
+// the exchange phase — the links whose two ends it holds, ticked whole,
+// and, of the links crossing its boundary, the channel it consumes
+// (Network::channel_id: the flit channel where it holds the owner, the
+// credit channel where it holds the source).
 struct ShardPlan {
   int index = 0;
   std::vector<NodeId> nodes;  // ascending
-  std::vector<int> links;
-  int boundary_links = 0;
+  std::vector<int> links;     // ascending
+  std::vector<int> boundary_channels;  // ascending
 };
 
 struct PartitionPlan {

@@ -11,9 +11,13 @@
 //                         slots, so shards never race — even on links
 //                         that cross a shard boundary.
 //   barrier
-//   phase 2 (exchange)    each shard advances the links whose
-//                         consumer it owns, publishing this cycle's
-//                         boundary flits for the next cycle.
+//   phase 2 (exchange)    each shard advances the channels it
+//                         consumes — its internal links whole, and of
+//                         each boundary link the flit channel where it
+//                         holds the owner, the credit channel where it
+//                         holds the source — publishing this cycle's
+//                         boundary flits and credits for the next
+//                         cycle.
 //   barrier
 //
 // Under event stepping (sparse traffic; the kernel picks it, see
@@ -21,8 +25,9 @@
 // every shard proposes the earliest cycle it knows work at, and after
 // a horizon barrier every participant computes the same global target
 // and either executes the cycle as above or skips to the target.  A
-// skip only advances the clock: every admitted item is receivable the
-// next cycle, so no shard proposes a horizon past one.
+// skip only advances the clock: every admitted item wakes its consumer
+// in the shard that admitted it and is receivable the next cycle, so
+// no shard proposes a horizon past one.
 //
 // The calling thread drives shard 0 and the phase machine; shards
 // 1..S-1 run on a persistent ThreadPool that is reused across every

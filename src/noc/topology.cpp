@@ -124,9 +124,9 @@ void Network::rc_tag_shards(const std::vector<int>& shard_of) {
     const int src = shard(link_source(i));
     const int own = shard(link_owner(i));
     Link& l = links_[static_cast<size_t>(i)];
-    l.flits.rc_set_owners(src, own, own, static_cast<int>(link_owner(i)),
+    l.flits.rc_set_owners(src, own, static_cast<int>(link_owner(i)),
                           "flit channel");
-    l.credits.rc_set_owners(own, src, own, static_cast<int>(link_owner(i)),
+    l.credits.rc_set_owners(own, src, static_cast<int>(link_source(i)),
                             "credit channel");
   }
 }

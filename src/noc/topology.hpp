@@ -31,27 +31,30 @@ class Network {
   // routers and NICs have ticked).
   void tick_channels();
 
-  // Per-link advance for sharded kernels: the exchange phase ticks
-  // each link exactly once, from the shard owning link_owner(i).
-  // Reports whether a flit / credit was admitted into its pipe this
-  // cycle, so the event-driven kernel can wake the consumer.
+  // Advances both channels of link i.  The exchange phase ticks a link
+  // whole when its two ends share a shard.
   int num_links() const { return static_cast<int>(links_.size()); }
-  struct LinkTickEvents {
-    bool flit_admitted = false;
-    bool credit_admitted = false;
-  };
-  LAIN_HOT_PATH LAIN_NO_ALLOC LinkTickEvents tick_link(int i) {
+  LAIN_HOT_PATH LAIN_NO_ALLOC void tick_link(int i) {
     Link& l = links_[static_cast<size_t>(i)];
-    LinkTickEvents ev;
-    ev.flit_admitted = l.flits.tick();
-    ev.credit_admitted = l.credits.tick();
-    return ev;
+    l.flits.tick();
+    l.credits.tick();
   }
 
-  // The node whose router/NIC consumes this link's flits.  Assigning
-  // each link to its consumer's shard keeps boundary traffic local to
-  // one side; any unique assignment would be correct (the exchange
-  // phase is barrier-separated from the component phase).
+  // Channel 2*i carries link i's flits and channel 2*i + 1 its credits.
+  // The exchange phase of the shard that consumes a channel ticks it:
+  // the owner's shard a flit channel, the source's shard a credit one.
+  static constexpr int channel_id(int link, bool credit) {
+    return 2 * link + (credit ? 1 : 0);
+  }
+  // Advances one channel; reports whether it admitted an item, so the
+  // event-driven kernel can wake the consumer.
+  LAIN_HOT_PATH LAIN_NO_ALLOC bool tick_channel(int c) {
+    Link& l = links_[static_cast<size_t>(c >> 1)];
+    return (c & 1) != 0 ? l.credits.tick() : l.flits.tick();
+  }
+
+  // The node whose router/NIC consumes this link's flits (and produces
+  // its credits).
   NodeId link_owner(int i) const {
     return link_owners_.at(static_cast<size_t>(i));
   }
@@ -103,10 +106,10 @@ class Network {
 
   // Racecheck tagging: stamps every router, NIC and channel with its
   // owning shard from a node->shard map (PartitionPlan::shard_of).
-  // Flit channels are produced by the link source and consumed/ticked
-  // by the link owner; credit channels flow the opposite way (the
-  // owner produces, the source consumes) but are still ticked by the
-  // owner's shard.  No-op unless built with LAIN_RACECHECK.
+  // Flit channels are produced by the link source and consumed and
+  // ticked by the link owner; credit channels flow the opposite way
+  // (the owner produces, the source consumes and ticks).  No-op
+  // unless built with LAIN_RACECHECK.
   void rc_tag_shards(const std::vector<int>& shard_of);
 
  private:

@@ -1,8 +1,9 @@
 // test_partition.cpp — the topology-aware partition planner: every
-// plan must cover the fabric exactly (nodes and links each owned by
-// one shard), count boundary links correctly on mesh and torus
-// (wraparound included), and Blocks2D must never cut more links than
-// RowBands on square meshes — strictly fewer on wide ones.
+// plan must cover the fabric exactly (each node owned by one shard,
+// each channel advanced by one shard), count boundary links correctly
+// on mesh and torus (wraparound included), and Blocks2D must never cut
+// more links than RowBands on square meshes — strictly fewer on wide
+// ones.
 
 #include "noc/parallel/partition.hpp"
 
@@ -21,28 +22,48 @@ SimConfig grid(int rx, int ry, TopologyKind topo = TopologyKind::kMesh) {
   return cfg;
 }
 
-// Every node in exactly one shard, every link advanced by exactly one
-// shard, shard_of consistent with the tile lists, and the per-shard
-// boundary counts summing to the plan's total.
+// Every node in exactly one shard and shard_of consistent with the
+// tile lists; every channel advanced by exactly one shard, its
+// consumer's (the link owner's for flits, the link source's for
+// credits); `links` holding only links whose two ends share the shard;
+// and two boundary channels per boundary link.
 void expect_exact_cover(const Network& net, const PartitionPlan& plan) {
+  auto shard_of = [&](NodeId n) {
+    return plan.shard_of[static_cast<std::size_t>(n)];
+  };
+  auto crosses = [&](int li) {
+    return shard_of(net.link_source(li)) != shard_of(net.link_owner(li));
+  };
   std::set<NodeId> nodes;
-  std::set<int> links;
-  int boundary = 0;
+  std::set<int> channels;
+  std::size_t boundary_channels = 0;
   for (const ShardPlan& sh : plan.shards) {
     for (NodeId n : sh.nodes) {
       EXPECT_TRUE(nodes.insert(n).second) << "node " << n << " double-owned";
-      EXPECT_EQ(plan.shard_of[static_cast<std::size_t>(n)], sh.index);
+      EXPECT_EQ(shard_of(n), sh.index);
     }
+    auto advance = [&](int c) {
+      const int li = c / 2;
+      const NodeId consumer =
+          c % 2 != 0 ? net.link_source(li) : net.link_owner(li);
+      EXPECT_TRUE(channels.insert(c).second)
+          << "channel " << c << " advanced twice";
+      EXPECT_EQ(shard_of(consumer), sh.index) << "channel " << c;
+    };
     for (int li : sh.links) {
-      EXPECT_TRUE(links.insert(li).second) << "link " << li << " double-owned";
-      EXPECT_EQ(plan.shard_of[static_cast<std::size_t>(net.link_owner(li))],
-                sh.index);
+      EXPECT_FALSE(crosses(li)) << "link " << li << " crosses shards";
+      advance(Network::channel_id(li, false));
+      advance(Network::channel_id(li, true));
     }
-    boundary += sh.boundary_links;
+    for (int c : sh.boundary_channels) {
+      EXPECT_TRUE(crosses(c / 2)) << "channel " << c << " is internal";
+      advance(c);
+    }
+    boundary_channels += sh.boundary_channels.size();
   }
   EXPECT_EQ(static_cast<int>(nodes.size()), net.num_nodes());
-  EXPECT_EQ(static_cast<int>(links.size()), net.num_links());
-  EXPECT_EQ(boundary, plan.boundary_links);
+  EXPECT_EQ(static_cast<int>(channels.size()), 2 * net.num_links());
+  EXPECT_EQ(static_cast<int>(boundary_channels), 2 * plan.boundary_links);
 }
 
 TEST(Partition, RowBandsMatchesContiguousRanges) {

@@ -102,6 +102,28 @@ TEST(RacecheckDeathTest, ChannelAdvanceByNonOwnerShardCaught) {
                "channel advanced by non-owner shard");
 }
 
+TEST(RacecheckDeathTest, BoundaryCreditAdvancedByLinkOwnerCaught) {
+  TaggedFabric f;
+  // A router link from shard 0 into shard 1: shard 1 consumes and
+  // advances its flit channel, but its credits flow back to shard 0,
+  // whose exchange phase alone may advance the credit channel.
+  auto shard = [&](NodeId n) {
+    return f.plan.shard_of[static_cast<size_t>(n)];
+  };
+  int crossing = -1;
+  for (int i = 0; i < f.net.num_links(); ++i) {
+    if (f.net.link_kind(i) == Network::LinkKind::kRouter &&
+        shard(f.net.link_source(i)) == 0 && shard(f.net.link_owner(i)) == 1) {
+      crossing = i;
+      break;
+    }
+  }
+  ASSERT_GE(crossing, 0);
+  PhaseScope scope(Phase::exchange, 1);
+  EXPECT_DEATH((void)f.net.tick_channel(Network::channel_id(crossing, true)),
+               "channel advanced by non-owner shard");
+}
+
 TEST(RacecheckDeathTest, StagingSlotReadBeforePublishCaught) {
   TaggedFabric f;
   // flits_in_flight() reads every channel's staging slot — legal

@@ -353,15 +353,17 @@ TEST(SweepService, ServedTable1CharacterizesThroughTheSharedCache) {
 // ---------------------------------------------------- serve hardening
 
 TEST(SweepService, JobTimeoutFiresAndFreesTheWorkerLane) {
-  // 150 ms deadline against a job that takes seconds: the monitor
-  // cancels it at a window boundary and the terminal state says so.
+  // 150 ms deadline against a job that takes seconds (about 2.5 s
+  // through the CLI in a Release build, over ten times the deadline):
+  // the monitor cancels it at a window boundary and the terminal state
+  // says so.
   TestService ts("timeout", /*budget=*/1, /*workers=*/1,
                  /*abort_mult=*/0.0, /*job_timeout_s=*/0.15);
   Client client(ts.service->socket_path());
   client.send_line(
       "{\"type\":\"submit\",\"scenario\":\"injection_sweep\","
       "\"rates\":\"0.03,0.04,0.05\",\"patterns\":\"uniform\","
-      "\"schemes\":\"sdpc\",\"replicates\":\"5\","
+      "\"schemes\":\"sdpc\",\"replicates\":\"50\","
       "\"metrics-window\":\"250\"}");
   std::string line, done_state;
   while (client.read_line(&line)) {

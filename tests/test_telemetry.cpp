@@ -314,11 +314,11 @@ TEST(TelemetryCounters, CollectorAccumulatesPerShardPhaseCounters) {
   EXPECT_GT(collector.at(1).component_calls, 0);
 }
 
-// An event-stepped exchange ticks exactly the links a flit or a credit
-// was sent on (one shard, so no boundary links).  The reference steps
-// the same fabric and traffic stream by hand, ticking every component
-// and every link each cycle, and counts the (link, cycle) pairs whose
-// tick admitted something.
+// An event-stepped exchange ticks exactly the channels a flit or a
+// credit was sent on (one shard, so no boundary channels).  The
+// reference steps the same fabric and traffic stream by hand, ticking
+// every component and every channel each cycle, and counts the
+// (channel, cycle) pairs whose tick admitted something.
 TEST(TelemetryCounters, EventChannelTicksCountOnlyLinksSentOn) {
   SimConfig cfg = mesh8(0.0005);
   cfg.warmup_cycles = 0;
@@ -342,9 +342,8 @@ TEST(TelemetryCounters, EventChannelTicksCountOnlyLinksSentOn) {
     }
     for (noc::NodeId n = 0; n < net.num_nodes(); ++n) net.nic(n).tick(t);
     for (noc::NodeId n = 0; n < net.num_nodes(); ++n) net.router(n).tick();
-    for (int li = 0; li < net.num_links(); ++li) {
-      const noc::Network::LinkTickEvents ev = net.tick_link(li);
-      if (ev.flit_admitted || ev.credit_admitted) ++sent_pairs;
+    for (int c = 0; c < 2 * net.num_links(); ++c) {
+      if (net.tick_channel(c)) ++sent_pairs;
     }
   }
   EXPECT_EQ(packets, 1);

@@ -62,6 +62,22 @@ for preset in $PRESETS; do
     done
     echo "check_all: metrics smoke OK ($metrics_out)"
 
+    # Sparse twin: at 0.002 the sharded kernel steps event-driven, and
+    # the JSONL summary must say so.
+    sparse_out="build/$preset/check_all_metrics_sparse.jsonl"
+    if ! "build/$preset/lain_bench" injection_sweep --rates 0.002 \
+        --patterns uniform --schemes sdpc --sim-threads 2 \
+        --metrics-window 500 --metrics-out "$sparse_out" >/dev/null; then
+      echo "check_all: sparse metrics smoke run failed" >&2
+      exit 1
+    fi
+    if ! grep '"type":"summary"' "$sparse_out" |
+        grep -q '"stepping":"event"'; then
+      echo "check_all: sparse metrics smoke: summary not event-stepped" >&2
+      exit 1
+    fi
+    echo "check_all: sparse metrics smoke OK ($sparse_out)"
+
     # Scenario-file smoke: the wire-format batch driver must run a
     # JSONL job file clean (the served twin of this path is covered by
     # ctest's smoke_lain_serve, which boots the daemon end to end).
