@@ -94,8 +94,9 @@ struct OwnerTag {
   const char* kind = "object";
   int tile = -1;
   // Components: the component-phase mutator.  Channels: the consumer,
-  // which reads the pipe in its component phase and advances the
-  // channel in its exchange phase.
+  // whose exchange phase advances the channel (a credit channel adds
+  // its credit to the consumer's counter there) and whose component
+  // phase reads a flit channel's pipe.
   int owner_shard = -1;
   int producer_shard = -1;  // channels: the staging-slot writer
 };
@@ -110,10 +111,11 @@ struct OwnerTag {
 void check_component_mutation(const OwnerTag& tag, const char* op);
 // Producer-side channel access (send): component phase, producer only.
 void check_producer_access(const OwnerTag& tag, const char* op);
-// Consumer-side channel access (receive / consumer_pending):
+// Consumer-side flit channel access (receive / consumer_pending):
 // component phase, consumer (the channel's owner) only.
 void check_consumer_access(const OwnerTag& tag, const char* op);
-// Channel advance (tick): exchange phase, consumer only.
+// Channel advance (tick, which for a credit channel writes the
+// consumer's credit counter): exchange phase, consumer only.
 void check_exchange_access(const OwnerTag& tag, const char* op);
 // Staging-slot read (in_flight and friends): during a component phase
 // only the producer may look at its own unpublished staging slot.

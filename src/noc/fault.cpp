@@ -390,7 +390,7 @@ void FaultController::apply_event(const FaultEvent& e, Cycle now,
     node_alive_[static_cast<std::size_t>(e.node_a)] = 0;
     for (int d = 0; d < 4; ++d) {
       const int li = net_.link_at(e.node_a, static_cast<Dir>(d));
-      if (li < 0 || link_alive_[static_cast<std::size_t>(li)] == 0) continue;
+      if (li < 0 || !link_alive(li)) continue;
       kill_link_pair(li);
       seed_dead_port_owners(li);
       seed_dead_port_owners(net_.reverse_link(li));
@@ -459,7 +459,7 @@ void FaultController::sweep_lost() {
   }
   for (int li = 0; li < net_.num_links(); ++li) {
     const NodeId loc = net_.link_owner(li);
-    const bool dead = link_alive_[static_cast<std::size_t>(li)] == 0;
+    const bool dead = !link_alive(li);
     net_.link_flits(li).fault_for_each(
         [&](const Flit& f) { visit(loc, dead, f); });
   }
@@ -473,77 +473,33 @@ void FaultController::purge_lost(FaultReport& rep) {
     purged += net_.nic(n).fault_purge(pred);
   }
   for (int li = 0; li < net_.num_links(); ++li) {
-    if (link_alive_[static_cast<std::size_t>(li)] != 0) {
+    if (link_alive(li)) {
       purged += net_.link_flits(li).fault_purge(
           [&](const Flit& f) { return pred(f.packet); });
     } else {
-      // A dead channel is emptied outright — flits (all in the lost
-      // set by the sweep rule) and credits alike.
+      // A dead channel is emptied outright (its flits are all in the
+      // lost set by the sweep rule).  No credit is in flight between
+      // steps, so there is none to drop.
       purged += net_.link_flits(li).fault_purge(
           [](const Flit&) { return true; });
-      net_.link_credits(li).fault_purge([](const Credit&) { return true; });
     }
   }
   rep.flits_purged = purged;
 }
 
 void FaultController::recompute_credits() {
-  // Wholesale reconstruction from the flow-control invariant:
-  //   producer credits(vc) = depth - downstream occupancy(vc)
-  //                        - flits in the pipe (vc)
-  //                        - credits in the return pipe (vc).
-  // For an untouched link this reproduces the current value exactly;
-  // for a link whose pipes or downstream buffers were purged it
-  // restores the slots the purge freed.  Dead links pin the producer
-  // at zero so nothing is ever staged toward them.
-  const int depth = cfg_.vc_depth_flits;
-  std::vector<int> pipe_flits(static_cast<std::size_t>(cfg_.vcs), 0);
-  std::vector<int> pipe_credits(static_cast<std::size_t>(cfg_.vcs), 0);
+  // Wholesale reconstruction from the flow-control invariant
+  // (Network::free_slots).  For an untouched link this reproduces the
+  // current value exactly; for a link whose pipe or downstream buffers
+  // were purged it restores the slots the purge freed.  Dead links pin
+  // the producer at zero so nothing is ever staged toward them.
   for (int li = 0; li < net_.num_links(); ++li) {
-    const bool alive = link_alive_[static_cast<std::size_t>(li)] != 0;
-    std::fill(pipe_flits.begin(), pipe_flits.end(), 0);
-    std::fill(pipe_credits.begin(), pipe_credits.end(), 0);
-    net_.link_flits(li).fault_for_each(
-        [&](const Flit& f) { ++pipe_flits[static_cast<std::size_t>(f.vc)]; });
-    net_.link_credits(li).fault_for_each([&](const Credit& c) {
-      ++pipe_credits[static_cast<std::size_t>(c.vc)];
-    });
-    auto credit_for = [&](int occupied, int v) {
-      if (!alive) return 0;
-      const int c = depth - occupied - pipe_flits[static_cast<std::size_t>(v)] -
-                    pipe_credits[static_cast<std::size_t>(v)];
-      assert(c >= 0 && c <= depth && "credit reconstruction out of range");
-      return c;
-    };
-    switch (net_.link_kind(li)) {
-      case Network::LinkKind::kRouter: {
-        Router& prod = net_.router(net_.link_source(li));
-        const Dir dir = net_.link_dir(li);
-        const InputPort& in =
-            net_.router(net_.link_owner(li)).input(port(opposite(dir)));
-        for (int v = 0; v < cfg_.vcs; ++v) {
-          prod.fault_set_credit(port(dir), v, credit_for(in.vc(v).size(), v));
-        }
-        break;
-      }
-      case Network::LinkKind::kInjection: {
-        Nic& prod = net_.nic(net_.link_source(li));
-        const InputPort& in =
-            net_.router(net_.link_owner(li)).input(port(Dir::kLocal));
-        for (int v = 0; v < cfg_.vcs; ++v) {
-          prod.fault_set_credit(v, credit_for(in.vc(v).size(), v));
-        }
-        break;
-      }
-      case Network::LinkKind::kEjection: {
-        // The NIC is an infinite sink (credits return immediately), so
-        // the downstream occupancy term is always zero.
-        Router& prod = net_.router(net_.link_source(li));
-        for (int v = 0; v < cfg_.vcs; ++v) {
-          prod.fault_set_credit(port(Dir::kLocal), v, credit_for(0, v));
-        }
-        break;
-      }
+    const bool alive = link_alive(li);
+    for (int v = 0; v < cfg_.vcs; ++v) {
+      const int c = alive ? net_.free_slots(li, v) : 0;
+      assert(c >= 0 && c <= cfg_.vc_depth_flits &&
+             "credit reconstruction out of range");
+      net_.fault_set_credits(li, v, c);
     }
   }
 }

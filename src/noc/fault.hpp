@@ -191,6 +191,11 @@ class FaultController {
   bool node_alive(NodeId n) const {
     return node_alive_[static_cast<std::size_t>(n)] != 0;
   }
+  // Whether link `link` carries traffic now (killed links, and every
+  // link of a killed router, are dead until a repair).
+  bool link_alive(int link) const {
+    return link_alive_[static_cast<std::size_t>(link)] != 0;
+  }
   // Injection gate: may a packet sourced at src reach dst right now?
   bool dst_reachable(NodeId src, NodeId dst) const {
     return table_.reachable(src, dst);

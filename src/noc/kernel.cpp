@@ -78,7 +78,7 @@ void SimKernel::prepare_event_state() {
   nic_active_flag_.assign(nn, 0);
   router_active_flag_.assign(nn, 0);
   idle_from_.assign(nn, 0);
-  consumer_.assign(2 * static_cast<std::size_t>(nl), ChannelConsumer{});
+  consumer_.assign(static_cast<std::size_t>(nl), FlitConsumer{});
   send_link_.assign(nn * kSendBits, -1);
   auto shard_of = [&](NodeId n) {
     return plan_.shard_of[static_cast<std::size_t>(n)];
@@ -93,11 +93,8 @@ void SimKernel::prepare_event_state() {
     const NodeId src = net_.link_source(li);
     const NodeId own = net_.link_owner(li);
     const Kind kind = net_.link_kind(li);
-    // Flits flow from the source to the owner, credits back.
-    consumer_[static_cast<std::size_t>(Network::channel_id(li, false))] = {
-        own, kind == Kind::kEjection};
-    consumer_[static_cast<std::size_t>(Network::channel_id(li, true))] = {
-        src, kind == Kind::kInjection};
+    // Flits flow from the source to the owner.
+    consumer_[static_cast<std::size_t>(li)] = {own, kind == Kind::kEjection};
     if (shard_of(src) != shard_of(own)) continue;
     // The link leaves the source's router on port d (unless the NIC
     // injects on it) and enters the owner's router on the opposite
@@ -312,24 +309,30 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void SimKernel::step_shard_event_channels(
   Shard& sh = shards_[shard_index];
   const std::vector<int>& boundary =
       plan_.shards[shard_index].boundary_channels;
-  // Ticks channel c; an admission wakes its consumer.
+  // Ticks channel c; a flit admission wakes its consumer.  A credit
+  // lands in its consumer's counter, which nothing reads before that
+  // consumer's next tick, so it wakes nobody.
   auto exchange = [&](int c) {
     if (!net_.tick_channel(c)) return false;
-    const ChannelConsumer& to = consumer_[static_cast<std::size_t>(c)];
-    if (to.is_nic) {
-      wake_nic(sh, to.node);
-    } else {
-      wake_router(sh, to.node);
+    if (!Network::is_credit_channel(c)) {
+      const FlitConsumer& to =
+          consumer_[static_cast<std::size_t>(Network::channel_link(c))];
+      if (to.is_nic) {
+        wake_nic(sh, to.node);
+      } else {
+        wake_router(sh, to.node);
+      }
     }
     return true;
   };
   // Ticking an internal channel nothing was sent on is a no-op, so
   // ticking only the candidates evolves the fabric bit-identically to
-  // ticking every channel the shard consumes.  Every candidate admits:
-  // one marked twice would find nothing staged the second time.
+  // ticking every channel the shard consumes.  Every candidate moves
+  // an item: one marked twice would find nothing staged the second
+  // time.
   for (std::size_t i = 0; i < sh.cand_count; ++i) {
-    [[maybe_unused]] const bool admitted = exchange(sh.cand_channels[i]);
-    assert(admitted && "a channel marked as sent on had nothing staged");
+    [[maybe_unused]] const bool moved = exchange(sh.cand_channels[i]);
+    assert(moved && "a channel marked as sent on had nothing staged");
   }
   // A boundary channel's producer runs in another shard, so it is
   // ticked whether or not anything was sent on it.

@@ -17,13 +17,15 @@
 // or through their event-stepping twins, which the kernel picks at
 // construction for sparse traffic (see kEventSteppingMaxRate).
 //
-// Because component ticks only read channel items sent in earlier
-// cycles (every link takes one cycle) and only write staging slots,
-// every shard's component phase commutes with every other's; the
-// barrier between the two phases is the only ordering the fabric
-// needs.  Together with per-node RNG streams and exactly-mergeable
-// SimStats, that is what makes the sharded engine bit-identical to the
-// serial one — at any shard count and for any partition shape.
+// Because component ticks only read flits and credits sent in earlier
+// cycles (every link takes one cycle; the exchange phase puts a flit
+// in its link's pipe and adds a credit to its consumer's counter) and
+// only write staging slots, every shard's component phase commutes
+// with every other's; the barrier between the two phases is the only
+// ordering the fabric needs.  Together with per-node RNG streams and
+// exactly-mergeable SimStats, that is what makes the sharded engine
+// bit-identical to the serial one — at any shard count and for any
+// partition shape.
 
 #pragma once
 
@@ -300,8 +302,9 @@ class SimKernel {
   // --- Event-stepping machinery --------------------------------------
   //
   // The event kernel keeps, per shard, the set of components with
-  // work (active lists, woken by exchange-phase admissions), the set
-  // of channels its components sent on this cycle (candidate list), and
+  // work (active lists, woken by exchange-phase flit admissions), the
+  // set of channels its components sent on this cycle (candidate list),
+  // and
   // a min-heap of pending traffic arrivals.  An executed cycle touches
   // only those sets; when every set is empty the shard proposes a
   // quiescence horizon and the clock jumps.  Idle routers are not
@@ -322,7 +325,8 @@ class SimKernel {
   // Event-driven component phase for one shard (executed cycles only).
   void step_shard_event_components(std::size_t shard_index);
   // Event-driven exchange phase: tick the candidate channels and the
-  // shard's boundary channels, and wake the consumers of admissions.
+  // shard's boundary channels, and wake the consumers of flit
+  // admissions.
   void step_shard_event_channels(std::size_t shard_index);
   // Bare-step arrival-limit maintenance: keeps the scan bound a chunk
   // ahead of now_ so next_arrival never scans unboundedly (a node
@@ -359,13 +363,14 @@ class SimKernel {
   // the link crosses a shard boundary (its channels are boundary
   // channels, ticked every executed cycle by their consumers' shards).
   std::vector<int> send_link_;
-  // Per-channel consumer (indexed by Network::channel_id), woken when
-  // the exchange phase admits an item into the channel.
-  struct ChannelConsumer {
+  // Per-link flit consumer (indexed by link), woken when the exchange
+  // phase admits a flit into the link's pipe.  A credit needs no
+  // wake-up: the exchange phase adds it to its consumer's counter.
+  struct FlitConsumer {
     NodeId node = kInvalidNode;
     bool is_nic = false;
   };
-  std::vector<ChannelConsumer> consumer_;
+  std::vector<FlitConsumer> consumer_;
 
   SimConfig cfg_;
   Network net_;
@@ -424,8 +429,8 @@ class SimKernel {
   // Event phase: settles router n's deferred idle span, then runs its
   // full pipeline for now_.
   void tick_router_full(Shard& sh, NodeId n);
-  // Exchange-phase wake-ups: every channel is ticked by its consumer's
-  // shard, so the woken component is always in `sh`.
+  // Exchange-phase wake-ups: every flit channel is ticked by its
+  // consumer's shard, so the woken component is always in `sh`.
   void wake_nic(Shard& sh, NodeId n) {
     if (nic_active_flag_[static_cast<std::size_t>(n)] == 0) {
       nic_active_flag_[static_cast<std::size_t>(n)] = 1;

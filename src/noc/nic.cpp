@@ -19,7 +19,7 @@ Nic::Nic(NodeId node, const SimConfig& cfg)
 void Nic::connect(FlitChannel* inject_out, CreditChannel* credit_in,
                   FlitChannel* eject_in, CreditChannel* credit_out) {
   inject_out_ = inject_out;
-  credit_in_ = credit_in;
+  credit_in->connect(credits_.data(), depth_);
   eject_in_ = eject_in;
   credit_out_ = credit_out;
 }
@@ -58,25 +58,16 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   // were purged by the fault controller when the router died.
   if (killed_) return;
   // Idle fast path: nothing queued, no completions from last cycle to
-  // clear, and nothing in the inbound pipes.  Probing only the
-  // consumer side of the channels (see Channel::consumer_pending)
+  // clear, and nothing in the ejection pipe.  Probing only the
+  // consumer side of the channel (see FlitChannel::consumer_pending)
   // keeps this safe and deterministic under the sharded kernel.  The
   // full path below would be a pure no-op in this state.
   if (queue_.empty() && completions_.empty() &&
-      !credit_in_->consumer_pending() && !eject_in_->consumer_pending()) {
+      !eject_in_->consumer_pending()) {
     return;
   }
 
   completions_.clear();
-
-  // Take the returned credit.  Overflow means the router returned more
-  // credits than the VC depth — a flow-control bug; checked in
-  // Debug/sanitizer builds, free in Release hot builds.
-  if (auto c = credit_in_->receive()) {
-    ++credits_[static_cast<size_t>(c->vc)];
-    assert(credits_[static_cast<size_t>(c->vc)] <= depth_ &&
-           "NIC credit overflow");
-  }
 
   // Eject the arriving flit (infinite sink: credit returned
   // immediately).

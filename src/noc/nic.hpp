@@ -6,14 +6,17 @@
 // ejection buffer, the standard BookSim assumption).
 //
 // tick() takes an O(1) early-out when the NIC is quiescent (empty
-// source queue, no pending completions, empty inbound pipes), so an
-// idle node costs a handful of loads per cycle.
+// source queue, no pending completions, empty ejection pipe), so an
+// idle node costs a handful of loads per cycle.  Returned credits need
+// no tick: the exchange phase adds them to the NIC's counters (see
+// CreditChannel).
 
 #pragma once
 
 #include <array>
 #include <deque>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -35,8 +38,9 @@ class Nic {
   Nic& operator=(Nic&&) = delete;
 
   // Wiring: inject_out feeds the router's local input; credit_in
-  // returns its credits.  eject_in delivers flits from the router's
-  // local output; credit_out acknowledges them.
+  // returns its credits, straight into this NIC's counters.  eject_in
+  // delivers flits from the router's local output; credit_out
+  // acknowledges them.
   void connect(FlitChannel* inject_out, CreditChannel* credit_in,
                FlitChannel* eject_in, CreditChannel* credit_out);
 
@@ -46,8 +50,7 @@ class Nic {
   // stamp, so end-to-end latency spans every attempt.
   void source_packet(NodeId dst, Cycle now, PacketId id, Cycle created);
 
-  // One cycle: take the returned credit, eject the arriving flit,
-  // inject at most one flit.
+  // One cycle: eject the arriving flit, inject at most one flit.
   void tick(Cycle now);
 
   // The links the last tick() sent on, in the router's numbering (see
@@ -56,15 +59,14 @@ class Nic {
   SendMask sent_links() const { return sent_; }
 
   // True when tick() would take its O(1) early-out: empty source
-  // queue, no stale completions, empty inbound pipes.  Reads only
-  // NIC-local state and the consumer side of the inbound channels
+  // queue, no stale completions, empty ejection pipe.  Reads only
+  // NIC-local state and the consumer side of the ejection channel
   // (same safety argument as Router::quiescent()), so the
   // event-driven kernel uses it to decide whether the NIC stays on
   // the active list.
   bool quiescent() const {
-    return killed_ ||
-           (queue_.empty() && completions_.empty() &&
-            !credit_in_->consumer_pending() && !eject_in_->consumer_pending());
+    return killed_ || (queue_.empty() && completions_.empty() &&
+                       !eject_in_->consumer_pending());
   }
 
   // --- Fault surgery (stop-the-world, kernel thread, between steps;
@@ -82,6 +84,14 @@ class Nic {
   int fault_purge(const std::function<bool(PacketId)>& lost);
   // Credit repair: overwrites the free-slot count toward the router.
   void fault_set_credit(int vc, int n);
+  // Free slots in the router's local input VC `vc`, as this NIC counts
+  // them.
+  int credits(int vc) const {
+    if (vc < 0 || vc >= vcs_) {
+      throw std::out_of_range("Nic::credits: no such VC");
+    }
+    return credits_[static_cast<size_t>(vc)];
+  }
 
   // Observability.
   int source_queue_flits() const { return static_cast<int>(queue_.size()); }
@@ -128,7 +138,6 @@ class Nic {
   NodeId node_;
   std::deque<Flit> queue_;  // flit-segmented source queue
   std::vector<Ejection> completions_;
-  CreditChannel* credit_in_ = nullptr;
   FlitChannel* eject_in_ = nullptr;
   FlitChannel* inject_out_ = nullptr;
   CreditChannel* credit_out_ = nullptr;
@@ -137,7 +146,9 @@ class Nic {
   int packet_length_;  // flits per packet
   int next_vc_ = 0;
   int open_vc_ = -1;  // VC carrying the packet currently being injected
-  std::array<int, kMaxVcs> credits_{};  // per-VC credits toward the router
+  // Per-VC credits toward the router; the injection link's credit
+  // channel adds returned credits here.
+  std::array<int, kMaxVcs> credits_{};
   std::int64_t flits_injected_ = 0;
   std::int64_t flits_ejected_ = 0;
   std::int64_t packets_ejected_ = 0;

@@ -16,8 +16,9 @@
 //                         each boundary link the flit channel where it
 //                         holds the owner, the credit channel where it
 //                         holds the source — publishing this cycle's
-//                         boundary flits and credits for the next
-//                         cycle.
+//                         flits for the next cycle and adding its
+//                         returned credits to their consumers'
+//                         counters.
 //   barrier
 //
 // Under event stepping (sparse traffic; the kernel picks it, see
@@ -25,9 +26,10 @@
 // every shard proposes the earliest cycle it knows work at, and after
 // a horizon barrier every participant computes the same global target
 // and either executes the cycle as above or skips to the target.  A
-// skip only advances the clock: every admitted item wakes its consumer
+// skip only advances the clock: every admitted flit wakes its consumer
 // in the shard that admitted it and is receivable the next cycle, so
-// no shard proposes a horizon past one.
+// no shard proposes a horizon past one, and a credit is never in
+// flight across a skip.
 //
 // The calling thread drives shard 0 and the phase machine; shards
 // 1..S-1 run on a persistent ThreadPool that is reused across every
@@ -42,8 +44,8 @@
 // Idle-proportional cost: the per-cycle component phase steps
 // quiescent routers on the O(1) idle fast path.  The quiescence probe
 // reads only each router's own state and the consumer side of its
-// inbound channels, so it introduces no cross-shard reads and cannot
-// perturb the determinism contract.
+// inbound flit channels, so it introduces no cross-shard reads and
+// cannot perturb the determinism contract.
 
 #pragma once
 

@@ -53,18 +53,15 @@ void Router::connect_input(Dir d, FlitChannel* flits_in,
 void Router::connect_output(Dir d, FlitChannel* flits_out,
                             CreditChannel* credits_in) {
   out_flits_.at(static_cast<size_t>(port(d))) = flits_out;
-  in_credits_.at(static_cast<size_t>(port(d))) = credits_in;
+  credits_in->connect(&credits_[pv(port(d), 0)], depth_);
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC bool Router::quiescent() const {
   // One branch, not two: the kernel probes every router every cycle,
   // and a separate test per field mispredicts far more often.
   if ((static_cast<Mask>(buffered_flits_) | owned_) != 0) return false;
-  for (int p = 0; p < kNumPorts; ++p) {
-    const FlitChannel* fc = in_flits_[static_cast<size_t>(p)];
+  for (const FlitChannel* fc : in_flits_) {
     if (fc != nullptr && fc->consumer_pending()) return false;
-    const CreditChannel* cc = in_credits_[static_cast<size_t>(p)];
-    if (cc != nullptr && cc->consumer_pending()) return false;
   }
   return true;
 }
@@ -112,18 +109,6 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Router::receive() {
         set_state(vcb, p, f->vc, VcState::kRouting);
         vcb.packet = f->packet;
       }
-    }
-  }
-  for (int p = 0; p < kNumPorts; ++p) {
-    CreditChannel* cr = in_credits_[static_cast<size_t>(p)];
-    if (cr == nullptr) continue;
-    if (auto c = cr->receive()) {
-      ++credits_[pv(p, c->vc)];
-      // A credit beyond the downstream depth means the flow-control
-      // invariant broke; Debug/sanitizer builds stop here, Release
-      // hot builds do not pay for the check on every credit.
-      assert(credits_[pv(p, c->vc)] <= depth_ &&
-             "credit overflow (flow-control bug)");
     }
   }
 }

@@ -7,7 +7,9 @@
 //   ST  — switch traversal onto the output channel, credit return.
 //
 // Credit-based flow control: a flit leaves only if the downstream VC
-// has a free slot; credits travel back on dedicated channels.  The
+// has a free slot; credits travel back on dedicated channels, which
+// add each returned credit to this router's counter in the exchange
+// phase (see CreditChannel).  The
 // torus configuration uses dateline VC classes (lower half before the
 // wrap crossing, upper half after).
 //
@@ -27,7 +29,8 @@
 // the per-VC tables are fixed arrays of that size, and every input
 // VC's ring is a slice of one flit block.
 // Routers with nothing to do take the idle fast path instead:
-// quiescent() is an O(ports) consumer-side probe, and tick_idle()
+// quiescent() is an O(ports) probe of the inbound flit pipes, and
+// tick_idle()
 // collapses the cycle to the bookkeeping every downstream consumer
 // still needs (events, crossbar activity, power hook) — bit-identical
 // to what the full pipeline would have done.
@@ -100,6 +103,9 @@ class Router {
   NodeId id() const { return id_; }
 
   // Wiring (non-owning); all five ports must be connected before use.
+  // connect_output points `credits_in` at this router's credit
+  // counters for port d, so the channel applies returned credits
+  // directly.
   void connect_input(Dir d, FlitChannel* flits_in, CreditChannel* credits_out);
   void connect_output(Dir d, FlitChannel* flits_out, CreditChannel* credits_in);
 
@@ -120,10 +126,11 @@ class Router {
 
   // True when this cycle's full pipeline would provably be a no-op:
   // no buffered flits, no owned output VCs, and nothing in any
-  // inbound flit or credit pipe.  Reads only router-local state and
-  // the consumer side of the inbound channels, so it is safe (and
-  // deterministic) to evaluate during a sharded component phase while
-  // upstream shards stage sends concurrently.
+  // inbound flit pipe.  A returned credit does not count: the exchange
+  // phase already added it to the counter.  Reads only router-local
+  // state and the consumer side of the inbound flit channels, so it is
+  // safe (and deterministic) to evaluate during a sharded component
+  // phase while upstream shards stage sends concurrently.
   bool quiescent() const;
 
   // The O(1) collapsed cycle for a quiescent router: resets the event
@@ -254,7 +261,6 @@ class Router {
   // Output VCs (bit port*vcs+vc) owned by an input VC.
   Mask owned_ = 0;
   std::array<FlitChannel*, kNumPorts> in_flits_{};
-  std::array<CreditChannel*, kNumPorts> in_credits_{};
   PowerHook* power_hook_ = nullptr;
   RouterEvents events_;
   CrossbarActivity activity_;
@@ -276,7 +282,8 @@ class Router {
   std::array<int, kNumPorts> chosen_vc_{};   // SA stage-1 winner per port
   std::array<RoundRobinArbiter, kNumPorts> sa_vc_pick_;  // per-input VC
                                                          // selector
-  // credits_[port*vcs+vc]: free downstream slots.
+  // credits_[port*vcs+vc]: free downstream slots.  Each output's
+  // credit channel adds returned credits to its port's slice.
   PerPortVc<int> credits_{};
   // out_vc_owner_[port*vcs+vc]: owning (input port * vcs + vc), or -1.
   PerPortVc<int> out_vc_owner_{};

@@ -134,6 +134,35 @@ void Network::rc_tag_shards(const std::vector<int>& shard_of) {
 void Network::rc_tag_shards(const std::vector<int>&) {}
 #endif
 
+int Network::free_slots(int link, int vc) const {
+  int slots = cfg_.vc_depth_flits;
+  links_.at(static_cast<size_t>(link)).flits.fault_for_each(
+      [&](const Flit& f) { slots -= f.vc == vc ? 1 : 0; });
+  if (link_kind(link) != LinkKind::kEjection) {
+    // The owner's router buffers the link's flits at the input facing
+    // back along it (the local input for an injection link).
+    const InputPort& in =
+        router(link_owner(link)).input(port(opposite(link_dir(link))));
+    slots -= in.vc(vc).size();
+  }
+  return slots;
+}
+
+int Network::producer_credits(int link, int vc) const {
+  if (link_kind(link) == LinkKind::kInjection) {
+    return nic(link_source(link)).credits(vc);
+  }
+  return router(link_source(link)).credits(port(link_dir(link)), vc);
+}
+
+void Network::fault_set_credits(int link, int vc, int n) {
+  if (link_kind(link) == LinkKind::kInjection) {
+    nic(link_source(link)).fault_set_credit(vc, n);
+  } else {
+    router(link_source(link)).fault_set_credit(port(link_dir(link)), vc, n);
+  }
+}
+
 int Network::flits_in_flight() const {
   int n = 0;
   for (const Router& r : routers_) n += r.occupancy();

@@ -46,14 +46,18 @@ class Network {
   static constexpr int channel_id(int link, bool credit) {
     return 2 * link + (credit ? 1 : 0);
   }
-  // Advances one channel; reports whether it admitted an item, so the
-  // event-driven kernel can wake the consumer.
+  static constexpr int channel_link(int c) { return c >> 1; }
+  static constexpr bool is_credit_channel(int c) { return (c & 1) != 0; }
+  // Advances one channel; reports whether it moved an item (admitted a
+  // flit into the pipe or applied a credit).  Only a flit admission
+  // wakes the consumer in the event-driven kernel: a credit is already
+  // in its consumer's counter.
   LAIN_HOT_PATH LAIN_NO_ALLOC bool tick_channel(int c) {
-    Link& l = links_[static_cast<size_t>(c >> 1)];
-    return (c & 1) != 0 ? l.credits.tick() : l.flits.tick();
+    Link& l = links_[static_cast<size_t>(channel_link(c))];
+    return is_credit_channel(c) ? l.credits.tick() : l.flits.tick();
   }
 
-  // The node whose router/NIC consumes this link's flits (and produces
+  // The node whose router/NIC consumes this link's flits (and returns
   // its credits).
   NodeId link_owner(int i) const {
     return link_owners_.at(static_cast<size_t>(i));
@@ -66,7 +70,7 @@ class Network {
     return link_sources_.at(static_cast<size_t>(i));
   }
   // What sits at each end of the link — the event-driven kernel needs
-  // this to route admission wake-ups to the right component:
+  // this to route flit-admission wake-ups to the right component:
   //   kInjection  NIC(source) -> router(owner) flits, credits back
   //   kEjection   router(source) -> NIC(owner... same node) flits
   //   kRouter     router(source) -> router(owner) flits
@@ -91,13 +95,24 @@ class Network {
   int reverse_link(int i) const;
 
   // Fault-surgery channel access (stop-the-world, between steps only;
-  // see Channel::fault_purge).
+  // see FlitChannel::fault_purge).
   FlitChannel& link_flits(int i) {
     return links_.at(static_cast<size_t>(i)).flits;
   }
-  CreditChannel& link_credits(int i) {
-    return links_.at(static_cast<size_t>(i)).credits;
-  }
+
+  // --- The credit invariant (between steps only) ----------------------
+  //
+  // No credit is in flight between steps: the exchange phase adds every
+  // returned credit to its consumer's counter.  So at each step
+  // boundary the producer of a live link holds, for every VC, the
+  // downstream slots its flits have not filled:
+  //   depth - downstream occupancy(vc) - flits of vc in the link's pipe,
+  // where an ejection link's NIC sink has no occupancy.  free_slots()
+  // evaluates that formula, producer_credits() reads what the producer
+  // holds, and fault_set_credits() overwrites it (fault surgery).
+  int free_slots(int link, int vc) const;
+  int producer_credits(int link, int vc) const;
+  void fault_set_credits(int link, int vc, int n);
 
   // Flits resident anywhere in the fabric (buffers + channels).
   int flits_in_flight() const;
@@ -108,8 +123,8 @@ class Network {
   // owning shard from a node->shard map (PartitionPlan::shard_of).
   // Flit channels are produced by the link source and consumed and
   // ticked by the link owner; credit channels flow the opposite way
-  // (the owner produces, the source consumes and ticks).  No-op
-  // unless built with LAIN_RACECHECK.
+  // (the owner produces, and the source's shard ticks each credit into
+  // the source's counters).  No-op unless built with LAIN_RACECHECK.
   void rc_tag_shards(const std::vector<int>& shard_of);
 
  private:

@@ -14,7 +14,9 @@
 // Every run must agree bit for bit: SimStats, cycle count, saturation,
 // the metrics-window series and, for powered runs, every PoweredNoc
 // column at each window boundary and at the end.  A mismatch prints
-// the generator seed and the first field that differs.
+// the generator seed and the first field that differs.  Every run must
+// also keep the credit invariant (Network::free_slots) on every live
+// link at each window boundary and at the end.
 
 #include <gtest/gtest.h>
 
@@ -194,6 +196,32 @@ class Observation {
     i64(at + "total_cycles", p.total_cycles());
   }
 
+  // The credit invariant: between steps no credit is in flight, so the
+  // producer of every live link holds, for every VC, exactly the
+  // downstream slots its flits have not filled.  Keeps the first
+  // violation.
+  void check_credits(const std::string& at, const SimKernel& sim) {
+    if (!credit_violation_.empty()) return;
+    const Network& net = sim.network();
+    const FaultController* faults = sim.fault_controller();
+    for (int li = 0; li < net.num_links(); ++li) {
+      if (faults != nullptr && !faults->link_alive(li)) continue;
+      for (int v = 0; v < net.config().vcs; ++v) {
+        const int held = net.producer_credits(li, v);
+        const int free = net.free_slots(li, v);
+        if (held != free) {
+          credit_violation_ = at + "link " + std::to_string(li) + " vc " +
+                              std::to_string(v) + ": producer holds " +
+                              std::to_string(held) + " credits, " +
+                              std::to_string(free) + " slots free";
+          return;
+        }
+      }
+    }
+  }
+  // The first credit-invariant violation, or "" when none.
+  const std::string& credit_violation() const { return credit_violation_; }
+
   // The first field where the two differ, or "" when identical.
   std::string first_difference(const Observation& o) const {
     const std::size_t n = std::min(fields_.size(), o.fields_.size());
@@ -224,6 +252,7 @@ class Observation {
     f64(name + ".max", a.max());
   }
   std::vector<Field> fields_;
+  std::string credit_violation_;
 };
 
 core::LainContext& oracle_context() {
@@ -251,9 +280,11 @@ Observation observe(const Drawn& d, const SimConfig& cfg,
       o.stats(at, w.stats);
       o.i64(at + "flits_in_flight", sim.network().flits_in_flight());
       if (power) o.power(at, *power);
+      o.check_credits(at, sim);
     });
   }
   const SimStats s = sim.run();
+  o.check_credits("end ", sim);
   o.stats("", s);
   o.i64("cycles", sim.now());
   o.i64("saturated", sim.saturated() ? 1 : 0);
@@ -269,6 +300,10 @@ void expect_engines_agree(std::uint64_t seed) {
   reference_cfg.enable_idle_fastpath = false;
   const Observation reference =
       observe(d, reference_cfg, ShardedOptions{/*shards=*/1});
+  EXPECT_EQ(reference.credit_violation(), "")
+      << "oracle seed " << seed << " (" << describe(d)
+      << "): the per-cycle reference broke the credit invariant at "
+      << reference.credit_violation();
 
   struct Layout {
     int shards;
@@ -283,13 +318,17 @@ void expect_engines_agree(std::uint64_t seed) {
     ShardedOptions opt;
     opt.shards = l.shards;
     opt.partition = l.partition;
-    const std::string diff =
-        reference.first_difference(observe(d, d.cfg, opt));
+    const Observation run = observe(d, d.cfg, opt);
+    const std::string diff = reference.first_difference(run);
     EXPECT_EQ(diff, "") << "oracle seed " << seed << " (" << describe(d)
                         << "): " << l.shards << " shard(s) "
                         << partition_name(l.partition)
                         << " differs from the per-cycle reference at "
                         << diff;
+    EXPECT_EQ(run.credit_violation(), "")
+        << "oracle seed " << seed << " (" << describe(d) << "): "
+        << l.shards << " shard(s) " << partition_name(l.partition)
+        << " broke the credit invariant at " << run.credit_violation();
   }
 }
 

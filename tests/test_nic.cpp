@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace lain::noc {
 namespace {
 
@@ -11,10 +13,14 @@ struct Harness {
   CreditChannel inj_cr;
   FlitChannel ej;
   CreditChannel ej_cr;
+  // The ejection credits' consumer, the router's local-output counters
+  // in a fabric: ticking ej_cr adds each credit the NIC echoes here.
+  std::array<int, kMaxVcs> ej_credits{};
   Nic nic;
 
   explicit Harness(SimConfig c) : cfg(c), nic(0, c) {
     nic.connect(&inj, &inj_cr, &ej, &ej_cr);
+    ej_cr.connect(ej_credits.data(), c.vc_depth_flits);
   }
   void tick_all(Cycle t) {
     nic.tick(t);
@@ -85,6 +91,7 @@ TEST(Nic, StallsWithoutCredits) {
   h.ej_cr.send(Credit{0});  // wrong channel on purpose: no effect
   h.inj_cr.send(Credit{0});
   h.tick_all(11);
+  EXPECT_EQ(h.ej_credits[0], 1);  // the wrong channel's consumer got it
   h.tick_all(12);
   EXPECT_EQ(h.nic.flits_injected(), 3);
 }
@@ -109,11 +116,31 @@ TEST(Nic, EjectsAndReportsCompletion) {
   EXPECT_EQ(e.packet, 9);
   EXPECT_EQ(e.ejected, 20);
   EXPECT_EQ(e.hops, 3);
-  // Credit echoed back.
+  // Credit echoed back, into its consumer's counter for VC 1.
   h.ej_cr.tick();
-  const auto cr = h.ej_cr.receive();
-  ASSERT_TRUE(cr.has_value());
-  EXPECT_EQ(cr->vc, 1);
+  EXPECT_EQ(h.ej_credits[0], 0);
+  EXPECT_EQ(h.ej_credits[1], 1);
+}
+
+// A returned credit needs no NIC tick: the credit channel's tick adds
+// it to the NIC's counter, so a NIC whose only inbound item is a credit
+// is quiescent and already holds it.
+TEST(Nic, ReturnedCreditLandsWithoutATick) {
+  Harness h(cfg4());
+  h.nic.source_packet(5, 0, 1);
+  for (Cycle t = 0; t < 4; ++t) {
+    h.tick_all(t);
+    while (h.inj.receive()) {
+    }
+  }
+  ASSERT_EQ(h.nic.flits_injected(), 4);
+  ASSERT_TRUE(h.nic.quiescent());
+  EXPECT_EQ(h.nic.credits(0), 0);  // the whole packet rode VC 0
+  h.inj_cr.send(Credit{0});
+  h.inj_cr.tick();
+  EXPECT_TRUE(h.nic.quiescent());
+  EXPECT_EQ(h.nic.credits(0), 1);
+  EXPECT_EQ(h.nic.credits(1), cfg4().vc_depth_flits);
 }
 
 TEST(Nic, OneFlitPerCycle) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "noc/topology.hpp"
 
 namespace lain::noc {
@@ -58,6 +60,47 @@ TEST(Router, CreditsReturnAfterDelivery) {
   for (int v = 0; v < cfg.vcs; ++v) {
     EXPECT_EQ(net.router(0).credits(port(Dir::kEast), v), cfg.vc_depth_flits);
   }
+  EXPECT_EQ(net.flits_in_flight(), 0);
+}
+
+// A returned credit is not inbound work: the exchange phase adds it
+// straight to the router's counter.  So once a packet's tail has left
+// the source router, the router stays quiescent and only ever takes
+// tick_idle(), yet its east credits still climb back to full depth as
+// the downstream router forwards the packet.
+TEST(Router, CreditsReturnToAnIdlingRouter) {
+  SimConfig cfg = cfg3();
+  Network net(cfg);
+  net.nic(0).source_packet(2, 0, 1);  // two hops east
+  Router& src = net.router(0);
+  auto east_credits = [&] {
+    int sum = 0;
+    for (int v = 0; v < cfg.vcs; ++v) sum += src.credits(port(Dir::kEast), v);
+    return sum;
+  };
+  const int full = cfg.vcs * cfg.vc_depth_flits;
+  bool tail_left = false;
+  int low = full;
+  for (int t = 0; t < 100; ++t) {
+    for (NodeId n = 0; n < net.num_nodes(); ++n) net.nic(n).tick(t);
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      if (n == 0 && tail_left) {
+        const int before = east_credits();
+        ASSERT_TRUE(src.quiescent()) << "cycle " << t;
+        src.tick_idle();
+        EXPECT_EQ(east_credits(), before);  // the idle tick takes none
+      } else {
+        net.router(n).tick();
+      }
+    }
+    net.tick_channels();
+    low = std::min(low, east_credits());
+    tail_left = src.activity().traversals() == cfg.packet_length_flits;
+  }
+  ASSERT_TRUE(tail_left);
+  EXPECT_EQ(net.nic(2).packets_ejected(), 1);
+  EXPECT_LT(low, full);
+  EXPECT_EQ(east_credits(), full);
   EXPECT_EQ(net.flits_in_flight(), 0);
 }
 
