@@ -11,11 +11,15 @@ double Histogram::mean() const {
 
 std::int64_t Histogram::percentile(double q) const {
   if (n_ == 0) return 0;
-  const auto target = static_cast<std::int64_t>(q * static_cast<double>(n_));
+  // Nearest rank: the first value whose cumulative share reaches q,
+  // i.e. the value at rank ceil(q * n).  Comparing the share seen / n
+  // with q, rather than seen with q * n, keeps a q that is not exact in
+  // binary (0.07 * 100 rounds to just above 7) from skipping a rank.
+  const auto n = static_cast<double>(n_);
   std::int64_t seen = 0;
   for (const auto& [v, c] : bins_) {
     seen += c;
-    if (seen >= target) return v;
+    if (static_cast<double>(seen) / n >= q) return v;
   }
   return bins_.rbegin()->first;
 }

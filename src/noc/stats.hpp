@@ -64,7 +64,8 @@ class Histogram {
   std::int64_t count() const { return n_; }
   const std::map<std::int64_t, std::int64_t>& bins() const { return bins_; }
   double mean() const;
-  // Smallest value v such that P[X <= v] >= q.
+  // Smallest value v such that P[X <= v] >= q: the nearest-rank
+  // percentile, the value at rank ceil(q * count()).
   std::int64_t percentile(double q) const;
   // Fraction of samples >= threshold.
   double fraction_at_least(std::int64_t threshold) const;

@@ -33,6 +33,25 @@ TEST(Histogram, MeanAndPercentiles) {
   EXPECT_EQ(h.percentile(0.89), 10);
 }
 
+// Nearest rank: the value at rank ceil(q * n), so a q * n that is not a
+// whole number rounds up, never down.
+TEST(Histogram, PercentileIsNearestRank) {
+  Histogram three;
+  for (int v : {1, 2, 3}) three.add(v);
+  EXPECT_EQ(three.percentile(0.5), 2);
+  EXPECT_EQ(three.percentile(0.0), 1);
+  EXPECT_EQ(three.percentile(1.0), 3);
+  Histogram seven;
+  for (int v = 1; v <= 7; ++v) seven.add(v);
+  EXPECT_EQ(seven.percentile(0.95), 7);
+  EXPECT_EQ(seven.percentile(0.5), 4);
+  // A whole q * n whose double product rounds up (0.07 * 100 is
+  // 7.000000000000001) still names rank q * n.
+  Histogram hundred;
+  for (int v = 1; v <= 100; ++v) hundred.add(v);
+  EXPECT_EQ(hundred.percentile(0.07), 7);
+}
+
 TEST(Histogram, FractionAtLeast) {
   Histogram h;
   h.add(1);
