@@ -44,9 +44,9 @@ class ChannelOwners {
 #if LAIN_RACECHECK
   // Tags the channel with its shard owners (called by the kernel once
   // the partition plan is known): `producer` stages sends during the
-  // component phase; `consumer` receives during the component phase
-  // and advances the channel during the exchange phase.  `tile` is the
-  // consuming node.
+  // component phase; `consumer` advances the channel during the
+  // exchange phase (and receives from a flit channel during the
+  // component phase).  `tile` is the consuming node.
   void rc_set_owners(int producer, int consumer, int tile,
                      const char* kind) {
     rc_tag_.producer_shard = producer;

@@ -304,10 +304,9 @@ class SimKernel {
   // The event kernel keeps, per shard, the set of components with
   // work (active lists, woken by exchange-phase flit admissions), the
   // set of channels its components sent on this cycle (candidate list),
-  // and
-  // a min-heap of pending traffic arrivals.  An executed cycle touches
-  // only those sets; when every set is empty the shard proposes a
-  // quiescence horizon and the clock jumps.  Idle routers are not
+  // and a min-heap of pending traffic arrivals.  An executed cycle
+  // touches only those sets; when every set is empty the shard proposes
+  // a quiescence horizon and the clock jumps.  Idle routers are not
   // ticked at all — their idle accounting (activity tap + power hook)
   // is deferred in idle_from_ and flushed in one tick_idle_n() batch
   // at the next full tick, window boundary, or stats collection,

@@ -55,17 +55,10 @@ LAIN_HOT_PATH LAIN_NO_ALLOC void Nic::tick(Cycle now) {
   LAIN_SHARD_PHASE(component);
   sent_ = 0;
   // A killed NIC (router fault) never acts again; its pipes and queue
-  // were purged by the fault controller when the router died.
-  if (killed_) return;
-  // Idle fast path: nothing queued, no completions from last cycle to
-  // clear, and nothing in the ejection pipe.  Probing only the
-  // consumer side of the channel (see FlitChannel::consumer_pending)
-  // keeps this safe and deterministic under the sharded kernel.  The
-  // full path below would be a pure no-op in this state.
-  if (queue_.empty() && completions_.empty() &&
-      !eject_in_->consumer_pending()) {
-    return;
-  }
+  // were purged by the fault controller when the router died.  A live
+  // quiescent NIC takes the idle fast path: the full path below would
+  // be a pure no-op.
+  if (quiescent()) return;
 
   completions_.clear();
 

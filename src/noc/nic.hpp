@@ -58,12 +58,13 @@ class Nic {
   // credit.
   SendMask sent_links() const { return sent_; }
 
-  // True when tick() would take its O(1) early-out: empty source
-  // queue, no stale completions, empty ejection pipe.  Reads only
-  // NIC-local state and the consumer side of the ejection channel
-  // (same safety argument as Router::quiescent()), so the
-  // event-driven kernel uses it to decide whether the NIC stays on
-  // the active list.
+  // True when tick() takes its O(1) early-out: a killed NIC, or an
+  // empty source queue, no stale completions and an empty ejection
+  // pipe.  Reads only NIC-local state and the consumer side of the
+  // ejection channel (same safety argument as Router::quiescent()), so
+  // it is safe and deterministic under the sharded kernel, and the
+  // event-driven kernel uses it to decide whether the NIC stays on the
+  // active list.
   bool quiescent() const {
     return killed_ || (queue_.empty() && completions_.empty() &&
                        !eject_in_->consumer_pending());
