@@ -9,9 +9,8 @@
 // Credit-based flow control: a flit leaves only if the downstream VC
 // has a free slot; credits travel back on dedicated channels, which
 // add each returned credit to this router's counter in the exchange
-// phase (see CreditChannel).  The
-// torus configuration uses dateline VC classes (lower half before the
-// wrap crossing, upper half after).
+// phase (see CreditChannel).  The torus configuration uses dateline VC
+// classes (lower half before the wrap crossing, upper half after).
 //
 // The power hook lets core/noc_integration gate the crossbar: when the
 // attached sleep controller holds the switch in standby, ST stalls
@@ -30,10 +29,9 @@
 // VC's ring is a slice of one flit block.
 // Routers with nothing to do take the idle fast path instead:
 // quiescent() is an O(ports) probe of the inbound flit pipes, and
-// tick_idle()
-// collapses the cycle to the bookkeeping every downstream consumer
-// still needs (events, crossbar activity, power hook) — bit-identical
-// to what the full pipeline would have done.
+// tick_idle() collapses the cycle to the bookkeeping every downstream
+// consumer still needs (events, crossbar activity, power hook) —
+// bit-identical to what the full pipeline would have done.
 // The event-driven kernel goes further still: tick_idle_n(n) accounts
 // a whole deferred run of n idle cycles at once.
 
