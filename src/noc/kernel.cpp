@@ -548,7 +548,7 @@ void SimKernel::process_fault_cycle() {
   // and re-count as injected — injected = ejected + lost + pending
   // stays an identity.
   for (const RetxDue& r : out.retransmit_now) {
-    net_.nic(r.src).source_packet(r.dst, now_, r.packet, r.created);
+    net_.nic(r.src).source_packet(r.dst, r.created, r.packet);
     Shard& sh = shard_of_node(r.src);
     if (event_mode_) wake_nic(sh, r.src);
     if (!tracked(r.created)) continue;

@@ -24,12 +24,7 @@ void Nic::connect(FlitChannel* inject_out, CreditChannel* credit_in,
   credit_out_ = credit_out;
 }
 
-void Nic::source_packet(NodeId dst, Cycle now, PacketId id) {
-  source_packet(dst, now, id, now);
-}
-
-void Nic::source_packet(NodeId dst, Cycle now, PacketId id, Cycle created) {
-  (void)now;
+void Nic::source_packet(NodeId dst, Cycle created, PacketId id) {
   const int len = packet_length_;
   for (int i = 0; i < len; ++i) {
     Flit f;

@@ -44,11 +44,10 @@ class Nic {
   void connect(FlitChannel* inject_out, CreditChannel* credit_in,
                FlitChannel* eject_in, CreditChannel* credit_out);
 
-  // Queues a new packet for injection.
-  void source_packet(NodeId dst, Cycle now, PacketId id);
-  // Retransmission variant: the flits carry the original creation
-  // stamp, so end-to-end latency spans every attempt.
-  void source_packet(NodeId dst, Cycle now, PacketId id, Cycle created);
+  // Queues a packet for injection, its flits stamped `created`: the
+  // current cycle for a new packet, the original creation cycle for a
+  // retransmission, so end-to-end latency spans every attempt.
+  void source_packet(NodeId dst, Cycle created, PacketId id);
 
   // One cycle: eject the arriving flit, inject at most one flit.
   void tick(Cycle now);
