@@ -297,7 +297,7 @@ ReportTable mesh_scaling(const ScenarioSpec& spec) {
         const double cycles = static_cast<double>(sim.now());
         // Simulated cycles per wall second (in millions): the direct
         // reading of how fast the kernel advances time — shard speedup
-        // and the idle fast path both land in this column.
+        // and event stepping's idle savings both land in this column.
         const double mcyc_s = ms > 0.0 ? cycles / (ms * 1e3) : 0.0;
         const double mnode_cyc_s =
             ms > 0.0 ? cycles * cfg.num_nodes() / (ms * 1e3) : 0.0;

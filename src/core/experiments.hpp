@@ -110,8 +110,8 @@ struct TelemetryOptions {
 // blocks2d / auto) and `pin_threads` pins the shard workers to cores.
 // The stats — and therefore every simulation-derived column — are
 // bit-identical across all of them: only `fault` changes what is
-// simulated.  The kernel picks per-cycle or event stepping itself
-// (noc::SimKernel::kEventSteppingMaxRate).
+// simulated.  The kernel steps event-driven at every rate
+// (noc::SimConfig::enable_idle_fastpath).
 struct RunOptions {
   int sim_threads = 1;
   noc::PartitionStrategy partition = noc::PartitionStrategy::kAuto;

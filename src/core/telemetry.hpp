@@ -44,10 +44,10 @@ struct alignas(64) PhaseCounters {
   std::int64_t barrier_ns = 0;     // time parked on the spin barriers
   std::int64_t component_calls = 0;
   std::int64_t exchange_calls = 0;
-  // Channel ticks the exchange phase performed: every channel the
-  // shard consumes each cycle under per-cycle stepping (two per link,
-  // summed over shards); under event stepping only the channels sent on
-  // plus the shard's boundary channels.
+  // Channel ticks the exchange phase performed: per executed cycle,
+  // the channels sent on plus the shard's boundary channels; on the
+  // per-cycle reference (enable_idle_fastpath off), every channel the
+  // shard consumes (two per link, summed over shards).
   std::int64_t channel_ticks = 0;
 
   void merge(const PhaseCounters& o) {

@@ -119,7 +119,7 @@ class FlitChannel : public ChannelOwners {
     return true;
   }
 
-  // Consumer-side probe for the idle fast path: true when a flit
+  // Consumer-side probe for Router::quiescent(): true when a flit
   // waits in the pipe.  Reads only the consumer half of the channel,
   // so it is safe to call from the consumer's component phase while
   // the producer's shard may be staging a send concurrently: a flit

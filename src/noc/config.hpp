@@ -54,15 +54,15 @@ struct SimConfig {
   int vcs = 2;
   int vc_depth_flits = 4;
 
-  // Idle-proportional stepping.  On (the default), the kernel picks
-  // its own stepping: event-driven for sparse traffic (see
-  // SimKernel::kEventSteppingMaxRate), otherwise per-cycle with the
-  // cycle of a quiescent router (no buffered flits, no owned output
-  // VCs, empty inbound pipes) collapsed to O(1) bookkeeping.  Off pins
-  // the per-cycle reference pipeline: every router runs its full tick
+  // Idle-proportional stepping.  On (the default), the kernel steps
+  // event-driven at every rate: an executed cycle ticks only the
+  // components with work, a quiescent router (no buffered flits, no
+  // owned output VCs, empty inbound pipes) is not ticked until
+  // something wakes it, its idle cycles are accounted in batches, and
+  // the clock jumps across fabric-wide quiescence.  Off pins the
+  // per-cycle reference pipeline: every router runs its full tick
   // every cycle.  Results are bit-identical either way: tests compare
-  // the kernel's choice against the reference, and benchmarks measure
-  // the gap.
+  // the two, and benchmarks measure the gap.
   bool enable_idle_fastpath = true;
 
   // Workload.

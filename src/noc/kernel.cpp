@@ -41,8 +41,7 @@ void record_ejection(SimStats& st, const Nic::Ejection& e,
 }  // namespace
 
 SimKernel::SimKernel(const SimConfig& cfg)
-    : event_mode_(cfg.injection_rate <= kEventSteppingMaxRate &&
-                  cfg.enable_idle_fastpath),
+    : event_mode_(cfg.enable_idle_fastpath),
       cfg_(cfg),
       net_(cfg),
       gen_(cfg) {
@@ -382,25 +381,7 @@ void SimKernel::step_shard_components(std::size_t shard_index) {
     }
   }
   for (NodeId n : sp.nodes) net_.nic(n).tick(now_);
-  // The shard's active set, recomputed per cycle: a router whose
-  // quiescence predicate holds takes the O(1) idle path, everything
-  // else runs the full pipeline.  Polling each router's own
-  // consumer-side state is the only race-free way to maintain the set
-  // — a producer-side wake list would have upstream shards writing
-  // into this shard's bookkeeping mid-phase.  The predicate reads
-  // only pre-cycle state, so the set (and therefore every stat and
-  // power column) is identical across shard counts, partition shapes
-  // and the forced-slow-path configuration.
-  const bool fastpath = cfg_.enable_idle_fastpath;
-  for (NodeId n : sp.nodes) {
-    Router& r = net_.router(n);
-    if (fastpath && r.quiescent()) {
-      r.tick_idle();
-      ++sh.idle_fast_ticks;
-    } else {
-      r.tick();
-    }
-  }
+  for (NodeId n : sp.nodes) net_.router(n).tick();
   // Collect completions at this shard's NICs.  The packet may have
   // been injected by another shard; the counters still sum correctly
   // because every event lands in exactly one shard.
@@ -569,9 +550,8 @@ void SimKernel::process_fault_cycle() {
     // (credits repaired, heads rerouted): wake everything alive so the
     // next executed cycle re-probes quiescence from scratch.  A router
     // that really has nothing to do drops off the active list again
-    // after one probe; idle_fast_ticks may differ from the per-cycle
-    // engine here, but that counter is deliberately not part of
-    // SimStats.
+    // after one full tick, which idle_fast_ticks does not count as
+    // idle; that counter is deliberately not part of SimStats.
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& sh = shards_[s];
       for (NodeId n : plan_.shards[s].nodes) {

@@ -8,14 +8,17 @@
 // one-shard case) and expresses a cycle through the same two helpers
 // for every shard:
 //
-//   step_shard_components()  traffic + NIC/router ticks + completion
-//                            collection for one shard's tile set,
-//   step_shard_channels()    the exchange phase: advance the shard's
-//                            channels, making this cycle's sends
-//                            visible next cycle.
+//   step_shard_event_components()  traffic arrivals + ticks of the
+//                                  shard's components with work +
+//                                  completion collection,
+//   step_shard_event_channels()    the exchange phase: advance the
+//                                  channels sent on and the shard's
+//                                  boundary channels, making this
+//                                  cycle's sends visible next cycle.
 //
-// or through their event-stepping twins, which the kernel picks at
-// construction for sparse traffic (see kEventSteppingMaxRate).
+// With cfg.enable_idle_fastpath off it steps the per-cycle reference
+// pipeline instead (step_shard_components / step_shard_channels: every
+// node and link, every cycle), which the identity tests compare against.
 //
 // Because component ticks only read flits and credits sent in earlier
 // cycles (every link takes one cycle; the exchange phase puts a flit
@@ -63,9 +66,9 @@ struct Shard {
   // negative for one shard (ejection side); the sum over shards is
   // the fabric-wide in-flight tracked count.
   std::int64_t tracked_pending = 0;
-  // Router ticks this shard took on the O(1) idle fast path.  A
-  // wall-clock observability counter, deliberately NOT part of
-  // SimStats: a forced-slow-path run must compare bit-identical.
+  // Router cycles this shard accounted as deferred idle spans.  An
+  // observability counter, deliberately NOT part of SimStats: the
+  // per-cycle reference must compare bit-identical.
   std::int64_t idle_fast_ticks = 0;
   // Opt-in bounded flit-trace ring (SimKernel::enable_flit_trace).
   // Written only inside this shard's component phase.
@@ -103,10 +106,6 @@ struct Shard {
   // Arrival limit the last seed/rescan covered (dry nodes rescan when
   // the kernel extends the limit past this).
   Cycle arrival_scanned_to = 0;
-  // Horizon negotiation slot (sharded engine): this shard's proposed
-  // quiescence horizon, written between the start and horizon
-  // barriers, read by every shard after.
-  Cycle horizon = 0;
 };
 
 class SimKernel {
@@ -128,50 +127,22 @@ class SimKernel {
   virtual void step() = 0;
   Cycle now() const { return now_; }
 
-  // The kernel fixes its stepping at construction: event-driven when
-  // cfg.injection_rate is at most this and cfg.enable_idle_fastpath is
-  // on; per-cycle otherwise.  Both are bit-identical in every output,
-  // so the choice is pure speed.
-  // Event / per-cycle wall time of a whole unpowered uniform mesh run
-  // (1000 warmup + 4000 measured cycles, construction included, auto
-  // partition), fastest of 5 interleaved repetitions (of 11 for 4
-  // shards below 0.02) on a 4-vCPU Xeon host; below 1 event wins:
-  //
-  //   fabric  shards  0.002  0.005  0.01   0.02
-  //   4x4     1       0.16   0.25   0.47   0.67
-  //   5x5     1       0.17   0.29   0.43   0.66
-  //   8x8     1       0.19   0.34   0.52   0.77
-  //   8x8     2       0.22   0.48   0.83   1.06
-  //   8x8     4       0.44   0.70   1.12   1.66
-  //   16x16   1       0.29   0.54   0.80   1.06
-  //   16x16   2       0.69   0.64   0.70   1.13
-  //   16x16   4       0.71   0.91   0.81   1.41
-  //   32x32   1       0.23   0.42   0.74   0.97
-  //   32x32   2       0.51   0.73   0.92   1.24
-  //   32x32   4       0.68   0.90   0.98   1.34
-  //
-  // 0.005 is the highest rate at which event stepping matched or beat
-  // per-cycle stepping in every case; at 0.01 it loses on 8x8 with 4
-  // shards.  Sharded runs on that host are scheduler-bound and vary up
-  // to 2x between repetitions.  Powered runs (SDPC with gating) favour
-  // event stepping slightly more.
-  static constexpr double kEventSteppingMaxRate = 0.005;
-
-  // Whether the kernel steps event-driven (a function of the config
-  // alone, so the same before and after the first step).
+  // Whether the kernel steps event-driven: cfg.enable_idle_fastpath,
+  // fixed at construction.  Off, it steps the per-cycle reference
+  // pipeline; both are bit-identical in every output.
   bool event_stepping() const { return event_mode_; }
 
   bool saturated() const { return saturated_; }
 
-  // Total router ticks taken on the idle fast path so far, summed
-  // over shards.  Deterministic for a given config+seed (the
-  // quiescence predicate reads only pre-cycle state), and zero when
-  // cfg.enable_idle_fastpath is off.  Under event stepping this counts
-  // every deferred-idle router cycle as it is flushed.
+  // Router cycles accounted as deferred idle spans so far, summed over
+  // shards, each counted as it is flushed.  Deterministic for a given
+  // config+seed (a router goes idle when the quiescence predicate,
+  // which reads only pre-cycle state, holds after its tick), and zero
+  // on the per-cycle reference.
   std::int64_t idle_fast_ticks() const;
 
   // Cycles the event-stepping kernel advanced without executing (whole
-  // fabric provably quiescent until the horizon).  Observability
+  // fabric provably quiescent until the skip target).  Observability
   // only — like idle_fast_ticks, deliberately NOT part of SimStats.
   std::int64_t skipped_cycles() const { return skipped_cycles_; }
 
@@ -270,15 +241,13 @@ class SimKernel {
   // constructor must call this exactly once before the first step.
   void init_partition(PartitionStrategy strategy, int num_shards);
 
-  // Component phase for one shard: generate traffic, tick NICs and
-  // routers, collect completions.  Touches only the shard's nodes and
-  // node-local generator state; safe to run concurrently with other
-  // shards' component phases.
-  // Routers that pass the quiescence predicate are stepped on the
-  // O(1) idle fast path (bit-identical results; see Router::tick_idle
-  // and cfg.enable_idle_fastpath).
+  // The per-cycle reference (cfg.enable_idle_fastpath off).
+  // Component phase for one shard: generate traffic, tick every NIC
+  // and run every router's full pipeline, collect completions.
+  // Touches only the shard's nodes and node-local generator state;
+  // safe to run concurrently with other shards' component phases.
   void step_shard_components(std::size_t shard_index);
-  // Exchange phase for one shard: advance its owned channels.
+  // Exchange phase for one shard: advance every channel it consumes.
   void step_shard_channels(std::size_t shard_index);
 
   // Fabric-wide tracked packet count and the merged measured stats
@@ -305,20 +274,21 @@ class SimKernel {
   // work (active lists, woken by exchange-phase flit admissions), the
   // set of channels its components sent on this cycle (candidate list),
   // and a min-heap of pending traffic arrivals.  An executed cycle
-  // touches only those sets; when every set is empty the shard proposes
-  // a quiescence horizon and the clock jumps.  Idle routers are not
-  // ticked at all — their idle accounting (activity tap + power hook)
-  // is deferred in idle_from_ and flushed in one tick_idle_n() batch
-  // at the next full tick, window boundary, or stats collection,
+  // touches only those sets; when every shard's sets are empty until a
+  // later cycle, the clock jumps there between steps.  Idle routers are
+  // not ticked at all — their idle accounting (activity tap + power
+  // hook) is deferred in idle_from_ and flushed in one tick_idle_n()
+  // batch at the next full tick, window boundary, or stats collection,
   // which keeps every power column and idle histogram bit-identical
   // to per-cycle stepping.
 
   // Sizes the per-shard event state; called from init_partition.
   void prepare_event_state();
-  // This shard's proposed horizon: now_ when it has an active
-  // component, else its next traffic arrival, else kNoEventCycle.
-  // Also performs the shard's lazy arrival-heap seeding/extension.
-  // Runs under a component phase scope.
+  // The earliest cycle this shard has work at: now_ when it has an
+  // active component, else its next traffic arrival, else
+  // kNoEventCycle.  Also performs the shard's lazy arrival-heap
+  // seeding/extension.  Called on the calling thread between steps,
+  // under the shard's component phase scope.
   static constexpr Cycle kNoEventCycle = std::numeric_limits<Cycle>::max();
   Cycle shard_horizon(std::size_t shard_index);
   // Event-driven component phase for one shard (executed cycles only).
@@ -333,7 +303,7 @@ class SimKernel {
   void maintain_arrival_limit();
   // Flushes every router's deferred idle accounting up to `upto`
   // (calling thread, between steps; used by flush_window and
-  // collect_stats, and when leaving event mode).
+  // collect_stats).
   void flush_deferred_idle(Cycle upto);
   // The cap run() imposes on a skip this step (next window boundary,
   // injection stop, drain limit); < 0 means bare stepping (cap one
@@ -346,8 +316,8 @@ class SimKernel {
   Cycle arrival_limit_ = 0;
   bool arrival_limit_final_ = false;
   std::int64_t skipped_cycles_ = 0;
-  // Event-driven stepping (the rule at kEventSteppingMaxRate), fixed
-  // at construction.
+  // Event-driven stepping (cfg.enable_idle_fastpath), fixed at
+  // construction.
   const bool event_mode_;
 
   // Per-node event bookkeeping (indexed by node; each entry touched

@@ -37,7 +37,6 @@ void ShardedSimulation::start_workers() {
   if (workers_running_ || shards_.size() <= 1) return;
   const int participants = num_shards();  // driver + S-1 workers
   start_barrier_ = std::make_unique<core::SpinBarrier>(participants);
-  horizon_barrier_ = std::make_unique<core::SpinBarrier>(participants);
   exchange_barrier_ = std::make_unique<core::SpinBarrier>(participants);
   done_barrier_ = std::make_unique<core::SpinBarrier>(participants);
   pool_ = std::make_unique<core::ThreadPool>(num_shards() - 1);
@@ -89,29 +88,23 @@ LAIN_HOT_PATH void ShardedSimulation::cross(core::SpinBarrier* barrier,
   barrier->arrive_and_wait();
 }
 
-LAIN_HOT_PATH Cycle ShardedSimulation::global_skip_target() const {
+LAIN_HOT_PATH Cycle ShardedSimulation::skip_target() {
+  // Every shard's horizon, not just up to the first busy one: each
+  // call also seeds or extends that shard's arrival heap, which its
+  // component phase reads this cycle.
   Cycle h = kNoEventCycle;
-  for (const Shard& sh : shards_) {
-    if (sh.horizon < h) h = sh.horizon;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Cycle c = shard_horizon(s);
+    if (c < h) h = c;
   }
   if (h <= now_) return now_;
   const Cycle cap = skip_cap_ >= 0 ? skip_cap_ : now_ + 1;
   return h < cap ? h : cap;
 }
 
-LAIN_HOT_PATH Cycle
-ShardedSimulation::step_participant(std::size_t shard_index) {
+LAIN_HOT_PATH void ShardedSimulation::step_participant(
+    std::size_t shard_index) {
   std::exception_ptr& error = errors_[shard_index];
-  Cycle target = now_;
-  if (event_mode_) {
-    // A poisoned shard proposes nothing, so it cannot stall the others.
-    Cycle& horizon = shards_[shard_index].horizon;
-    horizon = kNoEventCycle;
-    run_guarded(error, [&] { horizon = shard_horizon(shard_index); });
-    cross(horizon_barrier_.get(), shard_index);
-    target = global_skip_target();
-  }
-  if (target > now_) return target - now_;
   run_guarded(error, [&] {
     if (event_mode_) {
       step_shard_event_components(shard_index);
@@ -127,7 +120,6 @@ ShardedSimulation::step_participant(std::size_t shard_index) {
       step_shard_channels(shard_index);
     }
   });
-  return 0;
 }
 
 LAIN_HOT_PATH void ShardedSimulation::worker_loop(std::size_t shard_index) {
@@ -157,13 +149,24 @@ void ShardedSimulation::rethrow_any_error() {
 }
 
 LAIN_HOT_PATH void ShardedSimulation::step() {
-  if (event_mode_) maintain_arrival_limit();
+  if (event_mode_) {
+    // Between steps every worker is parked, so the calling thread reads
+    // the shards' active counts and arrival heaps (published by the
+    // done barrier) and seeds arrivals (published by the start
+    // barrier).  A skip wakes no worker.
+    maintain_arrival_limit();
+    const Cycle target = skip_target();
+    if (target > now_) {
+      skipped_cycles_ += target - now_;
+      now_ = target;
+      return;
+    }
+  }
   start_workers();
   cross(start_barrier_.get(), 0);
-  const Cycle skipped = step_participant(0);
+  step_participant(0);
   cross(done_barrier_.get(), 0);
-  now_ += skipped > 0 ? skipped : 1;
-  skipped_cycles_ += skipped;
+  ++now_;
   rethrow_any_error();
 }
 

@@ -5,31 +5,39 @@
 // and steps every shard through the same cycle under a two-phase
 // barrier:
 //
-//   phase 1 (components)  each shard generates traffic for its tiles
-//                         and ticks its NICs and routers.  Channel
-//                         sends only write producer-side staging
-//                         slots, so shards never race — even on links
-//                         that cross a shard boundary.
+//   phase 1 (components)  each shard sources the traffic due at its
+//                         tiles and ticks its NICs and routers with
+//                         work.  Channel sends only write
+//                         producer-side staging slots, so shards never
+//                         race — even on links that cross a shard
+//                         boundary.
 //   barrier
 //   phase 2 (exchange)    each shard advances the channels it
-//                         consumes — its internal links whole, and of
-//                         each boundary link the flit channel where it
-//                         holds the owner, the credit channel where it
-//                         holds the source — publishing this cycle's
-//                         flits for the next cycle and adding its
-//                         returned credits to their consumers'
-//                         counters.
+//                         consumes that may hold an item — those its
+//                         components sent on, and of each boundary
+//                         link the flit channel where it holds the
+//                         owner, the credit channel where it holds the
+//                         source — publishing this cycle's flits for
+//                         the next cycle and adding its returned
+//                         credits to their consumers' counters.
 //   barrier
 //
-// Under event stepping (sparse traffic; the kernel picks it, see
-// SimKernel::kEventSteppingMaxRate) a horizon round comes first:
-// every shard proposes the earliest cycle it knows work at, and after
-// a horizon barrier every participant computes the same global target
-// and either executes the cycle as above or skips to the target.  A
-// skip only advances the clock: every admitted flit wakes its consumer
-// in the shard that admitted it and is receivable the next cycle, so
-// no shard proposes a horizon past one, and a credit is never in
-// flight across a skip.
+// The per-cycle reference (enable_idle_fastpath off) runs the same two
+// phases over every node and channel of the shard, every cycle.
+//
+// Under event stepping (the default; SimConfig::enable_idle_fastpath)
+// the calling thread first computes the skip target between steps:
+// the earliest cycle any shard has work at (an active component or a
+// traffic arrival), capped by run()'s next stop point.  Past the
+// current cycle, the clock jumps there and no worker wakes; otherwise
+// the cycle executes as above.  So an executed cycle crosses three
+// barriers (start, exchange, done) and a skipped one none.  The
+// calling thread reads each shard's active counts and arrival heap
+// after the done barrier and seeds arrivals before the start barrier,
+// while every worker is parked.  A skip only advances the clock:
+// every admitted flit wakes its consumer in the shard that admitted
+// it and is receivable the next cycle, so a shard with work next cycle
+// is already active, and a credit is never in flight across a skip.
 //
 // The calling thread drives shard 0 and the phase machine; shards
 // 1..S-1 run on a persistent ThreadPool that is reused across every
@@ -41,11 +49,11 @@
 // per-node RNG streams and SimStats merges exactly, so the result is
 // bit-identical at any shard count and partition shape.
 //
-// Idle-proportional cost: the per-cycle component phase steps
-// quiescent routers on the O(1) idle fast path.  The quiescence probe
-// reads only each router's own state and the consumer side of its
-// inbound flit channels, so it introduces no cross-shard reads and
-// cannot perturb the determinism contract.
+// Idle-proportional cost: an executed cycle ticks only the components
+// with work, and idle routers' accounting is flushed in batches.  The
+// quiescence probe that retires a component reads only its own state
+// and the consumer side of its inbound flit channels, so it introduces
+// no cross-shard reads and cannot perturb the determinism contract.
 
 #pragma once
 
@@ -97,19 +105,17 @@ class ShardedSimulation : public SimKernel {
   void start_workers();
   void stop_workers();
   void worker_loop(std::size_t shard_index);
-  // One participant's part of one step: under event stepping this
-  // shard's horizon proposal, then its component and exchange phases
-  // unless the step skips.  The calling thread and every worker run it
-  // between the start and done barriers and meet at the horizon and
-  // exchange barriers inside; with one shard it crosses no barrier.
-  // Returns the cycles skipped (0 when the step executed a cycle).
-  Cycle step_participant(std::size_t shard_index);
+  // One participant's part of an executed cycle: this shard's
+  // component and exchange phases.  The calling thread and every
+  // worker run it between the start and done barriers and meet at the
+  // exchange barrier inside; with one shard it crosses no barrier.
+  void step_participant(std::size_t shard_index);
   // Waits at `barrier`, timed as barrier wait; no-op with one shard.
   void cross(core::SpinBarrier* barrier, std::size_t shard_index);
-  // The cycle the shards' horizons and the skip cap let the clock jump
-  // to; now_ means execute this cycle.  Every participant computes it
-  // from barrier-synchronized inputs, so all take the same branch.
-  Cycle global_skip_target() const;
+  // Event stepping, on the calling thread between steps: the cycle the
+  // shards' horizons and the skip cap let the clock jump to; now_
+  // means execute this cycle.
+  Cycle skip_target();
   void rethrow_any_error();
 
   bool pin_threads_ = false;
@@ -118,7 +124,6 @@ class ShardedSimulation : public SimKernel {
   // Worker machinery (only engaged with more than one shard).
   std::unique_ptr<core::ThreadPool> pool_;
   std::unique_ptr<core::SpinBarrier> start_barrier_;
-  std::unique_ptr<core::SpinBarrier> horizon_barrier_;
   std::unique_ptr<core::SpinBarrier> exchange_barrier_;
   std::unique_ptr<core::SpinBarrier> done_barrier_;
   bool workers_running_ = false;

@@ -57,8 +57,9 @@ void Router::connect_output(Dir d, FlitChannel* flits_out,
 }
 
 LAIN_HOT_PATH LAIN_NO_ALLOC bool Router::quiescent() const {
-  // One branch, not two: the kernel probes every router every cycle,
-  // and a separate test per field mispredicts far more often.
+  // One branch, not two: the event kernel probes every router it
+  // ticks, after each tick, and a separate test per field mispredicts
+  // far more often.
   if ((static_cast<Mask>(buffered_flits_) | owned_) != 0) return false;
   for (const FlitChannel* fc : in_flits_) {
     if (fc != nullptr && fc->consumer_pending()) return false;

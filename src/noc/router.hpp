@@ -27,13 +27,13 @@
 // Mask bounds a router to 5 ports x 12 VCs (SimConfig::validate), so
 // the per-VC tables are fixed arrays of that size, and every input
 // VC's ring is a slice of one flit block.
-// Routers with nothing to do take the idle fast path instead:
-// quiescent() is an O(ports) probe of the inbound flit pipes, and
-// tick_idle() collapses the cycle to the bookkeeping every downstream
-// consumer still needs (events, crossbar activity, power hook) —
-// bit-identical to what the full pipeline would have done.
-// The event-driven kernel goes further still: tick_idle_n(n) accounts
-// a whole deferred run of n idle cycles at once.
+// A router with nothing to do need not run the pipeline: quiescent()
+// is an O(ports) probe of the inbound flit pipes, and tick_idle()
+// collapses one cycle to the bookkeeping every downstream consumer
+// still needs (events, crossbar activity, power hook) — bit-identical
+// to what the full pipeline would have done.  The event-driven kernel
+// does not tick an idle router at all: tick_idle_n(n) accounts a
+// whole deferred run of n idle cycles at once.
 
 #pragma once
 

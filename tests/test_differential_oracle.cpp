@@ -5,12 +5,12 @@
 // at a few hand-picked configurations.  Here a seeded generator draws
 // valid SimConfigs across the space the kernel treats differently:
 // mesh and torus at radix 2-8, VC count, buffer depth and packet
-// length, every traffic pattern with and without bursts, rates on both
-// sides of SimKernel::kEventSteppingMaxRate, link and router faults
-// with and without repair, metrics windows, and powered runs with
-// gating on and off.  Each config runs on the per-cycle reference
-// pipeline (enable_idle_fastpath = false, one shard) and on the
-// kernel's own stepping at 1, 2 and 4 shards, row bands and 2D blocks.
+// length, every traffic pattern with and without bursts, sparse and
+// dense rates, link and router faults with and without repair,
+// metrics windows, and powered runs with gating on and off.  Each
+// config runs on the per-cycle reference pipeline
+// (enable_idle_fastpath = false, one shard) and on event stepping at
+// 1, 2 and 4 shards, row bands and 2D blocks.
 // Every run must agree bit for bit: SimStats, cycle count, saturation,
 // the metrics-window series and, for powered runs, every PoweredNoc
 // column at each window boundary and at the end.  A mismatch prints
@@ -37,6 +37,10 @@
 
 namespace lain::noc {
 namespace {
+
+// Half the draws are sparse (at or below this rate, where the fabric
+// is empty most cycles and event stepping skips them), half dense.
+constexpr double kSparseEdge = 0.005;
 
 struct Drawn {
   SimConfig cfg;
@@ -83,9 +87,8 @@ Drawn draw_config(std::uint64_t seed) {
   cfg.hotspot_node = pick(0, cfg.num_nodes() - 1);
   cfg.hotspot_fraction = uniform(0.0, 1.0);
 
-  // Half the draws step event-driven (at or below the constant, the
-  // constant itself included), half per-cycle.
-  const double edge = SimKernel::kEventSteppingMaxRate;
+  // Half the draws are sparse (the edge itself included), half dense.
+  const double edge = kSparseEdge;
   if (chance(0.5)) {
     cfg.injection_rate = chance(0.2) ? edge : uniform(0.0005, edge);
   } else {
@@ -343,15 +346,14 @@ TEST(DifferentialOracle, KernelMatchesPerCycleReferenceOnSeededConfigs) {
 // The fixed seed list must reach every corner the generator names, so
 // a generator change cannot silently narrow the oracle.
 TEST(DifferentialOracle, SeedListCoversTheConfigSpace) {
-  int event = 0, per_cycle = 0, torus = 0, mesh = 0, bursty = 0;
+  int sparse = 0, dense = 0, torus = 0, mesh = 0, bursty = 0;
   int faults = 0, repaired = 0, permanent = 0, router_kills = 0;
   int windowed = 0, gated = 0, ungated = 0;
   std::vector<int> patterns(7, 0);
   for (std::uint64_t seed = 1; seed <= kSeedCount; ++seed) {
     const Drawn d = draw_config(seed);
     const SimConfig& c = d.cfg;
-    (c.injection_rate <= SimKernel::kEventSteppingMaxRate ? event
-                                                          : per_cycle)++;
+    (c.injection_rate <= kSparseEdge ? sparse : dense)++;
     (c.topology == TopologyKind::kTorus ? torus : mesh)++;
     bursty += c.burst_duty < 1.0 ? 1 : 0;
     if (c.fault.enabled()) {
@@ -363,7 +365,7 @@ TEST(DifferentialOracle, SeedListCoversTheConfigSpace) {
     if (d.powered) (d.gating ? gated : ungated)++;
     ++patterns[static_cast<std::size_t>(c.pattern)];
   }
-  for (int n : {event, per_cycle, torus, mesh, bursty, faults, repaired,
+  for (int n : {sparse, dense, torus, mesh, bursty, faults, repaired,
                 permanent, router_kills, windowed, gated, ungated}) {
     EXPECT_GT(n, 0);
   }

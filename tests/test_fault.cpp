@@ -93,13 +93,13 @@ TEST(Fault, SingleLinkKillMeshDeliversEverything) {
   EXPECT_EQ(sim.unreachable_pairs(), 0);
 }
 
-// Degraded bit-identity: the per-cycle reference vs the kernel's own
-// stepping, serial and sharded 1/2/4/8 x rows/blocks2d.  Mesh and torus
-// at 0.02 step per-cycle; the sparse mesh steps event-driven and loses
-// a packet to the purge, so a purge and its retransmission run under
-// event stepping too.
+// Degraded bit-identity: the per-cycle reference vs event stepping,
+// serial and sharded 1/2/4/8 x rows/blocks2d, on mesh and torus at
+// 0.02 and on a sparse mesh that skips cycles and loses a packet to
+// the purge, so a purge and its retransmission run across skips too.
 TEST(Fault, BitIdenticalAcrossEnginesAndTopologiesDegraded) {
-  SimConfig sparse = faulty(TopologyKind::kMesh, 0.005);
+  constexpr double kSparse = 0.005;
+  SimConfig sparse = faulty(TopologyKind::kMesh, kSparse);
   sparse.fault.links = 8;
   sparse.fault.seed = 7;
   std::vector<SimConfig> cfgs = {faulty(TopologyKind::kMesh, 0.02),
@@ -117,7 +117,7 @@ TEST(Fault, BitIdenticalAcrossEnginesAndTopologiesDegraded) {
 
     Simulation serial(cfg);
     expect_bit_identical(reference, serial.run());
-    if (cfg.injection_rate <= SimKernel::kEventSteppingMaxRate) {
+    if (cfg.injection_rate <= kSparse) {
       EXPECT_GT(reference.packets_lost, 0);
       EXPECT_GT(serial.skipped_cycles(), 0);
     }

@@ -129,11 +129,14 @@ TEST(ShardedSim, SaturationDecisionMatchesSerial) {
 // Every shard steps its own routers on its own thread: shard 0 on the
 // calling thread, shards 1..3 each on a worker of their own, every
 // cycle on the same one.  A PowerHook on each router sees the thread
-// that ticks it (per-cycle stepping: every router ticks every cycle).
+// that ticks it.  The per-cycle reference ticks every router every
+// cycle; under event stepping idle spans are flushed on the calling
+// thread between steps.
 TEST(ShardedSim, WorkerShardsStepOnWorkerThreads) {
   SimConfig cfg = mesh8(0.05);
   cfg.warmup_cycles = 10;
   cfg.measure_cycles = 50;
+  cfg.enable_idle_fastpath = false;
   ShardedSimulation sim(cfg, opts(4, PartitionStrategy::kBlocks2D));
   ASSERT_FALSE(sim.event_stepping());
 

@@ -303,9 +303,10 @@ TEST(TelemetryCounters, CollectorAccumulatesPerShardPhaseCounters) {
   EXPECT_EQ(collector.num_shards(), 2);
   sim.run();
   const telemetry::PhaseCounters totals = collector.totals();
-  // One component and one exchange call per shard per cycle.
-  EXPECT_EQ(totals.component_calls, 2 * sim.now());
-  EXPECT_EQ(totals.exchange_calls, 2 * sim.now());
+  // One component and one exchange call per shard per executed cycle.
+  const std::int64_t executed = sim.now() - sim.skipped_cycles();
+  EXPECT_EQ(totals.component_calls, 2 * executed);
+  EXPECT_EQ(totals.exchange_calls, 2 * executed);
   EXPECT_GT(totals.channel_ticks, 0);
   EXPECT_GE(totals.component_ns, 0);
   EXPECT_GE(totals.barrier_ns, 0);
@@ -491,27 +492,32 @@ TEST(JsonSchema, ManifestKeysAreTheRunIdentity) {
 }
 
 TEST(JsonSchema, SummaryRecordsTheKernelsStepping) {
-  // The summary says which stepping the kernel chose and how many
-  // cycles it jumped: event-driven on sparse traffic, per-cycle above
-  // SimKernel::kEventSteppingMaxRate.
+  // The summary says how the kernel stepped and how many cycles it
+  // jumped: event-driven at any rate, per-cycle only on the reference
+  // pipeline (enable_idle_fastpath off), which jumps none.
   core::LainContext ctx;
   for (const double rate : {0.002, 0.05}) {
-    telemetry::MemorySink sink;
-    NocRunSpec spec;
-    spec.sim = mesh8(rate);
-    spec.telemetry.sink = &sink;
-    ctx.run_noc(spec);
-    ASSERT_EQ(sink.summaries.size(), 1u);
-    const std::string line = telemetry::to_json(sink.summaries[0]);
-    const std::optional<std::string> skipped =
-        json_field(line, "skipped_cycles");
-    ASSERT_TRUE(skipped.has_value());
-    if (rate <= SimKernel::kEventSteppingMaxRate) {
-      EXPECT_EQ(json_field(line, "stepping"), "event");
-      EXPECT_GT(std::stoll(*skipped), 0);
-    } else {
-      EXPECT_EQ(json_field(line, "stepping"), "per_cycle");
-      EXPECT_EQ(*skipped, "0");
+    for (const bool reference : {false, true}) {
+      telemetry::MemorySink sink;
+      NocRunSpec spec;
+      spec.sim = mesh8(rate);
+      spec.sim.enable_idle_fastpath = !reference;
+      spec.telemetry.sink = &sink;
+      ctx.run_noc(spec);
+      ASSERT_EQ(sink.summaries.size(), 1u);
+      const std::string line = telemetry::to_json(sink.summaries[0]);
+      const std::optional<std::string> skipped =
+          json_field(line, "skipped_cycles");
+      ASSERT_TRUE(skipped.has_value());
+      if (reference) {
+        EXPECT_EQ(json_field(line, "stepping"), "per_cycle");
+        EXPECT_EQ(*skipped, "0");
+      } else {
+        EXPECT_EQ(json_field(line, "stepping"), "event");
+        if (rate == 0.002) {
+          EXPECT_GT(std::stoll(*skipped), 0);
+        }
+      }
     }
   }
 }
@@ -520,7 +526,7 @@ TEST(JsonSchema, SummaryIdleFastTicksEqualTheWindowSum) {
   // The summary reports the kernel's own idle-fast-path count, which
   // under event stepping includes the idle spans settled at window
   // boundaries and at the end of the run: the windows' deltas sum to
-  // it at any window size, on both sides of the stepping threshold.
+  // it at any window size, at a sparse and a dense rate.
   core::LainContext ctx;
   for (const double rate : {0.002, 0.05}) {
     for (const Cycle window : {Cycle{250}, Cycle{100000}}) {

@@ -43,40 +43,33 @@ for preset in $PRESETS; do
     *) ctest --preset "$preset" ;;
   esac
 
-  # Streaming-telemetry smoke (release only): a windowed sharded run
-  # must emit a manifest, window records and a summary over JSONL.
+  # Streaming-telemetry smokes (release only): a windowed sharded run
+  # at a loaded and at a sparse rate must each emit a manifest, window
+  # records and a summary over JSONL, and the kernel steps event-driven
+  # at every rate, so each summary must say "stepping":"event".
   if [ "$preset" = release ]; then
-    metrics_out="build/$preset/check_all_metrics.jsonl"
-    if ! "build/$preset/lain_bench" injection_sweep --rates 0.05 \
-        --patterns uniform --schemes sdpc --sim-threads 2 \
-        --metrics-window 500 --trace-flits 64 \
-        --metrics-out "$metrics_out" >/dev/null; then
-      echo "check_all: metrics smoke run failed" >&2
-      exit 1
-    fi
-    for record in manifest window summary; do
-      if ! grep -q "\"type\":\"$record\"" "$metrics_out"; then
-        echo "check_all: metrics smoke: no $record record in JSONL" >&2
+    for rate in 0.05 0.002; do
+      metrics_out="build/$preset/check_all_metrics_$rate.jsonl"
+      if ! "build/$preset/lain_bench" injection_sweep --rates "$rate" \
+          --patterns uniform --schemes sdpc --sim-threads 2 \
+          --metrics-window 500 --trace-flits 64 \
+          --metrics-out "$metrics_out" >/dev/null; then
+        echo "check_all: metrics smoke run failed at $rate" >&2
         exit 1
       fi
+      for record in manifest window summary; do
+        if ! grep -q "\"type\":\"$record\"" "$metrics_out"; then
+          echo "check_all: metrics smoke: no $record record at $rate" >&2
+          exit 1
+        fi
+      done
+      if ! grep '"type":"summary"' "$metrics_out" |
+          grep -q '"stepping":"event"'; then
+        echo "check_all: metrics smoke: $rate summary not event-stepped" >&2
+        exit 1
+      fi
+      echo "check_all: metrics smoke OK at $rate ($metrics_out)"
     done
-    echo "check_all: metrics smoke OK ($metrics_out)"
-
-    # Sparse twin: at 0.002 the sharded kernel steps event-driven, and
-    # the JSONL summary must say so.
-    sparse_out="build/$preset/check_all_metrics_sparse.jsonl"
-    if ! "build/$preset/lain_bench" injection_sweep --rates 0.002 \
-        --patterns uniform --schemes sdpc --sim-threads 2 \
-        --metrics-window 500 --metrics-out "$sparse_out" >/dev/null; then
-      echo "check_all: sparse metrics smoke run failed" >&2
-      exit 1
-    fi
-    if ! grep '"type":"summary"' "$sparse_out" |
-        grep -q '"stepping":"event"'; then
-      echo "check_all: sparse metrics smoke: summary not event-stepped" >&2
-      exit 1
-    fi
-    echo "check_all: sparse metrics smoke OK ($sparse_out)"
 
     # Scenario-file smoke: the wire-format batch driver must run a
     # JSONL job file clean (the served twin of this path is covered by

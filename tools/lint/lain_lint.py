@@ -37,7 +37,7 @@ contract markers in src/core/contracts.hpp:
                  LAIN_HOT_PATH or LAIN_NO_ALLOC extent: the
                  event-driven kernel schedules with std::push_heap /
                  std::pop_heap over preallocated vectors precisely so
-                 the horizon negotiation stays allocation-free in
+                 the skip-target computation stays allocation-free in
                  steady state — a drive-by "cleaner" rewrite to
                  priority_queue would reintroduce per-event churn.
   json-literal   no string literal spelling a JSON key (\"key\":)
