@@ -54,8 +54,12 @@ namespace lain::noc {
 // One shard's runtime state: its private measurement slice, merged
 // exactly at the end of the run.  The static side — tile set and
 // exchange-phase links and channels — lives in the kernel's
-// PartitionPlan.
-struct Shard {
+// PartitionPlan.  Cache-line aligned: each shard's phases write its
+// slot from their own thread, so neighbouring slots never share a
+// line, and the serial kernel's one slot keeps a fixed line layout.
+// (Unaligned, a 760-byte slot ran perfbench's mesh_sparse ~5% slower
+// than a 768-byte one on a 4-vCPU Xeon host.)
+struct alignas(64) Shard {
   SimStats stats;
   // The current metrics window's slice of the same events (only
   // maintained when a metrics window is configured).  Merged and
