@@ -237,7 +237,9 @@ std::vector<Bench> make_benches() {
     keep(net.flits_in_flight());
   }});
 
-  // One whole-mesh cycle (25 routers) per op, not per node.
+  // One whole-mesh cycle (25 routers at 0.15 flits/node/cycle) per op,
+  // not per node.  Like every sim_step_* bench it steps event-driven,
+  // the default; a bare step() advances one cycle.
   benches.push_back({"sim_step_5x5_mesh", [](std::int64_t n) {
     noc::SimConfig cfg =
         core::default_mesh_config(0.15, noc::TrafficPattern::kUniform);
@@ -247,12 +249,13 @@ std::vector<Bench> make_benches() {
     for (std::int64_t i = 0; i < n; ++i) sim.step();
   }});
 
-  // The paper-regime case the idle fast path targets: a 16x16 mesh at
-  // 0.02 flits/node/cycle, where nearly every router is quiescent on
-  // any given cycle.  One op = one whole-fabric cycle (256 routers)
-  // through the serial kernel.  The _slowpath twin forces the full
-  // pipeline on every router, so the pair keeps the fast-path win
-  // visible in every recorded bench trajectory.
+  // The paper regime: a 16x16 mesh at 0.02 flits/node/cycle, where
+  // nearly every router is quiescent on any given cycle.  One op = one
+  // whole-fabric cycle (256 routers) through the serial kernel's bare
+  // step() loop, which event stepping advances one cycle at a time,
+  // ticking only the components with work.  The _slowpath twin pins the
+  // per-cycle reference, the full pipeline on every router, so the pair
+  // keeps the stepping win visible in every recorded bench trajectory.
   for (const bool fast : {true, false}) {
     benches.push_back(
         {fast ? "mesh_idle_fastpath" : "mesh_idle_slowpath",
@@ -272,11 +275,10 @@ std::vector<Bench> make_benches() {
 
   // Sparse-traffic pair: the same 16x16 fabric at 0.002, where most
   // cycles are arrival-free fabric-wide ((1-0.002)^256 = 60%) and the
-  // fabric drains between packets.  mesh_sparse is the kernel's own
-  // choice, which at this rate is event stepping (quiescent stretches
-  // are jumped); the _slowpath twin pins the per-cycle reference
-  // pipeline, so the pair keeps the stepping win visible in every
-  // recorded bench trajectory.
+  // fabric drains between packets.  mesh_sparse steps event-driven, so
+  // a bare step() over a quiescent fabric executes nothing; the
+  // _slowpath twin pins the per-cycle reference pipeline, so the pair
+  // keeps the stepping win visible in every recorded bench trajectory.
   for (const bool fast : {true, false}) {
     benches.push_back(
         {fast ? "mesh_sparse" : "mesh_sparse_slowpath",
@@ -359,8 +361,8 @@ std::vector<Bench> make_benches() {
     }
   }});
   benches.push_back({"powered_noc_sparse", [](std::int64_t n) {
-    // Its event-stepped twin: a 16x16 SDPC mesh at 0.002, where the
-    // deferred idle power flush and the arrival scan carry the run.
+    // Its sparse twin: a 16x16 SDPC mesh at 0.002, where the deferred
+    // idle power flush and the arrival scan carry the run.
     core::LainContext ctx;
     core::NocRunSpec spec;
     spec.scheme = xbar::Scheme::kSDPC;
