@@ -115,9 +115,16 @@ void expect_identical_on_every_engine(const Load& load) {
   }
 }
 
+// Sparse loads: the fabric is empty most cycles and the kernel skips
+// them.
 TEST(CycleSkip, BitIdenticalToPerCycleAllEnginesAndTopologies) {
   expect_identical_on_every_engine({"sparse", kSparse, 1.0});
   expect_identical_on_every_engine({"sparse bursty", kSparse, 0.1});
+}
+
+// The dense load: event stepping against the forced slow path
+// (enable_idle_fastpath = false) where few cycles can be skipped.
+TEST(IdleFastPath, BitIdenticalToForcedSlowPathAllEnginesAndTopologies) {
   expect_identical_on_every_engine({"dense", kDense, 1.0});
 }
 
